@@ -28,10 +28,8 @@ from .operators import (
     SystemSpec,
     annihilator,
     det_adj,
-    eval_symbol,
     gram,
     homogenize,
-    symbol,
 )
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .quadrature import QuadratureRule, build_rule, moment_map, surface_area
@@ -68,7 +66,6 @@ __all__ = [
     "check_weak_cancellation",
     "constrain_field",
     "det_adj",
-    "eval_symbol",
     "format_operator",
     "format_system",
     "gram",
@@ -86,5 +83,4 @@ __all__ = [
     "run_full_check",
     "solve_system",
     "surface_area",
-    "symbol",
 ]

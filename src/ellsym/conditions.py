@@ -1,10 +1,10 @@
 """Deciders for ellipticity and the cancellation-type compatibility conditions.
 
 The continuum intersections ⋂_{ξ≠0} ker C(ξ) and ⋂_{ξ≠0} im A(ξ) are reduced
-to finite exact linear algebra: the first via homogenization and the common
-kernel of the coefficient matrices, the second via the coefficient matrices
-of an exact annihilator L (ker L(ξ) = im A(ξ) off the origin, and a
-polynomial identity on R^n \\ {0} extends to all of R^n).
+to finite exact linear algebra: the first is the common kernel of the
+coefficient matrices of C, the second the same common kernel for an exact
+annihilator L (ker L(ξ) = im A(ξ) off the origin, and a polynomial identity
+on R^n \\ {0} extends to all of R^n).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     NotHomogeneousError,
     OrderTooLowError,
 )
-from .operators import annihilator, homogenize
+from .operators import annihilator
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .quadrature import converged_moments, surface_area
 from .ratlinalg import (
@@ -118,10 +118,8 @@ def _integerize(vec):
 
 def _gram_kernel_at(a, xi):
     """Exact kernel vector of A(ξ) at a rational point (None if injective)."""
-    g = a.symbol()
-    gxi = g.eval(xi)
-    gram = mat_mul(transpose(gxi), gxi)
-    kern = nullspace(gram, ncols=a.source_dim)
+    axi = a.symbol().eval(xi)
+    kern = nullspace(mat_mul(transpose(axi), axi), ncols=a.source_dim)
     if kern:
         return _integerize(kern[0])
     return None
@@ -167,9 +165,7 @@ def is_elliptic(a, grid_points=ELLIPTIC_GRID_POINTS, threshold=ELLIPTIC_MIN_THRE
             witness_exact=True,
             note="target dimension below source dimension",
         )
-    sym = a.symbol()
-    gram_sym = sym.transpose() * sym
-    detg = gram_sym.det()
+    detg = a.gram_det
     if detg.is_zero():
         xi = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
         return EllipticityVerdict(
@@ -324,26 +320,23 @@ def _is_elliptic_sampled(a, detg, grid_points, threshold):
 
 
 def kernel_intersection(c):
-    """K_C = ⋂_{ξ≠0} ker C(ξ), exactly, via homogenization + stacked coefficients."""
-    ch = homogenize(c)
-    stacked = []
-    for _, mat in sorted(ch.coeffs.items(), reverse=True):
-        stacked.extend([list(row) for row in mat])
+    """K_C = ⋂_{ξ≠0} ker C(ξ), exactly.
+
+    C(ξ)v vanishes identically iff every coefficient C_α v = 0, so K_C is the
+    common kernel of the stacked coefficient matrices (all of the source
+    space when C ≡ 0).
+    """
+    stacked = [
+        list(row) for _, mat in sorted(c.coeffs.items(), reverse=True) for row in mat
+    ]
     if not stacked:
         return Subspace.full(c.source_dim)
     return Subspace.from_vectors(c.source_dim, nullspace(stacked, ncols=c.source_dim))
 
 
 def image_intersection(a, ann=None):
-    """I_A = ⋂_{ξ≠0} im A(ξ) via the common kernel of the annihilator coefficients."""
-    if ann is None:
-        ann = annihilator(a)
-    stacked = []
-    for _, mat in sorted(ann.coeffs.items(), reverse=True):
-        stacked.extend([list(row) for row in mat])
-    if not stacked:  # L ≡ 0: the symbol is surjective everywhere
-        return Subspace.full(a.target_dim)
-    return Subspace.from_vectors(a.target_dim, nullspace(stacked, ncols=a.target_dim))
+    """I_A = ⋂_{ξ≠0} im A(ξ): the common kernel of an exact annihilator L."""
+    return kernel_intersection(annihilator(a) if ann is None else ann)
 
 
 @dataclass
@@ -362,14 +355,21 @@ class CCResult:
 
 def check_cc(system, ann=None):
     """Condition (CC): I_A ∩ K_C = {0}. Witness = first canonical basis vector."""
-    i_a = image_intersection(system.a, ann=ann)
+    return _cc(image_intersection(system.a, ann=ann), _constraint_kernel(system))[0]
+
+
+def _constraint_kernel(system):
+    """K_C; all of E when the system has no constraint."""
     if system.c is None:
-        k_c = Subspace.full(system.a.target_dim)
-    else:
-        k_c = kernel_intersection(system.c)
+        return Subspace.full(system.a.target_dim)
+    return kernel_intersection(system.c)
+
+
+def _cc(i_a, k_c):
+    """(CCResult, I_A ∩ K_C)."""
     isect = i_a.intersect(k_c)
     witness = None if isect.is_zero() else isect.basis[0]
-    return CCResult(isect.is_zero(), witness, i_a, k_c)
+    return CCResult(isect.is_zero(), witness, i_a, k_c), isect
 
 
 # -- weak cancellation ---------------------------------------------------------
@@ -579,18 +579,20 @@ def potential_field(family):
 
 @dataclass
 class ConditionReport:
+    """The full report; a verdict stays None when its analysis was skipped."""
+
     n: int
     order: int | None
     dims: dict
-    elliptic: EllipticityVerdict
-    image_basis: Subspace | None
-    kernel_basis: Subspace | None
-    canceling: bool | None
-    cocanceling: bool | None
-    cc: CCResult | None
-    weak: WeakCancellationResult | None
-    cwc: WeakCancellationResult | None
-    diagnostics: list
+    kernel_basis: Subspace
+    cocanceling: bool
+    elliptic: EllipticityVerdict | None = None
+    image_basis: Subspace | None = None
+    canceling: bool | None = None
+    cc: CCResult | None = None
+    weak: WeakCancellationResult | None = None
+    cwc: WeakCancellationResult | None = None
+    diagnostics: list = field(default_factory=list)
 
     def exit_status(self):
         if self.elliptic.status == "inconclusive":
@@ -626,35 +628,21 @@ def run_full_check(system, tol=WEAK_ZERO_TOL, quad_base_level=3):
             "operator rows have mixed degrees; ellipticity and annihilator "
             "analysis need a single order and were skipped"
         )
-
     if system.c is None:
-        k_c = Subspace.full(a.target_dim)
         diagnostics.append(
             "no constraint supplied: K_C is all of E, so (CC) degenerates to "
             "cancellation and (CWC) to weak cancellation"
         )
-    else:
-        k_c = kernel_intersection(system.c)
-    cocanceling = k_c.is_zero()
+    k_c = _constraint_kernel(system)
+    report = ConditionReport(
+        system.n, order, _dims(system), k_c, k_c.is_zero(), diagnostics=diagnostics
+    )
 
     if order is None:
-        elliptic = EllipticityVerdict("inconclusive", note="operator not homogeneous")
-        return ConditionReport(
-            system.n,
-            None,
-            _dims(system),
-            elliptic,
-            None,
-            k_c,
-            None,
-            cocanceling,
-            None,
-            None,
-            None,
-            diagnostics,
-        )
+        report.elliptic = EllipticityVerdict("inconclusive", note="operator not homogeneous")
+        return report
 
-    elliptic = is_elliptic(a)
+    elliptic = report.elliptic = is_elliptic(a)
     if elliptic.definitely_not:
         if system.c is not None and order >= system.n:
             diagnostics.append(NONELLIPTIC_CONSTRAINT_DIAGNOSTIC)
@@ -662,20 +650,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL, quad_base_level=3):
             diagnostics.append(
                 "operator is not elliptic; annihilator-based verdicts skipped"
             )
-        return ConditionReport(
-            system.n,
-            order,
-            _dims(system),
-            elliptic,
-            None,
-            k_c,
-            None,
-            cocanceling,
-            None,
-            None,
-            None,
-            diagnostics,
-        )
+        return report
     if elliptic.status == "inconclusive":
         diagnostics.append(
             "ellipticity is inconclusive; downstream verdicts assume the "
@@ -691,39 +666,19 @@ def run_full_check(system, tol=WEAK_ZERO_TOL, quad_base_level=3):
         ann = annihilator(a)
     except NotEllipticError as exc:
         diagnostics.append(f"annihilator construction failed: {exc}")
-        return ConditionReport(
-            system.n,
-            order,
-            _dims(system),
-            elliptic,
-            None,
-            k_c,
-            None,
-            cocanceling,
-            None,
-            None,
-            None,
-            diagnostics,
-        )
-    i_a = image_intersection(a, ann=ann)
-    canceling = i_a.is_zero()
-    isect = i_a.intersect(k_c)
-    cc = CCResult(
-        isect.is_zero(),
-        None if isect.is_zero() else isect.basis[0],
-        i_a,
-        k_c,
-    )
+        return report
+    i_a = report.image_basis = image_intersection(a, ann=ann)
+    report.canceling = i_a.is_zero()
+    report.cc, isect = _cc(i_a, k_c)
 
-    weak = cwc = None
     if system.n >= 2 and order >= system.n:
         from .errors import NearSingularSymbolError, QuadratureNotConvergedError
 
         try:
             weak = check_weak_cancellation(a, i_a, tol=tol, base_level=quad_base_level)
             cwc = check_weak_cancellation(a, isect, tol=tol, base_level=quad_base_level)
+            report.weak, report.cwc = weak, cwc
         except (NearSingularSymbolError, QuadratureNotConvergedError) as exc:
-            weak = cwc = None
             diagnostics.append(f"moment quadrature failed: {exc}")
     elif order < system.n:
         diagnostics.append(
@@ -734,21 +689,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL, quad_base_level=3):
         diagnostics.append(
             "n=1: the Lebesgue estimate range 1..min(k, n-1) is empty"
         )
-
-    return ConditionReport(
-        system.n,
-        order,
-        _dims(system),
-        elliptic,
-        i_a,
-        k_c,
-        canceling,
-        cocanceling,
-        cc,
-        weak,
-        cwc,
-        diagnostics,
-    )
+    return report
 
 
 def _dims(system):

@@ -24,6 +24,10 @@ class UnknownComponentError(DslSyntaxError):
     """A row references a component beyond the declared source dimension."""
 
 
+class InvalidArgumentError(EllsymError, ValueError):
+    """An argument (quadrature level, grid size, direction, j, mode) is invalid."""
+
+
 class DimensionMismatchError(EllsymError):
     """Operator/constraint dimensions are inconsistent."""
 

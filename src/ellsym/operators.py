@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .ratlinalg import as_fraction_matrix
+from .ratlinalg import as_fraction_matrix, nullspace
 
 MultiIndex = tuple
 
@@ -80,10 +81,6 @@ class OperatorSpec:
             )
         return degs.pop()
 
-    def max_row_degree(self):
-        degs = [d for d in self.row_degrees() if d is not None]
-        return max(degs) if degs else 0
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
@@ -144,8 +141,14 @@ class OperatorSpec:
             out[a] = prod
         return OperatorSpec(self.space_dim, new_source, self.target_dim, out)
 
+    # -- symbol data, each built on first use and kept ------------------------
+
     def symbol(self):
-        """Matrix-valued polynomial Σ C_α ξ^α (real convention)."""
+        """Matrix-valued polynomial A(ξ) = Σ C_α ξ^α (real convention)."""
+        return self._symbol
+
+    @cached_property
+    def _symbol(self):
         n = self.space_dim
         entries = [
             [Polynomial.zero(n) for _ in range(self.source_dim)]
@@ -159,6 +162,22 @@ class OperatorSpec:
                             n, alpha, mat[i][j]
                         )
         return MatrixPolynomial(entries)
+
+    @cached_property
+    def gram(self):
+        """G(ξ) = A*(ξ) A(ξ): square, symmetric, homogeneous of degree 2k."""
+        s = self.symbol()
+        return s.transpose() * s
+
+    @cached_property
+    def gram_det(self):
+        """det G(ξ); it vanishes exactly where A(ξ) fails to be injective."""
+        return self.gram.det()
+
+    @cached_property
+    def pinv_numerator(self):
+        """N(ξ) = adj G(ξ)·A*(ξ), so that A†(ξ) = N(ξ) / det G(ξ)."""
+        return self.gram.adjugate() * self.symbol().transpose()
 
     @classmethod
     def from_symbol(cls, mp, space_dim=None):
@@ -207,18 +226,9 @@ class SystemSpec:
 # -- symbol-level operations ------------------------------------------------
 
 
-def symbol(op):
-    return op.symbol()
-
-
-def eval_symbol(mp, xi):
-    return mp.eval(xi)
-
-
 def gram(a):
-    """G(ξ) = A*(ξ) A(ξ): square, symmetric, homogeneous of degree 2k."""
-    s = a.symbol()
-    return s.transpose() * s
+    """G(ξ) = A*(ξ) A(ξ) of an operator (kept on the operator)."""
+    return a.gram
 
 
 def det_adj(g):
@@ -247,22 +257,18 @@ def _sample_points(n, count=12):
 def annihilator(a):
     """Exact annihilator L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0.
 
-    Construction: L(ξ) = det G(ξ)·Id − A(ξ)·adj G(ξ)·A*(ξ). When G(ξ) is a
-    scalar polynomial q(ξ) times the identity, the reduced form
+    Construction: L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When
+    G(ξ) is a scalar polynomial q(ξ) times the identity, the reduced form
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
     and the minimal degree 2k; it is used whenever applicable.
     """
-    s = a.symbol()
-    g = s.transpose() * s
-    detg = g.det()
+    s, g, detg = a.symbol(), a.gram, a.gram_det
     if detg.is_zero():
         raise NotEllipticError("det(A*A) vanishes identically")
+    # the CLI reaches this without an ellipticity check, so guard here too
     for xi in _sample_points(a.space_dim):
         if detg.eval(xi) == 0:
-            gxi = g.eval(xi)
-            from .ratlinalg import nullspace
-
-            kern = nullspace(gxi)
+            kern = nullspace(g.eval(xi))
             raise NotEllipticError(
                 f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
                 witness_xi=xi,
@@ -278,8 +284,7 @@ def annihilator(a):
         l_sym = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
     else:
         l_sym = (
-            MatrixPolynomial.scalar_identity(detg, a.target_dim)
-            - s * g.adjugate() * s.transpose()
+            MatrixPolynomial.scalar_identity(detg, a.target_dim) - s * a.pinv_numerator
         )
     return OperatorSpec.from_symbol(l_sym, a.space_dim)
 

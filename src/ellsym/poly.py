@@ -12,10 +12,6 @@ import math
 from fractions import Fraction
 
 
-def multi_index_degree(alpha):
-    return sum(alpha)
-
-
 def monomials_of_degree(nvars, degree):
     """All exponent tuples of the given total degree, descending lex order."""
     if nvars == 1:

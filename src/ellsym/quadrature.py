@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (
+    InvalidArgumentError,
     NearSingularSymbolError,
     NotHomogeneousError,
     OrderTooLowError,
@@ -59,11 +58,15 @@ def build_rule(n, level):
     degree up to the node counts); n>=4: mirrored low-discrepancy (Halton)
     nodes with equal weights.
     """
-    assert n >= 2, "sphere rules need n >= 2"
-    assert level >= 1
+    if n < 2:
+        raise InvalidArgumentError("sphere rules need n >= 2")
+    min_level = 2 if n == 2 else 1  # the circle rule needs at least 4 nodes
+    if level < min_level:
+        raise InvalidArgumentError(
+            f"quadrature level must be >= {min_level} for n={n}, got {level}"
+        )
     if n == 2:
         m = 2**level
-        assert m >= 4
         h = m // 2
         angles = 2.0 * math.pi * np.arange(h) / m
         half = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -91,6 +94,9 @@ def build_rule(n, level):
         weights = np.concatenate([whalf, whalf])
         desc = f"Gauss-Legendre x uniform, {nz}x{nphi} nodes"
     else:
+        from scipy.special import ndtri
+        from scipy.stats import qmc
+
         h = 2 ** (level + 4)
         seq = qmc.Halton(d=n, scramble=False, seed=0)
         seq.fast_forward(1)  # index 0 maps to the origin under ndtri
@@ -135,15 +141,20 @@ class _SymbolData:
 
 
 def compile_pseudoinverse(a):
-    """Exact polynomial data of A†(ξ) = adj(G)·A*(ξ) / det G, compiled to floats."""
+    """A†(ξ) = N(ξ) / det G(ξ) with N = adj(G)·A*, compiled to floats.
+
+    Raises OrderTooLow unless k >= n, the regime of the moment map.
+    """
     k = a.order
-    s = a.symbol()
-    g = s.transpose() * s
-    num = g.adjugate() * s.transpose()
-    den = g.det()
+    den = a.gram_det
     dden = den.homogeneous_degree()
     if den.is_zero() or dden is None:
         raise NotHomogeneousError("det(A*A) is not a nonzero homogeneous polynomial")
+    if k < a.space_dim:
+        raise OrderTooLowError(
+            f"moment map needs order k >= n, got k={k}, n={a.space_dim}"
+        )
+    num = a.pinv_numerator
     grid = []
     for i in range(num.rows):
         row = []
@@ -205,10 +216,6 @@ def moments_for_vectors(a, vectors, rule, data=None):
     """
     if data is None:
         data = compile_pseudoinverse(a)
-    if data.k < data.n:
-        raise OrderTooLowError(
-            f"moment map needs order k >= n, got k={data.k}, n={data.n}"
-        )
     half_nodes, half_w = rule.half()
     adag, adag_sign = _pseudoinverse_at(data, half_nodes)
     gammas, tweights = tensor_basis(data.n, data.k - data.n)
@@ -269,10 +276,6 @@ class MomentMap:
 def moment_map(a, rule):
     """Assemble M on the standard basis of E, with a two-level error estimate."""
     data = compile_pseudoinverse(a)
-    if data.k < data.n:
-        raise OrderTooLowError(
-            f"moment map needs order k >= n, got k={data.k}, n={data.n}"
-        )
     basis = np.eye(a.target_dim)
     coarse, scales = moments_for_vectors(a, basis, rule, data)
     fine_rule = build_rule(rule.n, rule.level + 1)
@@ -299,10 +302,6 @@ def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
     integrand scale times the sphere area); returns the finer values plus
     diagnostics (scales, error, levels used)."""
     data = compile_pseudoinverse(a)
-    if data.k < data.n:
-        raise OrderTooLowError(
-            f"moment map needs order k >= n, got k={data.k}, n={data.n}"
-        )
     if len(vectors) == 0:
         return np.zeros((0, 0)), np.zeros(0), 0.0, (base_level, base_level + 1)
     area = surface_area(a.space_dim)

@@ -48,23 +48,6 @@ def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v)), _ZERO) for row in a)
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return a == b
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
-
-
 def rref(a):
     """Reduced row echelon form. Returns (new matrix, pivot column list)."""
     m = [list(row) for row in a]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EpsilonTooSmallError, ResidualTooLargeError
+from .errors import EpsilonTooSmallError, InvalidArgumentError, ResidualTooLargeError
 from .poly import monomials_of_degree, multinomial
 
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -35,13 +35,16 @@ class Grid:
     npts: int
 
     def __post_init__(self):
-        assert self.npts >= 16 and self.npts % 2 == 0
+        if self.npts < 16 or self.npts % 2:
+            raise InvalidArgumentError(
+                f"grid needs an even point count of at least 16, got {self.npts}"
+            )
         assert self.n >= 1
         # memory budget: up to 256 points per axis through n=3, 32 for n=4
         if self.n >= 4 and self.npts > 32:
-            raise ValueError(f"n={self.n} grids are capped at 32 points per axis")
+            raise InvalidArgumentError(f"n={self.n} grids are capped at 32 points per axis")
         if self.npts ** self.n > 256**3:
-            raise ValueError("grid exceeds the desk-scale memory budget")
+            raise InvalidArgumentError("grid exceeds the desk-scale memory budget")
 
     @property
     def spacing(self):
@@ -309,12 +312,12 @@ def _exact_member(subspace, e):
 def blowup_experiment(config):
     """Norm-ratio family over shrinking widths, classified per the thresholds.
 
-    dirac mode: f = mollified Dirac in direction e; ratios are
-    ‖D^{k-j}u‖_{L^{n/(n-j)}} / ‖f‖_{L¹} (sup norm when j = ∞). A mode whose
-    least-squares residual exceeds the tolerance records diagnostics instead
-    of a ratio. constrained mode: a fixed random base field (spectral decay
-    |k|^-2) is mollified at each width, projected onto the constraint kernel,
-    and the same ratio is recorded.
+    dirac mode: f = mollified Dirac in direction e. constrained mode: a fixed
+    random base field (spectral decay |k|^-2) is mollified at each width and
+    projected onto the constraint kernel. Both record the ratio
+    ‖D^{k-j}u‖_{L^{n/(n-j)}} / ‖f‖_{L¹} (sup norm when j = ∞); a width whose
+    least-squares residual exceeds the tolerance records a diagnostic instead
+    of a ratio.
     """
     system = config.system
     a = system.a
@@ -324,12 +327,14 @@ def blowup_experiment(config):
     j = config.j
     if j is None:
         if k < n:
-            raise ValueError(f"sup-norm experiment needs k >= n (k={k}, n={n})")
+            raise InvalidArgumentError(f"sup-norm experiment needs k >= n (k={k}, n={n})")
         deriv_order = k - n
         p = None
     else:
         if not 1 <= j <= min(k, n - 1):
-            raise ValueError(f"j must lie in 1..min(k, n-1) = 1..{min(k, n - 1)}")
+            raise InvalidArgumentError(
+                f"j must lie in 1..min(k, n-1) = 1..{min(k, n - 1)}"
+            )
         deriv_order = k - j
         p = n / (n - j)
 
@@ -337,7 +342,13 @@ def blowup_experiment(config):
     diagnostics = []
 
     if config.mode == "dirac":
-        assert config.e is not None, "dirac mode needs a direction e"
+        if config.e is None:
+            raise InvalidArgumentError("dirac mode needs a direction e")
+        if len(config.e) != a.target_dim:
+            raise InvalidArgumentError(
+                f"direction e has {len(config.e)} components; the data space "
+                f"has dimension {a.target_dim}"
+            )
         if system.c is not None:
             from .conditions import kernel_intersection
 
@@ -348,33 +359,12 @@ def blowup_experiment(config):
                     "kernel intersection; the Dirac family does not satisfy "
                     "C f = 0"
                 )
-        for eps in config.epsilons:
-            f, _ = mollified_dirac(grid, float(eps), config.e, min_factor=config.min_eps_factor)
-            l1 = l1_norm(f, grid)
-            u, info = solve_system(a, f, grid, strict=False)
-            if info["residual"] > config.residual_tol:
-                diagnostics.append(
-                    f"eps={float(eps)}: solve residual {info['residual']:.3e} "
-                    "exceeds tolerance; the Dirac direction is not in the "
-                    "symbol range — no ratio recorded"
-                )
-                rows.append(
-                    {"epsilon": float(eps), "ratio": None, "residual": info["residual"]}
-                )
-                continue
-            mag = derivative_magnitude(info["uhat"], grid, deriv_order)
-            ratio = lp_norm_of_field(mag, grid, p) / l1
-            # magnitude at the Dirac center: the log term of the inverse
-            # kernel lives exactly there, so this column isolates it
-            center = float(mag[(0,) * n]) / l1
-            rows.append(
-                {
-                    "epsilon": float(eps),
-                    "ratio": ratio,
-                    "residual": info["residual"],
-                    "center_ratio": center,
-                }
-            )
+        out_of_range = "the Dirac direction is not in the symbol range"
+
+        def data(eps):
+            f, _ = mollified_dirac(grid, eps, config.e, min_factor=config.min_eps_factor)
+            return f
+
     elif config.mode == "constrained":
         rng = np.random.default_rng(config.seed)
         base = rng.standard_normal(grid.shape + (a.target_dim,))
@@ -385,21 +375,37 @@ def blowup_experiment(config):
         decay = np.zeros_like(k2flat)
         decay[1:] = k2flat[1:] ** (-CONSTRAINED_DECAY_POWER / 2.0)
         base_hat = base_hat * decay.reshape(k2.shape)[..., None]
-        for eps in config.epsilons:
-            fhat = base_hat * np.exp(-0.5 * float(eps) ** 2 * k2)[..., None]
+        out_of_range = "the constrained field is not in the symbol range"
+
+        def data(eps):
+            fhat = base_hat * np.exp(-0.5 * eps**2 * k2)[..., None]
             if system.c is not None:
                 fhat = constrain_field(fhat, system.c, grid)
             fhat.reshape(-1, a.target_dim)[0] = 0.0
-            f = np.fft.ifftn(fhat, axes=range(n)).real
-            l1 = l1_norm(f, grid)
-            u, info = solve_system(a, f, grid, strict=False)
-            mag = derivative_magnitude(info["uhat"], grid, deriv_order)
-            ratio = lp_norm_of_field(mag, grid, p) / l1
-            rows.append(
-                {"epsilon": float(eps), "ratio": ratio, "residual": info["residual"]}
-            )
+            return np.fft.ifftn(fhat, axes=range(n)).real
+
     else:
-        raise ValueError(f"unknown mode {config.mode!r}")
+        raise InvalidArgumentError(f"unknown mode {config.mode!r}")
+
+    for eps in config.epsilons:
+        eps = float(eps)
+        f = data(eps)
+        l1 = l1_norm(f, grid)
+        _, info = solve_system(a, f, grid, strict=False)
+        row = {"epsilon": eps, "ratio": None, "residual": info["residual"]}
+        rows.append(row)
+        if info["residual"] > config.residual_tol:
+            diagnostics.append(
+                f"eps={eps}: solve residual {info['residual']:.3e} exceeds "
+                f"tolerance; {out_of_range} — no ratio recorded"
+            )
+            continue
+        mag = derivative_magnitude(info["uhat"], grid, deriv_order)
+        row["ratio"] = lp_norm_of_field(mag, grid, p) / l1
+        if config.mode == "dirac":
+            # magnitude at the Dirac center: the log term of the inverse
+            # kernel lives exactly there, so this column isolates it
+            row["center_ratio"] = float(mag[(0,) * n]) / l1
 
     ratios = [r["ratio"] for r in rows]
     classification = _classify(ratios, config.growth_factor, config.flatness)

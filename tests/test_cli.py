@@ -160,3 +160,35 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _out, err = run(capsys, "check", "does_not_exist.sys")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "systems/laplacian_r2.sys", "--level", "1"),
+        ("moment", "systems/laplacian_r2.sys", "--level", "0"),
+        ("witness", "systems/laplacian_r2.sys", "--grid", "32"),
+        ("witness", "systems/laplacian_r2.sys", "--e", "1", "--grid", "32"),
+        ("witness", "systems/laplacian_r2.sys", "--e", "1,0", "--grid", "15"),
+    ],
+    ids=["level-1", "level-0", "dirac-without-e", "e-too-short", "odd-grid"],
+)
+def test_invalid_argument_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_witness_constrained_out_of_range_indeterminate(capsys):
+    code, out, _ = run(
+        capsys, "witness", "systems/divcurl_r3.sys", "--mode", "constrained",
+        "--j", "1", "--grid", "32", "--eps", "0.5,0.4", "--json",
+    )
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["classification"] == "INDETERMINATE"
+    assert [r["ratio"] for r in result["rows"]] == [None, None]
+    assert all(r["residual"] > 0.5 for r in result["rows"])
+    assert len(result["diagnostics"]) == 2
+    assert all("no ratio recorded" in d for d in result["diagnostics"])

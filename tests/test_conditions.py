@@ -399,3 +399,37 @@ def test_run_full_check_inhomogeneous_operator():
     report = run_full_check(spec)
     assert report.elliptic.status == "inconclusive"
     assert report.exit_status() == 2
+
+
+NONSCALAR_GRAM_SYSTEM = """dim 2
+operator A {
+  from 2 to 3
+  rows:
+    d1^2 u1 + d2^2 u1;
+    d1^2 u2 + d2^2 u2;
+    d1 d2 u1 + 2 d1^2 u2
+}
+constraint C {
+  from 3 to 1
+  rows: d1 f1 + d2 f2
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "path", ["systems/laplacian_r2.sys", None], ids=["laplacian_r2", "nonscalar_gram"]
+)
+def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, path):
+    from ellsym.poly import MatrixPolynomial
+
+    text = open(path).read() if path else NONSCALAR_GRAM_SYSTEM
+    calls = {"det": 0, "adjugate": 0}
+    for name in calls:
+        def counted(self, _name=name, _orig=getattr(MatrixPolynomial, name)):
+            calls[_name] += 1
+            return _orig(self)
+
+        monkeypatch.setattr(MatrixPolynomial, name, counted)
+    report = run_full_check(parse_system(text))
+    assert report.weak is not None and report.cwc is not None
+    assert calls == {"det": 1, "adjugate": 1}

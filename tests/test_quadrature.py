@@ -158,3 +158,12 @@ def test_tensor_basis_weights():
     gammas, weights = tensor_basis(2, 2)
     assert gammas == [(2, 0), (1, 1), (0, 2)]
     assert np.allclose(weights, [1.0, math.sqrt(2.0), 1.0])
+
+
+def test_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, ellsym; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
