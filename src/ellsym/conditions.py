@@ -23,7 +23,7 @@ from .errors import (
     OrderTooLowError,
 )
 from .operators import annihilator
-from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from .poly import FloatEvaluator, MatrixPolynomial, Polynomial, monomials_of_degree
 from .quadrature import converged_moments, surface_area
 from .ratlinalg import (
     Subspace,
@@ -117,9 +117,8 @@ def _integerize(vec):
 
 
 def _gram_kernel_at(a, xi):
-    """Exact kernel vector of A(ξ) at a rational point (None if injective)."""
-    axi = a.symbol().eval(xi)
-    kern = nullspace(mat_mul(transpose(axi), axi), ncols=a.source_dim)
+    """Exact kernel vector of A(ξ) at a rational point; None iff det G(ξ) ≠ 0."""
+    kern = a.kernel_at(xi)
     if kern:
         return _integerize(kern[0])
     return None
@@ -188,8 +187,9 @@ def is_elliptic(a, grid_points=ELLIPTIC_GRID_POINTS, threshold=ELLIPTIC_MIN_THRE
     # every non-elliptic example in the bundled systems)
     exact_hits = []
     for xi in _axis_and_sign_candidates(n):
-        if detg.eval(xi) == 0:
-            exact_hits.append((xi, _gram_kernel_at(a, xi)))
+        kern = _gram_kernel_at(a, xi)
+        if kern is not None:
+            exact_hits.append((xi, kern))
     if exact_hits:
         (xi0, v0), rest = exact_hits[0], exact_hits[1:]
         return EllipticityVerdict(
@@ -206,18 +206,13 @@ def is_elliptic(a, grid_points=ELLIPTIC_GRID_POINTS, threshold=ELLIPTIC_MIN_THRE
 
 
 def _is_elliptic_2d(a, detg):
-    """Exact decision on the circle: Sturm count of det G(1, t) plus the point (0,1)."""
+    """Exact decision on the circle: Sturm count of det G(1, t). The rest of
+    the circle, ξ1 = 0, is the axis candidate (0, 1) already found injective."""
     d = detg.degree()
     p = [Fraction(0)] * (d + 1)
     for (a1, a2), c in detg.terms.items():
         p[a2] += c  # ξ1 = 1
     p = sturm.trim(p)
-    at_e2 = detg.eval((Fraction(0), Fraction(1)))
-    if at_e2 == 0:
-        xi = (Fraction(0), Fraction(1))
-        return EllipticityVerdict(
-            "no", witness_xi=xi, kernel_vector=_gram_kernel_at(a, xi), witness_exact=True
-        )
     nroots = sturm.count_real_roots(p)
     if nroots == 0:
         return EllipticityVerdict("yes")
@@ -260,11 +255,7 @@ def _is_elliptic_sampled(a, detg, grid_points, threshold):
     from .quadrature import build_rule
 
     n = a.space_dim
-    exps, coeffs = detg.float_arrays()
-
-    def val(points):
-        mono = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-        return mono @ coeffs
+    val = FloatEvaluator([detg])
 
     def rule_count(level):
         return 2 ** (2 * level + 1) if n == 3 else 2 ** (level + 5)
@@ -274,18 +265,17 @@ def _is_elliptic_sampled(a, detg, grid_points, threshold):
         level += 1
     rule = build_rule(n, level)
     nodes = rule.nodes
-    vals = val(nodes)
+    vals = val(nodes)[:, 0]
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
     starts = np.argsort(vals)[:10]
 
     def objective(x):
-        r = np.linalg.norm(x)
+        r = math.sqrt(x.dot(x))  # np.linalg.norm of a vector, without its overhead
         if r < 1e-9:
             return scale
-        y = (x / r)[None, :]
-        return float(val(y)[0]) / scale
+        return float(val((x / r)[None, :])[0, 0]) / scale
 
     best = float(vals.min()) / scale
     best_x = nodes[int(np.argmin(vals))]
@@ -299,12 +289,15 @@ def _is_elliptic_sampled(a, detg, grid_points, threshold):
     if best <= threshold:
         for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
             cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
-            if any(x != 0 for x in cand) and detg.eval(cand) == 0:
-                cand = _integerize(cand)
+            if not any(cand):
+                continue
+            # A(cξ) = c^k A(ξ): the integerized point has the same kernel
+            kern = _gram_kernel_at(a, cand)
+            if kern is not None:
                 return EllipticityVerdict(
                     "no",
-                    witness_xi=cand,
-                    kernel_vector=_gram_kernel_at(a, cand),
+                    witness_xi=_integerize(cand),
+                    kernel_vector=kern,
                     witness_exact=True,
                 )
         return EllipticityVerdict(

@@ -179,6 +179,18 @@ class OperatorSpec:
         """N(ξ) = adj G(ξ)·A*(ξ), so that A†(ξ) = N(ξ) / det G(ξ)."""
         return self.gram.adjugate() * self.symbol().transpose()
 
+    @cached_property
+    def float_pinv(self):
+        """A† = N / det G compiled to floats, shared by weak, CWC and moment_map."""
+        from .quadrature import compile_pseudoinverse
+
+        return compile_pseudoinverse(self)
+
+    def kernel_at(self, xi):
+        """Canonical exact basis of ker A(ξ) = ker G(ξ) at a rational point;
+        empty iff det G(ξ) ≠ 0, so it tests det G without evaluating it."""
+        return nullspace(self.symbol().eval(xi))
+
     @classmethod
     def from_symbol(cls, mp, space_dim=None):
         """Recover the coefficient map from a matrix polynomial."""
@@ -262,29 +274,31 @@ def annihilator(a):
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
     and the minimal degree 2k; it is used whenever applicable.
     """
-    s, g, detg = a.symbol(), a.gram, a.gram_det
-    if detg.is_zero():
-        raise NotEllipticError("det(A*A) vanishes identically")
-    # the CLI reaches this without an ellipticity check, so guard here too
-    for xi in _sample_points(a.space_dim):
-        if detg.eval(xi) == 0:
-            kern = nullspace(g.eval(xi))
-            raise NotEllipticError(
-                f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
-                witness_xi=xi,
-                kernel_vector=kern[0] if kern else None,
-            )
+    s, g = a.symbol(), a.gram
     q = g.entries[0][0]
     scalar = all(
         (g.entries[i][j] == q if i == j else g.entries[i][j].is_zero())
         for i in range(g.rows)
         for j in range(g.cols)
     )
+    # det(q·Id) = q^m, so a scalar Gram never needs det G
+    if (q if scalar else a.gram_det).is_zero():
+        raise NotEllipticError("det(A*A) vanishes identically")
+    # the CLI reaches this without an ellipticity check, so guard here too
+    for xi in _sample_points(a.space_dim):
+        kern = a.kernel_at(xi)
+        if kern:
+            raise NotEllipticError(
+                f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
+                witness_xi=xi,
+                kernel_vector=kern[0],
+            )
     if scalar:
         l_sym = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
     else:
         l_sym = (
-            MatrixPolynomial.scalar_identity(detg, a.target_dim) - s * a.pinv_numerator
+            MatrixPolynomial.scalar_identity(a.gram_det, a.target_dim)
+            - s * a.pinv_numerator
         )
     return OperatorSpec.from_symbol(l_sym, a.space_dim)
 

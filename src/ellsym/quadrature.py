@@ -21,7 +21,7 @@ from .errors import (
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
-from .poly import monomials_of_degree, multinomial
+from .poly import FloatEvaluator, monomials_of_degree, multinomial
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
 
@@ -121,13 +121,6 @@ def integrate(rule, values):
     return np.tensordot(w, paired, axes=(0, 0))
 
 
-def _eval_terms(exps, coeffs, points):
-    if len(coeffs) == 0:
-        return np.zeros(len(points))
-    mono = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-    return mono @ coeffs
-
-
 @dataclass
 class _SymbolData:
     """Float-compiled numerator/denominator of the pseudoinverse A†."""
@@ -136,14 +129,15 @@ class _SymbolData:
     k: int
     source_dim: int
     target_dim: int
-    num_entries: list  # (exps, coeffs, degree) grid, shape V x E
-    den: tuple  # (exps, coeffs, degree)
+    values: FloatEvaluator  # det G, then the V x E entries of N row by row
+    sign: int  # parity of A† under ξ -> -ξ
 
 
 def compile_pseudoinverse(a):
     """A†(ξ) = N(ξ) / det G(ξ) with N = adj(G)·A*, compiled to floats.
 
-    Raises OrderTooLow unless k >= n, the regime of the moment map.
+    Raises OrderTooLow unless k >= n, the regime of the moment map. Callers
+    use `a.float_pinv`, which compiles once per operator.
     """
     k = a.order
     den = a.gram_det
@@ -154,20 +148,17 @@ def compile_pseudoinverse(a):
         raise OrderTooLowError(
             f"moment map needs order k >= n, got k={k}, n={a.space_dim}"
         )
-    num = a.pinv_numerator
-    grid = []
-    for i in range(num.rows):
-        row = []
-        for j in range(num.cols):
-            p = num.entries[i][j]
-            exps, coeffs = p.float_arrays()
-            deg = p.homogeneous_degree()
-            if not p.is_zero() and deg is None:
+    entries = [p for row in a.pinv_numerator.entries for p in row]
+    num_deg = 0
+    for p in entries:
+        if not p.is_zero():
+            num_deg = p.homogeneous_degree()
+            if num_deg is None:
                 raise NotHomogeneousError("pseudoinverse numerator entry not homogeneous")
-            row.append((exps, coeffs, deg))
-        grid.append(row)
-    dexps, dcoeffs = den.float_arrays()
-    return _SymbolData(a.space_dim, k, a.source_dim, a.target_dim, grid, (dexps, dcoeffs, dden))
+    sign = -1 if (num_deg - dden) % 2 else 1
+    return _SymbolData(
+        a.space_dim, k, a.source_dim, a.target_dim, FloatEvaluator([den] + entries), sign
+    )
 
 
 def tensor_basis(n, order):
@@ -185,37 +176,26 @@ def tensor_basis(n, order):
 def _pseudoinverse_at(data, half_nodes):
     """A†(ξ) on the half nodes plus the sign relating values at -ξ."""
     m = len(half_nodes)
-    den_vals = _eval_terms(data.den[0], data.den[1], half_nodes)
+    vals = data.values(half_nodes)
+    den_vals = vals[:, 0]
     scale = np.abs(den_vals).max() if m else 0.0
     if scale == 0.0 or np.abs(den_vals).min() < DET_FLOOR * scale:
         raise NearSingularSymbolError(
             "det(A*A) nearly vanishes at a quadrature node; the operator "
             "may not be elliptic"
         )
-    num_vals = np.zeros((m, data.source_dim, data.target_dim))
-    num_deg = None
-    for i in range(data.source_dim):
-        for j in range(data.target_dim):
-            exps, coeffs, deg = data.num_entries[i][j]
-            if len(coeffs):
-                num_vals[:, i, j] = _eval_terms(exps, coeffs, half_nodes)
-                num_deg = deg
-    if num_deg is None:
-        num_deg = 0
-    adag = num_vals / den_vals[:, None, None]
-    sign = -1 if (num_deg - data.den[2]) % 2 else 1  # parity of A† under ξ -> -ξ
-    return adag, sign
+    num_vals = vals[:, 1:].reshape(m, data.source_dim, data.target_dim)
+    return num_vals / den_vals[:, None, None], data.sign
 
 
-def moments_for_vectors(a, vectors, rule, data=None):
+def moments_for_vectors(a, vectors, rule):
     """Moment integrals ∫ A†(ξ) e ⊗^{k-n} ξ for each vector e.
 
     Returns (values, scales): values has one row per input vector holding the
     weighted components of the symmetric tensor; scales holds per-vector
     maxima of the integrand norm over the nodes (the zero-test reference).
     """
-    if data is None:
-        data = compile_pseudoinverse(a)
+    data = a.float_pinv
     half_nodes, half_w = rule.half()
     adag, adag_sign = _pseudoinverse_at(data, half_nodes)
     gammas, tweights = tensor_basis(data.n, data.k - data.n)
@@ -275,11 +255,11 @@ class MomentMap:
 
 def moment_map(a, rule):
     """Assemble M on the standard basis of E, with a two-level error estimate."""
-    data = compile_pseudoinverse(a)
+    data = a.float_pinv
     basis = np.eye(a.target_dim)
-    coarse, scales = moments_for_vectors(a, basis, rule, data)
+    coarse, scales = moments_for_vectors(a, basis, rule)
     fine_rule = build_rule(rule.n, rule.level + 1)
-    fine, fine_scales = moments_for_vectors(a, basis, fine_rule, data)
+    fine, fine_scales = moments_for_vectors(a, basis, fine_rule)
     err = float(np.abs(fine - coarse).max())
     gammas, tweights = tensor_basis(data.n, data.k - data.n)
     return MomentMap(
@@ -301,7 +281,7 @@ def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
     """Refine until two successive levels agree to rel_tol (relative to the
     integrand scale times the sphere area); returns the finer values plus
     diagnostics (scales, error, levels used)."""
-    data = compile_pseudoinverse(a)
+    a.float_pinv  # raises before any rule is built when M is undefined
     if len(vectors) == 0:
         return np.zeros((0, 0)), np.zeros(0), 0.0, (base_level, base_level + 1)
     area = surface_area(a.space_dim)
@@ -309,7 +289,7 @@ def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
     level = base_level
     while level <= max_level:
         rule = build_rule(a.space_dim, level)
-        vals, scales = moments_for_vectors(a, vectors, rule, data)
+        vals, scales = moments_for_vectors(a, vectors, rule)
         if prev is not None:
             err = float(np.abs(vals - prev).max())
             ref = area * float(scales.max()) if scales.size else 0.0

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -433,3 +434,75 @@ def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, path):
     report = run_full_check(parse_system(text))
     assert report.weak is not None and report.cwc is not None
     assert calls == {"det": 1, "adjugate": 1}
+
+
+# -- exact zero tests by the rank of A(ξ) ------------------------------------------
+
+
+def _detg_zero_hits(a):
+    """Axis/sign candidates where the expanded det G vanishes, with the kernel
+    vector of A*A(ξ): the reference the rank test replaced."""
+    from ellsym.conditions import _axis_and_sign_candidates, _integerize
+    from ellsym.ratlinalg import mat_mul, nullspace
+
+    hits = []
+    for xi in _axis_and_sign_candidates(a.space_dim):
+        if a.gram_det.eval(xi) == 0:
+            axi = a.symbol().eval(xi)
+            kern = nullspace(mat_mul(transpose(axi), axi), ncols=a.source_dim)
+            hits.append((xi, _integerize(kern[0])))
+    return hits
+
+
+@functools.cache
+def _non_elliptic_operators():
+    quartic = parse_operator("rows: (d1^4 + d2^4) u1; d3^4 u2; d4^4 u2", 4)
+    ops = [quartic, divergence_operator(2), divergence_operator(3)]
+    rng = random.Random(4242)
+    while len(ops) < 15:
+        n = rng.choice((2, 3))
+        op = random_operator(rng, n, rng.randint(1, 2), rng.randint(2, 3), homogeneous=True)
+        if op.order > 0 and not op.gram_det.is_zero() and _detg_zero_hits(op):
+            ops.append(op)
+    return ops
+
+
+@pytest.mark.parametrize("index", range(15))
+def test_rank_zero_test_matches_expanded_det(index):
+    from ellsym.conditions import _axis_and_sign_candidates, _gram_kernel_at
+
+    a = _non_elliptic_operators()[index]
+    hits = _detg_zero_hits(a)
+    assert hits
+    # same zero set and kernel vectors at every candidate ...
+    found = [
+        (xi, _gram_kernel_at(a, xi))
+        for xi in _axis_and_sign_candidates(a.space_dim)
+        if _gram_kernel_at(a, xi) is not None
+    ]
+    assert found == hits
+    # ... hence the same verdict, witness and extra_witnesses order
+    v = is_elliptic(a)
+    assert v.status == "no" and v.witness_exact
+    assert (v.witness_xi, v.kernel_vector) == hits[0]
+    if not a.gram_det.is_zero():  # divergence exits earlier, at e1 alone
+        assert v.extra_witnesses == hits[1:]
+
+
+def test_pseudoinverse_compiled_once_per_operator(monkeypatch):
+    from ellsym import quadrature
+
+    calls = []
+    orig = quadrature.compile_pseudoinverse
+
+    def counted(a):
+        calls.append(a)
+        return orig(a)
+
+    monkeypatch.setattr(quadrature, "compile_pseudoinverse", counted)
+    with open("systems/laplacian_r2.sys") as fh:
+        system = parse_system(fh.read())
+    report = run_full_check(system)
+    assert report.weak is not None and report.cwc is not None  # both quadratures ran
+    quadrature.moment_map(system.a, quadrature.build_rule(2, 4))
+    assert calls == [system.a]

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from ellsym.dsl import parse_operator
 from ellsym.errors import NotEllipticError
 from ellsym.operators import annihilator, det_adj, gram, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from ellsym.ratlinalg import mat_vec, rank
+from ellsym.ratlinalg import mat_vec, nullspace, rank
 from genops import (
     div_curl_operator,
     divergence_operator,
@@ -205,3 +206,25 @@ def test_homogenize_target_below_max_rejected():
     c = parse_operator("rows: d1^2 f1", 2)
     with pytest.raises(ValueError):
         homogenize(c, target_degree=1)
+
+
+def test_annihilator_scalar_gram_builds_no_det(monkeypatch):
+    from ellsym.poly import MatrixPolynomial
+
+    def no_det(self):
+        raise AssertionError("det G built for a scalar Gram matrix")
+
+    monkeypatch.setattr(MatrixPolynomial, "det", no_det)
+    ann = annihilator(div_curl_operator())  # G = |ξ|²·Id
+    assert ann.order == 2
+
+
+def test_annihilator_guard_payload_is_kernel_of_gram():
+    # A(ξ) = [[ξ1, 0], [ξ2, ξ1]]: det G = ξ1⁴ vanishes at the guard point (0, 1)
+    a = parse_operator("from 2 to 2\nrows: d1 u1; d1 u2 + d2 u1", 2)
+    with pytest.raises(NotEllipticError) as info:
+        annihilator(a)
+    xi = info.value.witness_xi
+    assert xi == (F(0), F(1))
+    assert a.gram_det.eval(xi) == 0
+    assert info.value.kernel_vector == nullspace(a.gram.eval(xi))[0]

@@ -1,0 +1,155 @@
+"""Compare the outputs of two ellsym checkouts, float leaves by tolerance.
+
+    python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout with `src/ellsym`, `systems/` and `perfbench/`. Both
+run the same list of operations:
+
+- `check --json` and `annihilator --json` on every file in `systems/`;
+- `moment --json` on `laplacian_r2`, `laplacian_div_r2` and `biharmonic_div_r4`;
+- one dirac `witness --json` (`laplacian_r2`, e = (1,0), grid 128);
+- the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
+  matrix for each rung of the seed-1 `perfbench` ladder.
+
+Every output is a JSON tree (or text) plus standard error and the exit
+code. Two outputs either are byte for byte equal, or differ only in float
+leaves. For every float field (the
+path to the leaf, with list positions dropped) the largest absolute and
+relative deviation is printed. Any other difference (a status, a witness, a
+string, an integer, the shape of the tree, the exit code) is printed and
+makes the exit code 1. Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+SYSTEMS = (
+    "biharmonic_div_r4",
+    "divcurl_r3",
+    "gradient_r2",
+    "laplacian_div_r2",
+    "laplacian_r2",
+    "quartic_r4",
+)
+MOMENT_SYSTEMS = ("laplacian_r2", "laplacian_div_r2", "biharmonic_div_r4")
+WITNESS_ARGS = ["--e", "1,0", "--eps", "0.4,0.2,0.1", "--grid", "128"]
+LADDER_SEED = 1
+MAX_SHOWN = 10  # non-float differences printed per operation
+
+# run in a child process of each root: the seed-1 ladder, one JSON list
+LADDER_SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import ladder
+from ellsym import build_rule, moment_map, parse_system, run_full_check
+
+out = []
+for rung in ladder.build_ladder(%d):
+    system = parse_system(rung.text)
+    item = {"label": rung.label, "report": run_full_check(system).to_json()}
+    if rung.k >= rung.n:
+        item["moment"] = moment_map(system.a, build_rule(rung.n, 3)).matrix.tolist()
+    out.append(item)
+print(json.dumps(out, sort_keys=True))
+""" % LADDER_SEED
+
+
+def operations():
+    """(label, argv after the interpreter) for every operation."""
+    ops = []
+    for name in SYSTEMS:
+        for cmd in ("check", "annihilator"):
+            ops.append((f"{cmd} {name}", ["-m", "ellsym.cli", cmd, f"systems/{name}.sys", "--json"]))
+    for name in MOMENT_SYSTEMS:
+        ops.append((f"moment {name}", ["-m", "ellsym.cli", "moment", f"systems/{name}.sys", "--json"]))
+    ops.append(
+        (
+            "witness laplacian_r2",
+            ["-m", "ellsym.cli", "witness", "systems/laplacian_r2.sys", *WITNESS_ARGS, "--json"],
+        )
+    )
+    ops.append((f"ladder seed {LADDER_SEED}", ["-c", LADDER_SCRIPT]))
+    return ops
+
+
+def run(root, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    env["PYTHONHASHSEED"] = "0"
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True, timeout=600
+    )
+    try:
+        body = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        body = proc.stdout
+    raw = (proc.stdout, proc.stderr, proc.returncode)
+    return raw, {"exit": proc.returncode, "output": body, "stderr": proc.stderr}
+
+
+def compare(old, new, path, floats, problems):
+    """Walk two JSON trees; collect float deviations and other differences.
+
+    `path` holds dict keys and list positions; float deviations are pooled
+    per field (keys only), other differences are reported per leaf.
+    """
+    where = "/".join(map(str, path))
+    if isinstance(old, float) and isinstance(new, float):
+        key = "/".join(p for p in path if isinstance(p, str))
+        dev_abs = abs(old - new)
+        big = max(abs(old), abs(new))
+        dev_rel = dev_abs / big if big else 0.0
+        prev = floats.get(key, (0.0, 0.0))
+        floats[key] = (max(prev[0], dev_abs), max(prev[1], dev_rel))
+    elif isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            problems.append(f"{where}: keys {sorted(old)} != {sorted(new)}")
+            return
+        for k in old:
+            compare(old[k], new[k], path + [k], floats, problems)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            problems.append(f"{where}: length {len(old)} != {len(new)}")
+            return
+        for i, (a, b) in enumerate(zip(old, new)):
+            compare(a, b, path + [i], floats, problems)
+    elif type(old) is not type(new) or old != new:
+        problems.append(f"{where}: {old!r} != {new!r}")
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old_root, new_root = (os.path.abspath(r) for r in args)
+    failed = False
+    for label, argv in operations():
+        old_raw, old = run(old_root, argv)
+        new_raw, new = run(new_root, argv)
+        if old_raw == new_raw:
+            print(f"{label}: byte-equal")
+            continue
+        floats, problems = {}, []
+        compare(old, new, [], floats, problems)
+        if problems:
+            failed = True
+            print(f"{label}: NON-FLOAT DIFFERENCE")
+            for line in problems[:MAX_SHOWN]:
+                print(f"  {line}")
+            if len(problems) > MAX_SHOWN:
+                print(f"  ... and {len(problems) - MAX_SHOWN} more")
+        else:
+            print(f"{label}: float leaves differ")
+        for key, (dev_abs, dev_rel) in sorted(floats.items()):
+            if dev_abs:
+                print(f"  {key}: max abs {dev_abs:.3g}, max rel {dev_rel:.3g}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
