@@ -27,8 +27,6 @@ from .operators import (
     OperatorSpec,
     SystemSpec,
     annihilator,
-    det_adj,
-    gram,
     homogenize,
 )
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
@@ -65,10 +63,8 @@ __all__ = [
     "check_cc",
     "check_weak_cancellation",
     "constrain_field",
-    "det_adj",
     "format_operator",
     "format_system",
-    "gram",
     "homogenize",
     "image_intersection",
     "is_elliptic",

@@ -143,13 +143,13 @@ def _axis_and_sign_candidates(n, limit=3**7):
     return pts
 
 
-def is_elliptic(a, grid_points=ELLIPTIC_GRID_POINTS, threshold=ELLIPTIC_MIN_THRESHOLD):
+def is_elliptic(a):
     """Decide injectivity of A(ξ) for all ξ ≠ 0.
 
     n=1 and n=2 are exact (coefficient kernel / Sturm count on det G); n>=3
     is a semi-decision: exact No when a rational zero of det G is found,
     NumericallyPositive when the sampled-and-refined sphere minimum clears
-    the threshold, Inconclusive otherwise.
+    ELLIPTIC_MIN_THRESHOLD, Inconclusive otherwise.
     """
     if not a.is_homogeneous():
         raise NotHomogeneousError("ellipticity requires a single-order operator")
@@ -202,7 +202,7 @@ def is_elliptic(a, grid_points=ELLIPTIC_GRID_POINTS, threshold=ELLIPTIC_MIN_THRE
 
     if n == 2:
         return _is_elliptic_2d(a, detg)
-    return _is_elliptic_sampled(a, detg, grid_points, threshold)
+    return _is_elliptic_sampled(a, detg)
 
 
 def _is_elliptic_2d(a, detg):
@@ -248,7 +248,7 @@ def _numeric_kernel(a, xi_float):
     return tuple(Fraction(float(x)).limit_denominator(10**6) for x in v)
 
 
-def _is_elliptic_sampled(a, detg, grid_points, threshold):
+def _is_elliptic_sampled(a, detg):
     """n >= 3: quasi-uniform sphere sampling with local refinement."""
     from scipy.optimize import minimize
 
@@ -261,7 +261,7 @@ def _is_elliptic_sampled(a, detg, grid_points, threshold):
         return 2 ** (2 * level + 1) if n == 3 else 2 ** (level + 5)
 
     level = 1
-    while rule_count(level) < grid_points and level < 9:
+    while rule_count(level) < ELLIPTIC_GRID_POINTS and level < 9:
         level += 1
     rule = build_rule(n, level)
     nodes = rule.nodes
@@ -286,7 +286,7 @@ def _is_elliptic_sampled(a, detg, grid_points, threshold):
             best = float(res.fun)
             best_x = res.x / np.linalg.norm(res.x)
     # try to certify an exact zero near the minimizer
-    if best <= threshold:
+    if best <= ELLIPTIC_MIN_THRESHOLD:
         for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
             cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
             if not any(cand):
@@ -393,7 +393,7 @@ class WeakCancellationResult:
         }
 
 
-def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL, base_level=3):
+def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL):
     """Vanishing of M_A on the given subspace (I_A, or I_A ∩ K_C for CWC).
 
     The zero test is |M e| <= tol * (sphere area) * max-node integrand norm,
@@ -406,9 +406,8 @@ def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL, base_level=3):
     if subspace.is_zero():
         return WeakCancellationResult(True, True, [], 0.0, 0.0, (0, 0), tol)
     vectors = [list(map(float, row)) for row in subspace.basis]
-    vals, scales, err, levels = converged_moments(
-        a, vectors, base_level=base_level, rel_tol=tol
-    )
+    vals, scales, err, rules = converged_moments(a, vectors, rel_tol=tol)
+    levels = tuple(r.level for r in rules)
     area = surface_area(n)
     moments = []
     holds = True
@@ -609,7 +608,7 @@ class ConditionReport:
         }
 
 
-def run_full_check(system, tol=WEAK_ZERO_TOL, quad_base_level=3):
+def run_full_check(system, tol=WEAK_ZERO_TOL):
     """Assemble the full certified report for a system A u = f, C f = 0."""
     a = system.a
     diagnostics = []
@@ -668,8 +667,8 @@ def run_full_check(system, tol=WEAK_ZERO_TOL, quad_base_level=3):
         from .errors import NearSingularSymbolError, QuadratureNotConvergedError
 
         try:
-            weak = check_weak_cancellation(a, i_a, tol=tol, base_level=quad_base_level)
-            cwc = check_weak_cancellation(a, isect, tol=tol, base_level=quad_base_level)
+            weak = check_weak_cancellation(a, i_a, tol=tol)
+            cwc = check_weak_cancellation(a, isect, tol=tol)
             report.weak, report.cwc = weak, cwc
         except (NearSingularSymbolError, QuadratureNotConvergedError) as exc:
             diagnostics.append(f"moment quadrature failed: {exc}")

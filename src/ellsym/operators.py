@@ -179,13 +179,6 @@ class OperatorSpec:
         """N(ξ) = adj G(ξ)·A*(ξ), so that A†(ξ) = N(ξ) / det G(ξ)."""
         return self.gram.adjugate() * self.symbol().transpose()
 
-    @cached_property
-    def float_pinv(self):
-        """A† = N / det G compiled to floats, shared by weak, CWC and moment_map."""
-        from .quadrature import compile_pseudoinverse
-
-        return compile_pseudoinverse(self)
-
     def kernel_at(self, xi):
         """Canonical exact basis of ker A(ξ) = ker G(ξ) at a rational point;
         empty iff det G(ξ) ≠ 0, so it tests det G without evaluating it."""
@@ -236,16 +229,6 @@ class SystemSpec:
 
 
 # -- symbol-level operations ------------------------------------------------
-
-
-def gram(a):
-    """G(ξ) = A*(ξ) A(ξ) of an operator (kept on the operator)."""
-    return a.gram
-
-
-def det_adj(g):
-    """(det G, adj G) with G · adj G = det G · Id exactly."""
-    return g.det(), g.adjugate()
 
 
 _SAMPLE_SEED = 1729

@@ -121,44 +121,15 @@ def integrate(rule, values):
     return np.tensordot(w, paired, axes=(0, 0))
 
 
-@dataclass
-class _SymbolData:
-    """Float-compiled numerator/denominator of the pseudoinverse A†."""
-
-    n: int
-    k: int
-    source_dim: int
-    target_dim: int
-    values: FloatEvaluator  # det G, then the V x E entries of N row by row
-    sign: int  # parity of A† under ξ -> -ξ
-
-
-def compile_pseudoinverse(a):
-    """A†(ξ) = N(ξ) / det G(ξ) with N = adj(G)·A*, compiled to floats.
-
-    Raises OrderTooLow unless k >= n, the regime of the moment map. Callers
-    use `a.float_pinv`, which compiles once per operator.
-    """
+def _require_moments(a):
+    """Raise unless the moment map is defined: det G ≢ 0 and k >= n."""
     k = a.order
-    den = a.gram_det
-    dden = den.homogeneous_degree()
-    if den.is_zero() or dden is None:
+    if a.gram_det.is_zero():
         raise NotHomogeneousError("det(A*A) is not a nonzero homogeneous polynomial")
     if k < a.space_dim:
         raise OrderTooLowError(
             f"moment map needs order k >= n, got k={k}, n={a.space_dim}"
         )
-    entries = [p for row in a.pinv_numerator.entries for p in row]
-    num_deg = 0
-    for p in entries:
-        if not p.is_zero():
-            num_deg = p.homogeneous_degree()
-            if num_deg is None:
-                raise NotHomogeneousError("pseudoinverse numerator entry not homogeneous")
-    sign = -1 if (num_deg - dden) % 2 else 1
-    return _SymbolData(
-        a.space_dim, k, a.source_dim, a.target_dim, FloatEvaluator([den] + entries), sign
-    )
 
 
 def tensor_basis(n, order):
@@ -173,19 +144,24 @@ def tensor_basis(n, order):
     return gammas, weights
 
 
-def _pseudoinverse_at(data, half_nodes):
-    """A†(ξ) on the half nodes plus the sign relating values at -ξ."""
-    m = len(half_nodes)
-    vals = data.values(half_nodes)
-    den_vals = vals[:, 0]
-    scale = np.abs(den_vals).max() if m else 0.0
-    if scale == 0.0 or np.abs(den_vals).min() < DET_FLOOR * scale:
+def _pseudoinverse_at(a, half_nodes):
+    """A†(ξ) = G(ξ)⁻¹A(ξ)ᵀ on the half nodes, by one batched solve.
+
+    A(-ξ) = (-1)^k A(ξ), so the values at -ξ need no evaluation. The
+    near-singular test compares det G(ξ) with its largest value over the nodes.
+    """
+    entries = [p for row in a.symbol().entries for p in row]
+    sym = FloatEvaluator(entries)(half_nodes).reshape(-1, a.target_dim, a.source_dim)
+    sym_t = sym.transpose(0, 2, 1)
+    gram = sym_t @ sym
+    det = np.abs(np.linalg.det(gram))
+    scale = det.max()
+    if scale == 0.0 or det.min() < DET_FLOOR * scale:
         raise NearSingularSymbolError(
             "det(A*A) nearly vanishes at a quadrature node; the operator "
             "may not be elliptic"
         )
-    num_vals = vals[:, 1:].reshape(m, data.source_dim, data.target_dim)
-    return num_vals / den_vals[:, None, None], data.sign
+    return np.linalg.solve(gram, sym_t)
 
 
 def moments_for_vectors(a, vectors, rule):
@@ -195,17 +171,18 @@ def moments_for_vectors(a, vectors, rule):
     weighted components of the symmetric tensor; scales holds per-vector
     maxima of the integrand norm over the nodes (the zero-test reference).
     """
-    data = a.float_pinv
+    _require_moments(a)
+    n = a.space_dim
     half_nodes, half_w = rule.half()
-    adag, adag_sign = _pseudoinverse_at(data, half_nodes)
-    gammas, tweights = tensor_basis(data.n, data.k - data.n)
+    adag = _pseudoinverse_at(a, half_nodes)
+    gammas, tweights = tensor_basis(n, a.order - n)
     xi_pow = np.ones((len(half_nodes), len(gammas)))
     for gi, gamma in enumerate(gammas):
         for d, e in enumerate(gamma):
             if e:
                 xi_pow[:, gi] *= half_nodes[:, d] ** e
-    gamma_sign = -1 if (data.k - data.n) % 2 else 1
-    total_sign = adag_sign * gamma_sign  # (-1)^n; odd n cancels bitwise
+    # A†(-ξ) = (-1)^k A†(ξ) and (-ξ)^γ = (-1)^(k-n) ξ^γ: odd n cancels bitwise
+    total_sign = -1 if n % 2 else 1
     values = []
     scales = []
     for e in vectors:
@@ -254,49 +231,48 @@ class MomentMap:
 
 
 def moment_map(a, rule):
-    """Assemble M on the standard basis of E, with a two-level error estimate."""
-    data = a.float_pinv
-    basis = np.eye(a.target_dim)
-    coarse, scales = moments_for_vectors(a, basis, rule)
-    fine_rule = build_rule(rule.n, rule.level + 1)
-    fine, fine_scales = moments_for_vectors(a, basis, fine_rule)
-    err = float(np.abs(fine - coarse).max())
-    gammas, tweights = tensor_basis(data.n, data.k - data.n)
+    """Assemble M on the standard basis of E from `rule` and the next level:
+    one step of the refinement in converged_moments, with no tolerance."""
+    vals, scales, err, rules = _refine(
+        a, np.eye(a.target_dim), rule, rel_tol=math.inf, max_level=rule.level + 1
+    )
+    n, k = a.space_dim, a.order
+    gammas, tweights = tensor_basis(n, k - n)
     return MomentMap(
-        n=data.n,
-        k=data.k,
+        n=n,
+        k=k,
         source_dim=a.target_dim,
         v_dim=a.source_dim,
         gammas=gammas,
         tensor_weights=tweights,
-        matrix=fine.T,
+        matrix=vals.T,
         error_estimate=err,
-        integrand_scale=float(np.max(fine_scales)) if len(fine_scales) else 0.0,
-        levels=(rule.level, fine_rule.level),
-        node_counts=(rule.count, fine_rule.count),
+        integrand_scale=float(scales.max()),
+        levels=tuple(r.level for r in rules),
+        node_counts=tuple(r.count for r in rules),
     )
 
 
 def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
-    """Refine until two successive levels agree to rel_tol (relative to the
-    integrand scale times the sphere area); returns the finer values plus
-    diagnostics (scales, error, levels used)."""
-    a.float_pinv  # raises before any rule is built when M is undefined
-    if len(vectors) == 0:
-        return np.zeros((0, 0)), np.zeros(0), 0.0, (base_level, base_level + 1)
+    """Refine from base_level until two successive levels agree to rel_tol
+    (relative to the integrand scale times the sphere area); returns the finer
+    values, their per-vector scales, the error and the two rules compared."""
+    _require_moments(a)  # before any rule is built
+    return _refine(a, vectors, build_rule(a.space_dim, base_level), rel_tol, max_level)
+
+
+def _refine(a, vectors, rule, rel_tol, max_level):
+    """The level loop behind every moment: start at `rule`, stop at the first
+    level that agrees with the one below it, or raise after max_level."""
     area = surface_area(a.space_dim)
-    prev = None
-    level = base_level
-    while level <= max_level:
-        rule = build_rule(a.space_dim, level)
-        vals, scales = moments_for_vectors(a, vectors, rule)
-        if prev is not None:
-            err = float(np.abs(vals - prev).max())
-            ref = area * float(scales.max()) if scales.size else 0.0
-            if err <= rel_tol * max(ref, 1e-300):
-                return vals, scales, err, (level - 1, level)
-        prev = vals
-        level += 1
+    vals, _ = moments_for_vectors(a, vectors, rule)
+    while rule.level < max_level:
+        fine = build_rule(rule.n, rule.level + 1)
+        fine_vals, scales = moments_for_vectors(a, vectors, fine)
+        err = float(np.abs(fine_vals - vals).max())
+        if err <= rel_tol * max(area * float(scales.max()), 1e-300):
+            return fine_vals, scales, err, (rule, fine)
+        rule, vals = fine, fine_vals
     raise QuadratureNotConvergedError(
         f"moment quadrature did not converge by level {max_level}"
     )

@@ -5,7 +5,7 @@ import pytest
 
 from ellsym.dsl import parse_operator
 from ellsym.errors import NotEllipticError
-from ellsym.operators import annihilator, det_adj, gram, homogenize
+from ellsym.operators import annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import mat_vec, nullspace, rank
 from genops import (
@@ -62,12 +62,12 @@ def test_symbol_vector_laplacian():
 
 
 def test_gram_gradient():
-    g = gram(gradient_operator(2))
+    g = gradient_operator(2).gram
     assert g == MatrixPolynomial([[laplacian_power(2, 1)]])
 
 
 def test_gram_vector_laplacian():
-    g = gram(laplacian_operator(2))
+    g = laplacian_operator(2).gram
     assert g == MatrixPolynomial.scalar_identity(laplacian_power(2, 2), 2)
 
 
@@ -75,14 +75,14 @@ def test_gram_zero_operator():
     from ellsym.operators import OperatorSpec
 
     z = OperatorSpec(2, 2, 2, {})
-    assert gram(z).is_zero()
+    assert z.gram.is_zero()
 
 
 def test_gram_psd_at_random_points():
     rng = random.Random(7)
     for _ in range(10):
         op = random_operator(rng, 2, 2, 3, homogeneous=True)
-        g = gram(op)
+        g = op.gram
         xi = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
         x = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)]
         gxi = g.eval(xi)
@@ -93,10 +93,11 @@ def test_gram_psd_at_random_points():
 def test_det_adj_examples():
     q2 = laplacian_power(2, 2)
     g = MatrixPolynomial.scalar_identity(q2, 2)
-    det, adj = det_adj(g)
+    det, adj = g.det(), g.adjugate()
     assert det == q2 * q2
     assert adj == MatrixPolynomial.scalar_identity(q2, 2)
-    det1, adj1 = det_adj(MatrixPolynomial([[q2]]))
+    g1 = MatrixPolynomial([[q2]])
+    det1, adj1 = g1.det(), g1.adjugate()
     assert det1 == q2
     assert adj1 == MatrixPolynomial.identity(1, 2)
 

@@ -1,11 +1,16 @@
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ellsym.errors import NearSingularSymbolError, OrderTooLowError
+from ellsym.cli import main
+from ellsym.dsl import parse_operator, parse_system
+from ellsym.errors import NearSingularSymbolError, NotHomogeneousError, OrderTooLowError
 from ellsym.quadrature import (
+    _pseudoinverse_at,
     build_rule,
     converged_moments,
     integrate,
@@ -167,3 +172,51 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, ellsym; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _reference_operators():
+    from test_conditions import NONSCALAR_GRAM_SYSTEM
+
+    ops = [laplacian_operator(3, power=2), parse_system(NONSCALAR_GRAM_SYSTEM).a]
+    rng = random.Random(2718)
+    for n, k, dim_v in ((2, 2, 1), (2, 3, 2), (3, 3, 1), (3, 4, 2)):
+        ops.append(random_elliptic_operator(rng, n, k, dim_v=dim_v))
+    return ops
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_batched_solve_pseudoinverse_matches_exact(index):
+    # reference: A† = N / det G with N = adj(G)·A*, evaluated in Fractions
+    a = _reference_operators()[index]
+    rng = random.Random(index)
+    points = []
+    while len(points) < 4:
+        # dyadic coordinates, so the float nodes are the rational points exactly
+        p = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 8))) for _ in range(a.space_dim))
+        if any(p):
+            points.append(p)
+
+    def exact(xi):
+        den = a.gram_det.eval(xi)
+        return [[q.eval(xi) / den for q in row] for row in a.pinv_numerator.entries]
+
+    sign = (-1) ** a.order
+    for p in points:
+        minus = tuple(-x for x in p)
+        assert exact(minus) == [[sign * x for x in row] for row in exact(p)]
+        for xi in (p, minus):
+            ref = np.array(exact(xi), dtype=float)
+            got = _pseudoinverse_at(a, np.array([xi], dtype=float))[0]
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_moment_map_identically_singular_symbol(tmp_path, capsys):
+    rows = "rows: d1^2 u1 + d1 d2 u2; d1^2 u1 + d1 d2 u2"
+    message = "det(A*A) is not a nonzero homogeneous polynomial"
+    a = parse_operator("from 2 to 2\n" + rows, 2)
+    with pytest.raises(NotHomogeneousError, match=re.escape(message)):
+        moment_map(a, build_rule(2, 4))
+    path = tmp_path / "singular.sys"
+    path.write_text("dim 2\noperator A {\n  from 2 to 2\n  " + rows + "\n}\n")
+    assert main(["moment", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
