@@ -23,7 +23,7 @@ from .errors import (
     OrderTooLowError,
 )
 from .operators import annihilator
-from .poly import FloatEvaluator, MatrixPolynomial, Polynomial, monomials_of_degree
+from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .quadrature import converged_moments, surface_area
 from .ratlinalg import (
     Subspace,
@@ -39,6 +39,7 @@ from .ratlinalg import (
 WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
 ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
 ELLIPTIC_GRID_POINTS = 10000
+SAMPLE_BLOCK = 4096  # sphere nodes per evaluation of det G; bounds the temporaries
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
@@ -146,42 +147,29 @@ def _axis_and_sign_candidates(n, limit=3**7):
 def is_elliptic(a):
     """Decide injectivity of A(ξ) for all ξ ≠ 0.
 
-    n=1 and n=2 are exact (coefficient kernel / Sturm count on det G); n>=3
-    is a semi-decision: exact No when a rational zero of det G is found,
+    n=1 and n=2 are exact (det G ≡ 0 by `a.degenerate`, then a Sturm count on
+    det G for n=2); n>=3 is a semi-decision on det(A(ξ)ᵀA(ξ)) from
+    `a.symbol_values`: exact No when a rational zero of det G is found,
     NumericallyPositive when the sampled-and-refined sphere minimum clears
     ELLIPTIC_MIN_THRESHOLD, Inconclusive otherwise.
     """
     if not a.is_homogeneous():
         raise NotHomogeneousError("ellipticity requires a single-order operator")
     n = a.space_dim
-    if a.source_dim > a.target_dim:
-        # rank A(ξ) <= dim E < dim V everywhere
-        xi = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
+    if a.source_dim > a.target_dim:  # rank A(ξ) <= dim E < dim V everywhere
+        note = "target dimension below source dimension"
+    elif a.degenerate:
+        note = "det(A*A) vanishes identically"
+    else:
+        note = None
+    if note:
+        e1 = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
+        kern = _gram_kernel_at(a, e1)
         return EllipticityVerdict(
-            "no",
-            witness_xi=xi,
-            kernel_vector=_gram_kernel_at(a, xi),
-            witness_exact=True,
-            note="target dimension below source dimension",
+            "no", witness_xi=e1, kernel_vector=kern, witness_exact=True, note=note
         )
-    detg = a.gram_det
-    if detg.is_zero():
-        xi = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-        return EllipticityVerdict(
-            "no",
-            witness_xi=xi,
-            kernel_vector=_gram_kernel_at(a, xi),
-            witness_exact=True,
-            note="det(A*A) vanishes identically",
-        )
-
     if n == 1:
-        kern = _gram_kernel_at(a, (Fraction(1),))
-        if kern is None:
-            return EllipticityVerdict("yes")
-        return EllipticityVerdict(
-            "no", witness_xi=(Fraction(1),), kernel_vector=kern, witness_exact=True
-        )
+        return EllipticityVerdict("yes")
 
     # exact witnesses at axis/sign points first (cheap, and they exist for
     # every non-elliptic example in the bundled systems)
@@ -201,13 +189,14 @@ def is_elliptic(a):
         )
 
     if n == 2:
-        return _is_elliptic_2d(a, detg)
-    return _is_elliptic_sampled(a, detg)
+        return _is_elliptic_2d(a)
+    return _is_elliptic_sampled(a)
 
 
-def _is_elliptic_2d(a, detg):
+def _is_elliptic_2d(a):
     """Exact decision on the circle: Sturm count of det G(1, t). The rest of
     the circle, ξ1 = 0, is the axis candidate (0, 1) already found injective."""
+    detg = a.gram_det
     d = detg.degree()
     p = [Fraction(0)] * (d + 1)
     for (a1, a2), c in detg.terms.items():
@@ -238,24 +227,21 @@ def _is_elliptic_2d(a, detg):
 
 
 def _numeric_kernel(a, xi_float):
-    sym = a.symbol()
-    mat = np.array(
-        [[float(p.eval([Fraction(x).limit_denominator(10**12) for x in xi_float]))
-          for p in row] for row in sym.entries]
-    )
-    _, _, vt = np.linalg.svd(mat)
-    v = vt[-1]
-    return tuple(Fraction(float(x)).limit_denominator(10**6) for x in v)
+    _, _, vt = np.linalg.svd(a.symbol_values(np.array([xi_float]))[0])
+    return tuple(Fraction(float(x)).limit_denominator(10**6) for x in vt[-1])
 
 
-def _is_elliptic_sampled(a, detg):
+def _is_elliptic_sampled(a):
     """n >= 3: quasi-uniform sphere sampling with local refinement."""
     from scipy.optimize import minimize
 
     from .quadrature import build_rule
 
     n = a.space_dim
-    val = FloatEvaluator([detg])
+
+    def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
+        sym = a.symbol_values(points)
+        return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     def rule_count(level):
         return 2 ** (2 * level + 1) if n == 3 else 2 ** (level + 5)
@@ -265,7 +251,8 @@ def _is_elliptic_sampled(a, detg):
         level += 1
     rule = build_rule(n, level)
     nodes = rule.nodes
-    vals = val(nodes)[:, 0]
+    blocks = range(0, len(nodes), SAMPLE_BLOCK)
+    vals = np.concatenate([det_g(nodes[s:s + SAMPLE_BLOCK]) for s in blocks])
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
@@ -275,7 +262,7 @@ def _is_elliptic_sampled(a, detg):
         r = math.sqrt(x.dot(x))  # np.linalg.norm of a vector, without its overhead
         if r < 1e-9:
             return scale
-        return float(val((x / r)[None, :])[0, 0]) / scale
+        return float(det_g((x / r)[None, :])[0]) / scale
 
     best = float(vals.min()) / scale
     best_x = nodes[int(np.argmin(vals))]

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .ratlinalg import as_fraction_matrix, nullspace
@@ -163,6 +165,22 @@ class OperatorSpec:
                         )
         return MatrixPolynomial(entries)
 
+    def symbol_values(self, points):
+        """Float A(ξ) at each row of `points`, shape (len(points), target, source):
+        the table of monomials ξ^α times the stacked coefficient matrices C_α."""
+        exps, stack = self._float_coeffs
+        mono = np.ones((len(points), len(exps)))
+        for i in range(self.space_dim):
+            mono *= points[:, i:i + 1] ** exps[:, i]
+        return (mono @ stack).reshape(len(points), self.target_dim, self.source_dim)
+
+    @cached_property
+    def _float_coeffs(self):
+        alphas = sorted(self.coeffs, reverse=True)
+        exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), self.space_dim)
+        stack = np.array([self.coeffs[a] for a in alphas], dtype=float)
+        return exps, stack.reshape(len(alphas), self.target_dim * self.source_dim)
+
     @cached_property
     def gram(self):
         """G(ξ) = A*(ξ) A(ξ): square, symmetric, homogeneous of degree 2k."""
@@ -183,6 +201,28 @@ class OperatorSpec:
         """Canonical exact basis of ker A(ξ) = ker G(ξ) at a rational point;
         empty iff det G(ξ) ≠ 0, so it tests det G without evaluating it."""
         return nullspace(self.symbol().eval(xi))
+
+    @cached_property
+    def _sample_kernels(self):
+        """(ξ, ker A(ξ)) at each of `_sample_points`, in their order."""
+        return [(xi, self.kernel_at(xi)) for xi in _sample_points(self.space_dim)]
+
+    @cached_property
+    def degenerate(self):
+        """det G ≡ 0, exactly. A(ξ) injective at one sample point certifies
+        det G ≢ 0; det G is expanded only when A(ξ) is singular at all of them."""
+        return all(kern for _, kern in self._sample_kernels) and self.gram_det.is_zero()
+
+    def require_injective_at_samples(self):
+        """Raise NotEllipticError at the first sample point where A(ξ) has a
+        kernel, with ξ and a kernel vector as its payload."""
+        for xi, kern in self._sample_kernels:
+            if kern:
+                raise NotEllipticError(
+                    f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
+                    witness_xi=xi,
+                    kernel_vector=kern[0],
+                )
 
     @classmethod
     def from_symbol(cls, mp, space_dim=None):
@@ -264,18 +304,10 @@ def annihilator(a):
         for i in range(g.rows)
         for j in range(g.cols)
     )
-    # det(q·Id) = q^m, so a scalar Gram never needs det G
-    if (q if scalar else a.gram_det).is_zero():
+    if a.degenerate:
         raise NotEllipticError("det(A*A) vanishes identically")
     # the CLI reaches this without an ellipticity check, so guard here too
-    for xi in _sample_points(a.space_dim):
-        kern = a.kernel_at(xi)
-        if kern:
-            raise NotEllipticError(
-                f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
-                witness_xi=xi,
-                kernel_vector=kern[0],
-            )
+    a.require_injective_at_samples()
     if scalar:
         l_sym = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
     else:

@@ -1,5 +1,4 @@
-"""Sparse multivariate polynomials over exact rationals, matrices of them, and
-one float evaluator for many points at once (FloatEvaluator).
+"""Sparse multivariate polynomials over exact rationals and matrices of them.
 
 Multi-indices are plain tuples of non-negative ints of length nvars. Terms are
 kept in a dict multi-index -> Fraction with no zero coefficients stored; the
@@ -11,10 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
-
-EVAL_CHUNK = 1024  # points per power table in FloatEvaluator; bounds its temporaries
 
 
 def monomials_of_degree(nvars, degree):
@@ -199,47 +194,6 @@ class Polynomial:
             )
             parts.append(f"{c} {mono}".strip() if mono else str(c))
         return " + ".join(parts)
-
-
-class FloatEvaluator:
-    """Float values of several sparse polynomials at many points.
-
-    The distinct monomials of all the polynomials are evaluated together. Per
-    chunk of EVAL_CHUNK points a table of the powers x_i^j, j <= max degree,
-    is built once; each monomial is then a gather from it plus n-1
-    multiplies, and one matmul with the coefficient matrix yields every
-    polynomial. Temporaries scale with the chunk, not with the point count.
-    """
-
-    def __init__(self, polys):
-        nvars = polys[0].nvars
-        monos = sorted({a for p in polys for a in p.terms}, reverse=True)
-        col = {a: t for t, a in enumerate(monos)}
-        self.coeffs = np.zeros((len(polys), len(monos)))
-        for row, p in enumerate(polys):
-            for a, c in p.terms.items():
-                self.coeffs[row, col[a]] = float(c)
-        degree = max((max(a) for a in monos), default=0)
-        self._powers = np.arange(degree + 1)[:, None]
-        # per variable, the row of x_i^e in the power table (nvars·(degree+1), points)
-        exps = np.array(monos, dtype=np.int64).T  # (nvars, monomials); (0,) if none
-        self._rows = tuple(exps + (degree + 1) * np.arange(nvars)[:, None])
-
-    def __call__(self, points):
-        """Values at the rows of `points`, shape (len(points), len(polys))."""
-        if len(points) <= EVAL_CHUNK:
-            return self._chunk(points)
-        return np.concatenate(
-            [self._chunk(points[s:s + EVAL_CHUNK]) for s in range(0, len(points), EVAL_CHUNK)]
-        )
-
-    def _chunk(self, points):
-        table = (points.T[:, None, :] ** self._powers).reshape(-1, len(points))
-        first, *rest = self._rows
-        mono = table.take(first, axis=0)
-        for rows in rest:
-            mono *= table.take(rows, axis=0)
-        return (self.coeffs @ mono).T
 
 
 class MatrixPolynomial:

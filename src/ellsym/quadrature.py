@@ -21,7 +21,7 @@ from .errors import (
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
-from .poly import FloatEvaluator, monomials_of_degree, multinomial
+from .poly import monomials_of_degree, multinomial
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
 
@@ -124,7 +124,7 @@ def integrate(rule, values):
 def _require_moments(a):
     """Raise unless the moment map is defined: det G ≢ 0 and k >= n."""
     k = a.order
-    if a.gram_det.is_zero():
+    if a.degenerate:
         raise NotHomogeneousError("det(A*A) is not a nonzero homogeneous polynomial")
     if k < a.space_dim:
         raise OrderTooLowError(
@@ -150,8 +150,7 @@ def _pseudoinverse_at(a, half_nodes):
     A(-ξ) = (-1)^k A(ξ), so the values at -ξ need no evaluation. The
     near-singular test compares det G(ξ) with its largest value over the nodes.
     """
-    entries = [p for row in a.symbol().entries for p in row]
-    sym = FloatEvaluator(entries)(half_nodes).reshape(-1, a.target_dim, a.source_dim)
+    sym = a.symbol_values(half_nodes)
     sym_t = sym.transpose(0, 2, 1)
     gram = sym_t @ sym
     det = np.abs(np.linalg.det(gram))
@@ -232,7 +231,10 @@ class MomentMap:
 
 def moment_map(a, rule):
     """Assemble M on the standard basis of E from `rule` and the next level:
-    one step of the refinement in converged_moments, with no tolerance."""
+    one step of the refinement in converged_moments, with no tolerance. It
+    refuses A(ξ) singular at a sample point, as `annihilator` does."""
+    _require_moments(a)
+    a.require_injective_at_samples()
     vals, scales, err, rules = _refine(
         a, np.eye(a.target_dim), rule, rel_tol=math.inf, max_level=rule.level + 1
     )

@@ -98,6 +98,13 @@ def test_moment_command(capsys):
     assert abs(mat[0][1]) < 1e-12
 
 
+def test_moment_refuses_operator_singular_at_sample_point(capsys):
+    # quartic_r4 is not elliptic; no quadrature node lands on its zeros
+    code, out, err = run(capsys, "moment", "systems/quartic_r4.sys")
+    assert (code, out) == (1, "")
+    assert err == "error: det(A*A) vanishes at ξ = ('1', '0', '0', '0')\n"
+
+
 def test_homogenize_command(capsys):
     code, out, _ = run(capsys, "homogenize", "systems/divcurl_r3.sys")
     assert code == 0

@@ -470,6 +470,35 @@ def _non_elliptic_operators():
     return ops
 
 
+def test_degenerate_matches_expanded_det():
+    ops = _non_elliptic_operators() + [
+        parse_operator("from 2 to 2\nrows: d1 u1; d1 u1", 1),
+        parse_operator("from 2 to 2\nrows: d1^2 u1 + d1 d2 u2; d1^2 u1 + d1 d2 u2", 2),
+    ]
+    expected = [op.gram_det.is_zero() for op in ops]
+    assert True in expected and False in expected
+    assert [op.degenerate for op in ops] == expected
+
+
+@pytest.mark.parametrize("name", ["divcurl_r3", "biharmonic_div_r4"])
+def test_run_full_check_expands_no_det_for_n_ge_3(monkeypatch, name):
+    # det G ≢ 0 by one injective A(ξ); sampling and moments evaluate A(ξ)
+    from ellsym.poly import MatrixPolynomial
+
+    calls = []
+    orig = MatrixPolynomial.det
+
+    def counted(self):
+        calls.append(self)
+        return orig(self)
+
+    monkeypatch.setattr(MatrixPolynomial, "det", counted)
+    with open(f"systems/{name}.sys") as fh:
+        report = run_full_check(parse_system(fh.read()))
+    assert report.elliptic.status == "numerically_positive"
+    assert calls == []
+
+
 @pytest.mark.parametrize("index", range(15))
 def test_rank_zero_test_matches_expanded_det(index):
     from ellsym.conditions import _axis_and_sign_candidates, _gram_kernel_at

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ellsym.dsl import parse_operator
 from ellsym.errors import NotEllipticError
-from ellsym.operators import annihilator, homogenize
+from ellsym.operators import OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import mat_vec, nullspace, rank
 from genops import (
@@ -14,6 +15,7 @@ from genops import (
     gradient_operator,
     laplacian_operator,
     laplacian_power,
+    random_elliptic_operator,
     random_operator,
 )
 
@@ -229,3 +231,29 @@ def test_annihilator_guard_payload_is_kernel_of_gram():
     assert xi == (F(0), F(1))
     assert a.gram_det.eval(xi) == 0
     assert info.value.kernel_vector == nullspace(a.gram.eval(xi))[0]
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("count", [1, 300], ids=["one_point", "many_points"])
+def test_symbol_values_match_exact_eval(n, k, count):
+    # two unknowns, so the isotropic block has zero off-diagonal entries
+    a = random_elliptic_operator(random.Random(100 + n), n, k, dim_v=2)
+    entries = a.symbol().entries
+    assert any(p.is_zero() for row in entries for p in row)
+    points = np.random.default_rng(n).normal(size=(count, n))
+    vals = a.symbol_values(points)
+    assert vals.shape == (count, a.target_dim, a.source_dim)
+    for mat, x in zip(vals, points):
+        exact_point = [F(float(c)) for c in x]  # the float point, exactly
+        for got_row, row in zip(mat, entries):
+            for got, p in zip(got_row, row):
+                # 1e-12 relative to the sum of the term magnitudes (exact when p = 0)
+                bound = sum(abs(c * Polynomial.monomial(n, al).eval(exact_point))
+                            for al, c in p.terms.items())
+                assert abs(F(float(got)) - p.eval(exact_point)) <= F(1e-12) * bound
+
+
+def test_symbol_values_zero_operator():
+    vals = OperatorSpec(3, 2, 2, {}).symbol_values(np.ones((5, 3)))
+    assert vals.shape == (5, 2, 2) and not vals.any()
+

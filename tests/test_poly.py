@@ -1,13 +1,7 @@
 import random
-import tracemalloc
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from ellsym.poly import (
-    EVAL_CHUNK,
-    FloatEvaluator,
     MatrixPolynomial,
     Polynomial,
     monomials_of_degree,
@@ -161,56 +155,3 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     assert sq == p * p
     assert fourth == p * p * p * p
     assert p**1 == p and p**3 == p * p * p
-
-
-def _random_poly(rng, n, terms, max_degree=6):
-    p = Polynomial.zero(n)
-    for _ in range(terms):
-        alpha = tuple(rng.randint(0, max_degree // n + 1) for _ in range(n))
-        p = p + Polynomial.monomial(n, alpha, F(rng.randint(-9, 9), rng.randint(1, 7)))
-    return p
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("count", [1, EVAL_CHUNK + 7], ids=["one_point", "chunk_plus_7"])
-def test_float_evaluator_matches_exact_eval(n, count):
-    rng = random.Random(100 + n)
-    polys = [_random_poly(rng, n, t) for t in (1, 5, 12)] + [Polynomial.zero(n)]
-    points = np.random.default_rng(n).normal(size=(count, n))
-    vals = FloatEvaluator(polys)(points)
-    assert vals.shape == (count, len(polys))
-    for row, x in zip(vals, points):
-        exact_point = [F(float(c)) for c in x]  # the float point, exactly
-        for v, p in zip(row, polys):
-            exact = p.eval(exact_point)
-            # 1e-12 relative to the sum of the term magnitudes (exact when p = 0)
-            bound = sum(abs(c * Polynomial.monomial(n, a).eval(exact_point))
-                        for a, c in p.terms.items())
-            assert abs(F(float(v)) - exact) <= F(1e-12) * bound
-
-
-def test_float_evaluator_zero_polynomial_only():
-    vals = FloatEvaluator([Polynomial.zero(3)])(np.ones((5, 3)))
-    assert vals.shape == (5, 1) and not vals.any()
-
-
-def test_float_evaluator_memory_bounded_on_biharmonic_det():
-    # the expanded 969-term det G of biharmonic_div_r4 on the 16,384-node
-    # level-9 rule; evaluating all nodes in one broadcast took 508 MB
-    from ellsym.dsl import parse_system
-    from ellsym.quadrature import build_rule
-
-    with open("systems/biharmonic_div_r4.sys") as fh:
-        detg = parse_system(fh.read()).a.gram_det
-    evaluator = FloatEvaluator([detg])
-    nodes = build_rule(4, 9).nodes
-    assert len(nodes) == 16384
-    tracemalloc.start()
-    try:
-        vals = evaluator(nodes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    # det G = |ξ|^32 up to a positive constant, so it is constant on the sphere
-    assert np.ptp(vals) <= 1e-12 * np.abs(vals).max()

@@ -10,7 +10,11 @@ run the same list of operations:
   an error, whose message and exit code are compared too);
 - one dirac `witness --json` (`laplacian_r2`, e = (1,0), grid 128);
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
-  matrix for each rung of the seed-1 `perfbench` ladder.
+  matrix for each rung of the seed-1 `perfbench` ladder;
+- `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
+  which reach the branches no system file reaches: det G ≡ 0 for n = 1 and
+  n = 2, irrational zeros for n = 2 (numeric kernel vectors), an
+  inconclusive n = 3 minimum, and a source larger than the target.
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -58,6 +62,26 @@ print(json.dumps(out, sort_keys=True))
 """ % LADDER_SEED
 
 
+# (label, space dimension, operator text) for the is_elliptic comparison
+ELLIPTIC_CASES = (
+    ("n1 degenerate", 1, "from 2 to 2\nrows: d1 u1; d1 u1"),
+    ("n2 detG zero", 2, "from 2 to 2\nrows: d1^2 u1 + d1 d2 u2; d1^2 u1 + d1 d2 u2"),
+    ("n2 irrational scalar", 2, "rows: d1^2 u1 - 2 d2^2 u1"),
+    ("n2 irrational 2x2 a", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; d2 u1 + 2 d1 u2"),
+    ("n2 irrational 2x2 b", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; 3 d2 u1 + 2 d1 u2"),
+    ("n3 inconclusive", 3, "rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1"),
+    ("source > target", 2, "from 2 to 1\nrows: d1 u1 + d2 u2"),
+)
+
+ELLIPTIC_SCRIPT = """
+import json
+from ellsym import is_elliptic, parse_operator
+
+cases = %r
+print(json.dumps({label: is_elliptic(parse_operator(text, n)).to_json() for label, n, text in cases}, sort_keys=True))
+""" % (ELLIPTIC_CASES,)
+
+
 def operations():
     """(label, argv after the interpreter) for every operation."""
     ops = []
@@ -71,6 +95,7 @@ def operations():
         )
     )
     ops.append((f"ladder seed {LADDER_SEED}", ["-c", LADDER_SCRIPT]))
+    ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
     return ops
 
 
