@@ -2,9 +2,9 @@
 
 The continuum intersections ⋂_{ξ≠0} ker C(ξ) and ⋂_{ξ≠0} im A(ξ) are reduced
 to finite exact linear algebra: the first is the common kernel of the
-coefficient matrices of C, the second the same common kernel for an exact
-annihilator L (ker L(ξ) = im A(ξ) off the origin, and a polynomial identity
-on R^n \\ {0} extends to all of R^n).
+coefficient matrices of C; the second is {v ∈ S : L(ξ)v ≡ 0}, with S the
+exact intersection of im A(ξ) over a few sample points and L an annihilator
+(ker L(ξ) = im A(ξ) off the origin): the common kernel of L·B's coefficients.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .errors import (
     NotHomogeneousError,
     OrderTooLowError,
 )
-from .operators import annihilator
+from .operators import annihilator_times
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .quadrature import converged_moments, surface_area
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
+    identity,
     mat_mul,
     mat_vec,
     nullspace,
@@ -119,7 +120,7 @@ def _integerize(vec):
 
 def _gram_kernel_at(a, xi):
     """Exact kernel vector of A(ξ) at a rational point; None iff det G(ξ) ≠ 0."""
-    kern = a.kernel_at(xi)
+    kern = nullspace(a.value_at(xi))
     if kern:
         return _integerize(kern[0])
     return None
@@ -314,9 +315,24 @@ def kernel_intersection(c):
     return Subspace.from_vectors(c.source_dim, nullspace(stacked, ncols=c.source_dim))
 
 
-def image_intersection(a, ann=None):
-    """I_A = ⋂_{ξ≠0} im A(ξ): the common kernel of an exact annihilator L."""
-    return kernel_intersection(annihilator(a) if ann is None else ann)
+def image_intersection(a):
+    """I_A = ⋂_{ξ≠0} im A(ξ), exactly. I_A lies in S = ⋂ im A(ξ) over the
+    sample points, where the guard makes A(ξ) injective (im A(ξ)^⊥ = ker A(ξ)ᵀ).
+    The walk stops at S = {0}, which certifies canceling, or at a point that
+    leaves S unchanged; the identity L·v ≡ 0 then decides membership."""
+    a.require_injective_at_samples()
+    perp, basis = [], identity(a.target_dim)  # S^⊥ spanned by perp; S by basis
+    for _, a_xi, _ in a._sample_kernels:
+        rows = perp + nullspace(transpose(a_xi))
+        cand = nullspace(rows, ncols=a.target_dim)
+        if len(cand) == len(basis):
+            break
+        perp, basis = rows, cand
+        if not basis:
+            return Subspace.zero(a.target_dim)
+    b = transpose(basis)  # v = B c: the common kernel of L·B's coefficients
+    coords = kernel_intersection(annihilator_times(a, b))
+    return Subspace.from_vectors(a.target_dim, [mat_vec(b, c) for c in coords.basis])
 
 
 @dataclass
@@ -333,9 +349,9 @@ class CCResult:
         return d
 
 
-def check_cc(system, ann=None):
+def check_cc(system):
     """Condition (CC): I_A ∩ K_C = {0}. Witness = first canonical basis vector."""
-    return _cc(image_intersection(system.a, ann=ann), _constraint_kernel(system))[0]
+    return _cc(image_intersection(system.a), _constraint_kernel(system))[0]
 
 
 def _constraint_kernel(system):
@@ -642,11 +658,10 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
         )
 
     try:
-        ann = annihilator(a)
+        i_a = report.image_basis = image_intersection(a)
     except NotEllipticError as exc:
         diagnostics.append(f"annihilator construction failed: {exc}")
         return report
-    i_a = report.image_basis = image_intersection(a, ann=ann)
     report.canceling = i_a.is_zero()
     report.cc, isect = _cc(i_a, k_c)
 

@@ -9,6 +9,7 @@ operations require a single common order and say so.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .ratlinalg import as_fraction_matrix, nullspace
+from .ratlinalg import as_fraction_matrix, identity, nullspace
 
 MultiIndex = tuple
 
@@ -197,26 +198,34 @@ class OperatorSpec:
         """N(ξ) = adj G(ξ)·A*(ξ), so that A†(ξ) = N(ξ) / det G(ξ)."""
         return self.gram.adjugate() * self.symbol().transpose()
 
-    def kernel_at(self, xi):
-        """Canonical exact basis of ker A(ξ) = ker G(ξ) at a rational point;
-        empty iff det G(ξ) ≠ 0, so it tests det G without evaluating it."""
-        return nullspace(self.symbol().eval(xi))
+    def value_at(self, xi):
+        """Exact A(ξ) = Σ ξ^α C_α at a rational point, one ξ^α per multi-index."""
+        xi = [Fraction(x) for x in xi]
+        out = [[Fraction(0)] * self.source_dim for _ in range(self.target_dim)]
+        for alpha, mat in self.coeffs.items():
+            w = math.prod(x**e for x, e in zip(xi, alpha) if e)
+            if w:
+                out = [[o + w * c if c else o for o, c in zip(r, cr)] for r, cr in zip(out, mat)]
+        return out
 
     @cached_property
     def _sample_kernels(self):
-        """(ξ, ker A(ξ)) at each of `_sample_points`, in their order."""
-        return [(xi, self.kernel_at(xi)) for xi in _sample_points(self.space_dim)]
+        """(ξ, A(ξ), ker A(ξ)) at each of `_sample_points`, in their order."""
+        values = [(xi, self.value_at(xi)) for xi in _sample_points(self.space_dim)]
+        return [(xi, val, nullspace(val)) for xi, val in values]
 
     @cached_property
     def degenerate(self):
         """det G ≡ 0, exactly. A(ξ) injective at one sample point certifies
         det G ≢ 0; det G is expanded only when A(ξ) is singular at all of them."""
-        return all(kern for _, kern in self._sample_kernels) and self.gram_det.is_zero()
+        return all(kern for *_, kern in self._sample_kernels) and self.gram_det.is_zero()
 
     def require_injective_at_samples(self):
-        """Raise NotEllipticError at the first sample point where A(ξ) has a
-        kernel, with ξ and a kernel vector as its payload."""
-        for xi, kern in self._sample_kernels:
+        """Raise NotEllipticError when det G ≡ 0, else at the first sample point
+        where A(ξ) has a kernel, with ξ and a kernel vector as its payload."""
+        if self.degenerate:
+            raise NotEllipticError("det(A*A) vanishes identically")
+        for xi, _, kern in self._sample_kernels:
             if kern:
                 raise NotEllipticError(
                     f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
@@ -290,32 +299,28 @@ def _sample_points(n, count=12):
 
 
 def annihilator(a):
-    """Exact annihilator L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0.
+    """L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0: `annihilator_times` with
+    B = Id, behind the sample-point guard (the CLI calls it without is_elliptic)."""
+    a.require_injective_at_samples()
+    return annihilator_times(a, identity(a.target_dim))
 
-    Construction: L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When
-    G(ξ) is a scalar polynomial q(ξ) times the identity, the reduced form
+
+def annihilator_times(a, basis):
+    """L·B for a constant dim E × s matrix B, as an operator from R^s.
+
+    L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When G(ξ) is a scalar
+    polynomial q(ξ) times the identity, the reduced form
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
     and the minimal degree 2k; it is used whenever applicable.
     """
     s, g = a.symbol(), a.gram
+    b = MatrixPolynomial.from_rational(basis, a.space_dim)
     q = g.entries[0][0]
-    scalar = all(
-        (g.entries[i][j] == q if i == j else g.entries[i][j].is_zero())
-        for i in range(g.rows)
-        for j in range(g.cols)
-    )
-    if a.degenerate:
-        raise NotEllipticError("det(A*A) vanishes identically")
-    # the CLI reaches this without an ellipticity check, so guard here too
-    a.require_injective_at_samples()
-    if scalar:
-        l_sym = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
+    if g == MatrixPolynomial.scalar_identity(q, g.rows):
+        lb = b * q - s * (s.transpose() * b)
     else:
-        l_sym = (
-            MatrixPolynomial.scalar_identity(a.gram_det, a.target_dim)
-            - s * a.pinv_numerator
-        )
-    return OperatorSpec.from_symbol(l_sym, a.space_dim)
+        lb = b * a.gram_det - s * (a.pinv_numerator * b)
+    return OperatorSpec.from_symbol(lb, a.space_dim)
 
 
 def homogenize(c, target_degree=None):

@@ -138,7 +138,7 @@ def test_criterion_05_annihilator_correctness():
             assert r == op.target_dim - op.source_dim
             assert op.target_dim - r == op.source_dim
             a_xi = sym_a.eval(xi)
-            for e in image_intersection(op, ann=ann).basis:
+            for e in image_intersection(op).basis:
                 assert solve(a_xi, list(e)) is not None
     _ok(5, "L·A ≡ 0 exactly; kernel/rank dimensions and I_A solvability at 20 samples")
 

@@ -101,6 +101,93 @@ def test_image_basis_vectors_lie_in_image_at_samples():
             assert solve(mat, list(e)) is not None
 
 
+# -- I_A by sample points plus the identity L·v ≡ 0 ----------------------------------
+
+# div-curl with a source change: G is not scalar, and I_A = span{e1} is
+# neither {0} nor E
+SHEARED_DIVCURL = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+
+
+def _scalar_gram(a):
+    g = a.gram
+    return g == g.scalar_identity(g.entries[0][0], g.rows)
+
+
+def _annihilator_route(a):
+    """The reference: the common kernel of the full annihilator's coefficients."""
+    from ellsym.operators import annihilator
+
+    return kernel_intersection(annihilator(a))
+
+
+@pytest.mark.parametrize("n, k, m", [(n, k, m) for n in (2, 3) for m in (1, 2, 3) for k in (1, 2)])
+def test_image_intersection_matches_annihilator_route_random(n, k, m):
+    from genops import random_elliptic_operator
+
+    rng = random.Random(100 * n + 10 * k + m)
+    a = random_elliptic_operator(rng, n, k, dim_v=m, extra_rows=2)
+    assert _scalar_gram(a) == (m == 1)
+    assert image_intersection(a) == _annihilator_route(a)
+
+
+@pytest.mark.parametrize(
+    "name", ["biharmonic_div_r4", "divcurl_r3", "gradient_r2", "laplacian_div_r2", "laplacian_r2"]
+)
+def test_image_intersection_matches_annihilator_route_bundled(name):
+    with open(f"systems/{name}.sys") as fh:
+        a = parse_system(fh.read()).a
+    assert image_intersection(a) == _annihilator_route(a)
+
+
+def test_image_intersection_partial_nonscalar_gram():
+    a = div_curl_operator().compose_right(SHEARED_DIVCURL)
+    assert not _scalar_gram(a)
+    i_a = image_intersection(a)
+    assert i_a.basis == ((F(1), F(0), F(0), F(0)),)
+    assert i_a == _annihilator_route(a)
+
+
+def test_image_intersection_square_nonscalar_gram():
+    a = laplacian_operator(2).compose_right([[1, 1], [0, 1]])
+    assert not _scalar_gram(a)
+    assert image_intersection(a).is_full()
+    assert _annihilator_route(a).is_full()
+
+
+def test_identity_alone_prunes_non_members(monkeypatch):
+    # no sample point filters: the walk starts and ends at S = E, so the
+    # identity L·v ≡ 0 alone must cut E down to I_A = span{e1}
+    a = div_curl_operator().compose_right(SHEARED_DIVCURL)
+    monkeypatch.setattr(a, "_sample_kernels", [])
+    assert image_intersection(a).basis == ((F(1), F(0), F(0), F(0)),)
+
+
+@pytest.mark.parametrize("case", ["divcurl_r3", "genops_333"])
+def test_run_full_check_builds_no_annihilator(monkeypatch, case):
+    from ellsym import conditions, operators
+    from genops import random_elliptic_operator
+
+    calls = []
+    orig = operators.annihilator
+
+    def counted(a):
+        calls.append(a)
+        return orig(a)
+
+    for module in (operators, conditions):  # every binding of the function
+        if getattr(module, "annihilator", None) is orig:
+            monkeypatch.setattr(module, "annihilator", counted)
+    if case == "divcurl_r3":
+        with open("systems/divcurl_r3.sys") as fh:
+            system = parse_system(fh.read())
+    else:
+        a = random_elliptic_operator(random.Random(333), 3, 3, dim_v=3, extra_rows=2)
+        system = SystemSpec(a, None, 3)
+    report = run_full_check(system)
+    assert report.image_basis is not None
+    assert calls == []
+
+
 # -- condition (CC) ---------------------------------------------------------------
 
 
@@ -419,11 +506,12 @@ constraint C {
 
 @pytest.mark.parametrize(
     "path, adjugates",
-    [("systems/laplacian_r2.sys", 0), (None, 1)],
+    [("systems/laplacian_r2.sys", 0), (None, 0)],
     ids=["laplacian_r2", "nonscalar_gram"],
 )
 def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, path, adjugates):
-    # A† comes from a solve on A(ξ); only the non-scalar annihilator needs adj G
+    # A† comes from a solve on A(ξ), and the sample points alone show that
+    # I_A = {0} here, so the identity that would need adj G never runs
     from ellsym.poly import MatrixPolynomial
 
     text = open(path).read() if path else NONSCALAR_GRAM_SYSTEM

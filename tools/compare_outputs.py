@@ -10,11 +10,15 @@ run the same list of operations:
   an error, whose message and exit code are compared too);
 - one dirac `witness --json` (`laplacian_r2`, e = (1,0), grid 128);
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
-  matrix for each rung of the seed-1 `perfbench` ladder;
+  matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
   which reach the branches no system file reaches: det G ≡ 0 for n = 1 and
   n = 2, irrational zeros for n = 2 (numeric kernel vectors), an
-  inconclusive n = 3 minimum, and a source larger than the target.
+  inconclusive n = 3 minimum, and a source larger than the target;
+- `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
+  which reach the branches of I_A that no system file reaches: a non-scalar
+  Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
+  (I_A = E), and constrained systems whose CC fails.
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -41,10 +45,10 @@ SYSTEMS = (
     "quartic_r4",
 )
 WITNESS_ARGS = ["--e", "1,0", "--eps", "0.4,0.2,0.1", "--grid", "128"]
-LADDER_SEED = 1
+LADDER_SEEDS = (1, 2)
 MAX_SHOWN = 10  # non-float differences printed per operation
 
-# run in a child process of each root: the seed-1 ladder, one JSON list
+# run in a child process of each root: the ladder of one seed, one JSON list
 LADDER_SCRIPT = """
 import json, sys
 sys.path.insert(0, "perfbench")
@@ -59,7 +63,7 @@ for rung in ladder.build_ladder(%d):
         item["moment"] = moment_map(system.a, build_rule(rung.n, 3)).matrix.tolist()
     out.append(item)
 print(json.dumps(out, sort_keys=True))
-""" % LADDER_SEED
+"""
 
 
 # (label, space dimension, operator text) for the is_elliptic comparison
@@ -72,6 +76,35 @@ ELLIPTIC_CASES = (
     ("n3 inconclusive", 3, "rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1"),
     ("source > target", 2, "from 2 to 1\nrows: d1 u1 + d2 u2"),
 )
+
+# div-curl on R^3 after the source change u = M w, M = [[1,1,0],[0,1,0],[0,0,2]]:
+# G is not scalar and I_A = span{e1}
+SHEARED_DIVCURL = (
+    "operator A {\n  from 3 to 4\n  rows:\n"
+    "    d1 u1 + d1 u2 + d2 u2 + 2 d3 u3; 2 d2 u3 - d3 u2;\n"
+    "    -2 d1 u3 + d3 u1 + d3 u2; d1 u2 - d2 u1 - d2 u2\n}\n"
+)
+# the Laplacian on R^2 times [[1,1],[0,1]]: square, G not scalar, I_A = E
+SHEARED_LAPLACIAN = (
+    "operator A {\n  from 2 to 2\n  rows:\n"
+    "    d1^2 u1 + d1^2 u2 + d2^2 u1 + d2^2 u2; d1^2 u2 + d2^2 u2\n}\n"
+)
+
+# (label, system text) for the run_full_check comparison
+CHECK_CASES = (
+    ("sheared divcurl", "dim 3\n" + SHEARED_DIVCURL),
+    ("sheared divcurl, CC fails", "dim 3\n" + SHEARED_DIVCURL + "constraint C {\n  from 4 to 1\n  rows: d1 f2\n}\n"),
+    ("sheared laplacian", "dim 2\n" + SHEARED_LAPLACIAN),
+    ("sheared laplacian, CC fails", "dim 2\n" + SHEARED_LAPLACIAN + "constraint C {\n  from 2 to 1\n  rows: d1 f1\n}\n"),
+)
+
+CHECK_SCRIPT = """
+import json
+from ellsym import parse_system, run_full_check
+
+cases = %r
+print(json.dumps({label: run_full_check(parse_system(text)).to_json() for label, text in cases}, sort_keys=True))
+""" % (CHECK_CASES,)
 
 ELLIPTIC_SCRIPT = """
 import json
@@ -94,8 +127,10 @@ def operations():
             ["-m", "ellsym.cli", "witness", "systems/laplacian_r2.sys", *WITNESS_ARGS, "--json"],
         )
     )
-    ops.append((f"ladder seed {LADDER_SEED}", ["-c", LADDER_SCRIPT]))
+    for seed in LADDER_SEEDS:
+        ops.append((f"ladder seed {seed}", ["-c", LADDER_SCRIPT % seed]))
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
+    ops.append(("run_full_check inline systems", ["-c", CHECK_SCRIPT]))
     return ops
 
 
