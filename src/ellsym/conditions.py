@@ -39,7 +39,6 @@ from .ratlinalg import (
 
 WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
 ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
-ELLIPTIC_GRID_POINTS = 10000
 SAMPLE_BLOCK = 4096  # sphere nodes per evaluation of det G; bounds the temporaries
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
@@ -70,10 +69,6 @@ class EllipticityVerdict:
     @property
     def definitely_not(self):
         return self.status == "no"
-
-    @property
-    def acceptable(self):
-        return self.status in ("yes", "numerically_positive")
 
     def all_witnesses(self):
         out = []
@@ -233,9 +228,8 @@ def _numeric_kernel(a, xi_float):
 
 
 def _is_elliptic_sampled(a):
-    """n >= 3: quasi-uniform sphere sampling with local refinement."""
-    from scipy.optimize import minimize
-
+    """n >= 3: quasi-uniform sphere sampling, then a batched compass search
+    (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the ten lowest nodes."""
     from .quadrature import build_rule
 
     n = a.space_dim
@@ -244,35 +238,30 @@ def _is_elliptic_sampled(a):
         sym = a.symbol_values(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
-    def rule_count(level):
-        return 2 ** (2 * level + 1) if n == 3 else 2 ** (level + 5)
-
-    level = 1
-    while rule_count(level) < ELLIPTIC_GRID_POINTS and level < 9:
-        level += 1
-    rule = build_rule(n, level)
-    nodes = rule.nodes
+    nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the first levels with >= 10^4 nodes
     blocks = range(0, len(nodes), SAMPLE_BLOCK)
     vals = np.concatenate([det_g(nodes[s:s + SAMPLE_BLOCK]) for s in blocks])
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
     starts = np.argsort(vals)[:10]
-
-    def objective(x):
-        r = math.sqrt(x.dot(x))  # np.linalg.norm of a vector, without its overhead
-        if r < 1e-9:
-            return scale
-        return float(det_g((x / r)[None, :])[0]) / scale
-
-    best = float(vals.min()) / scale
-    best_x = nodes[int(np.argmin(vals))]
-    for idx in starts:
-        res = minimize(objective, nodes[idx], method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 400})
-        if res.fun < best:
-            best = float(res.fun)
-            best_x = res.x / np.linalg.norm(res.x)
+    x, f = nodes[starts], vals[starts] / scale
+    h = np.full(len(x), 0.05)  # about the node spacing
+    steps = np.concatenate([np.eye(n), -np.eye(n)])
+    rows = np.arange(len(x))
+    for _ in range(400):
+        live = h >= 1e-12  # a start whose step fell below this has stopped
+        if not live.any():
+            break
+        # every start polls its 2n points x ± h·e_i, pulled back onto the sphere
+        trial = x[:, None, :] + h[:, None, None] * steps
+        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        tv = det_g(trial.reshape(-1, n)).reshape(len(x), 2 * n) / scale
+        pick = tv.argmin(axis=1)
+        moved = live & (tv[rows, pick] < f)
+        x[moved], f[moved] = trial[rows, pick][moved], tv[rows, pick][moved]
+        h[~moved] /= 2
+    best, best_x = float(f.min()), x[int(np.argmin(f))]
     # try to certify an exact zero near the minimizer
     if best <= ELLIPTIC_MIN_THRESHOLD:
         for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
@@ -321,6 +310,8 @@ def image_intersection(a):
     The walk stops at S = {0}, which certifies canceling, or at a point that
     leaves S unchanged; the identity L·v ≡ 0 then decides membership."""
     a.require_injective_at_samples()
+    if a.source_dim == a.target_dim:  # square: A·adj G·Aᵀ = det G·Id, so L ≡ 0
+        return Subspace.full(a.target_dim)
     perp, basis = [], identity(a.target_dim)  # S^⊥ spanned by perp; S by basis
     for _, a_xi, _ in a._sample_kernels:
         rows = perp + nullspace(transpose(a_xi))
@@ -694,7 +685,7 @@ def _dims(system):
     }
 
 
-# -- sampled oracles (used by tests and the CLI's self-checks) -------------------
+# -- sampled oracles (used by tests) ---------------------------------------------
 
 
 def random_rational_point(rng, n, max_num=9, max_den=9):

@@ -94,14 +94,11 @@ def build_rule(n, level):
         weights = np.concatenate([whalf, whalf])
         desc = f"Gauss-Legendre x uniform, {nz}x{nphi} nodes"
     else:
-        from scipy.special import ndtri
-        from scipy.stats import qmc
+        from statistics import NormalDist
 
         h = 2 ** (level + 4)
-        seq = qmc.Halton(d=n, scramble=False, seed=0)
-        seq.fast_forward(1)  # index 0 maps to the origin under ndtri
-        u = seq.random(h)
-        g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+        inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
+        g = inv_cdf(_halton(n, h))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         half = g / norms
         nodes = np.concatenate([half, -half], axis=0)
@@ -111,6 +108,21 @@ def build_rule(n, level):
     nn = np.linalg.norm(nodes, axis=1, keepdims=True)
     nodes = nodes / nn
     return QuadratureRule(n, level, nodes, weights, True, desc)
+
+
+def _halton(n, h):
+    """Unscrambled Halton points (Halton, Numer. Math. 2 (1960)) of indices 1..h
+    (0 is the corner u = 0) in the first n primes, all below n² + 3: the base-p
+    digits of each index mirrored about the radix point (radical inverse)."""
+    primes = [p for p in range(2, n * n + 3) if all(p % q for q in range(2, p))][:n]
+    u = np.zeros((h, n))
+    for d, p in enumerate(primes):
+        i, f = np.arange(1, h + 1), 1.0
+        while i.any():
+            f /= p
+            u[:, d] += f * (i % p)
+            i //= p
+    return u
 
 
 def integrate(rule, values):
@@ -211,9 +223,6 @@ class MomentMap:
     integrand_scale: float
     levels: tuple
     node_counts: tuple
-
-    def apply(self, e):
-        return self.matrix @ np.array([float(x) for x in e])
 
     def to_json(self):
         return {

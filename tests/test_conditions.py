@@ -283,6 +283,54 @@ def test_elliptic_inconclusive_when_no_rational_zero_exists():
     assert report.exit_status() == 2
 
 
+def test_elliptic_sampled_refinement_certifies_rational_zero():
+    # A(ξ) = (2ξ1 − ξ2, 3ξ1 − ξ3)ᵀ vanishes on the line through (1,2,3), which
+    # no axis/sign candidate meets: only the rounded sampled minimizer finds it
+    a = parse_operator("rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1", 3)
+    v = is_elliptic(a)
+    assert v.status == "no" and v.witness_exact
+    assert v.witness_xi in ((F(1), F(2), F(3)), (F(-1), F(-2), F(-3)))
+    assert v.kernel_vector == (F(1),)
+
+
+def _nelder_mead_minimum(a):
+    """The sphere minimum of det G as scipy's Nelder–Mead refines it from the
+    ten lowest nodes: the reference for the compass search."""
+    from scipy.optimize import minimize
+
+    from ellsym.quadrature import build_rule
+
+    def det_g(points):
+        sym = a.symbol_values(points)
+        return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
+
+    n = a.space_dim
+    nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the nodes is_elliptic samples
+    vals = det_g(nodes)
+    scale = float(np.abs(vals).max())
+    best = float(vals.min()) / scale
+    for idx in np.argsort(vals)[:10]:
+        res = minimize(
+            lambda x: float(det_g((x / np.linalg.norm(x))[None, :])[0]) / scale,
+            nodes[idx],
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 400},
+        )
+        best = min(best, float(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("n, k, m", [(3, 1, 3), (3, 2, 2), (3, 3, 1), (4, 1, 2), (4, 2, 1)])
+def test_compass_minimum_matches_nelder_mead(n, k, m):
+    from genops import random_elliptic_operator
+
+    a = random_elliptic_operator(random.Random(100 * n + 10 * k + m), n, k, dim_v=m)
+    v = is_elliptic(a)
+    assert v.status == "numerically_positive"
+    ref = _nelder_mead_minimum(a)
+    assert abs(v.min_normalized - ref) <= 1e-12 * ref
+
+
 # -- weak cancellation --------------------------------------------------------------
 
 
@@ -504,17 +552,28 @@ constraint C {
 """
 
 
-@pytest.mark.parametrize(
-    "path, adjugates",
-    [("systems/laplacian_r2.sys", 0), (None, 0)],
-    ids=["laplacian_r2", "nonscalar_gram"],
-)
-def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, path, adjugates):
-    # A† comes from a solve on A(ξ), and the sample points alone show that
-    # I_A = {0} here, so the identity that would need adj G never runs
+# the Laplacian on R² times [[1,1],[0,1]]: square, with a non-scalar Gram matrix
+SQUARE_NONSCALAR_GRAM_SYSTEM = """dim 2
+operator A {
+  from 2 to 2
+  rows: d1^2 u1 + d1^2 u2 + d2^2 u1 + d2^2 u2; d1^2 u2 + d2^2 u2
+}
+"""
+
+
+@pytest.mark.parametrize("case", ["laplacian_r2", "nonscalar_gram", "square_nonscalar_gram"])
+def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
+    # A† comes from a solve on A(ξ); I_A needs no identity, hence no adj G:
+    # the sample points alone show I_A = {0} for the 3 × 2 operator, and a
+    # square operator has I_A = E
     from ellsym.poly import MatrixPolynomial
 
-    text = open(path).read() if path else NONSCALAR_GRAM_SYSTEM
+    with open("systems/laplacian_r2.sys") as fh:
+        texts = {
+            "laplacian_r2": fh.read(),
+            "nonscalar_gram": NONSCALAR_GRAM_SYSTEM,
+            "square_nonscalar_gram": SQUARE_NONSCALAR_GRAM_SYSTEM,
+        }
     calls = {"det": 0, "adjugate": 0}
     for name in calls:
         def counted(self, _name=name, _orig=getattr(MatrixPolynomial, name)):
@@ -522,9 +581,9 @@ def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, path, adjugate
             return _orig(self)
 
         monkeypatch.setattr(MatrixPolynomial, name, counted)
-    report = run_full_check(parse_system(text))
+    report = run_full_check(parse_system(texts[case]))
     assert report.weak is not None and report.cwc is not None
-    assert calls == {"det": 1, "adjugate": adjugates}
+    assert calls == {"det": 1, "adjugate": 0}
 
 
 # -- exact zero tests by the rank of A(ξ) ------------------------------------------

@@ -166,12 +166,35 @@ def test_tensor_basis_weights():
 
 
 def test_import_leaves_scipy_unloaded():
+    # importing, and the n >= 4 paths (sampled ellipticity, Halton rules)
     import subprocess
     import sys
 
-    code = "import sys, ellsym; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    n4_work = (
+        "from ellsym import build_rule, moment_map, parse_system, run_full_check\n"
+        "system = parse_system(open('systems/biharmonic_div_r4.sys').read())\n"
+        "assert run_full_check(system).elliptic.status == 'numerically_positive'\n"
+        "moment_map(system.a, build_rule(4, 3))\n"
+    )
+    for body in ("", n4_work):
+        code = "import sys, ellsym\n" + body + report
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_halton_rule_matches_scipy_reference(n):
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    for level in range(1, 10):
+        h = 2 ** (level + 4)
+        seq = qmc.Halton(d=n, scramble=False, seed=0)
+        seq.fast_forward(1)
+        g = ndtri(seq.random(h))
+        half = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert np.abs(build_rule(n, level).nodes[:h] - half).max() < 1e-14
 
 
 def _reference_operators():

@@ -28,6 +28,23 @@ def coords(grid):
     return np.meshgrid(*([x] * grid.n), indexing="ij")
 
 
+@pytest.mark.parametrize("order", [2, 9])
+def test_symbol_on_modes_is_the_sum_over_alpha(order):
+    # A(ik) = Σ C_α (ik)^α, in exact integers; order 9 evaluates A(k) in floats
+    a = parse_operator(
+        f"from 2 to 2\nrows: d1^{order} u1 + 2 d1 d2^{order - 1} u2; -3 d2^{order} u1", 2
+    )
+    grid = Grid(2, 16)
+    kg = grid.mode_grids()
+    ref = np.zeros(grid.shape + (2, 2), dtype=complex)
+    for idx in np.ndindex(grid.shape):
+        k = [int(kd[idx]) for kd in kg]
+        for alpha, mat in a.coeffs.items():
+            mono = 1j ** sum(alpha) * math.prod(x**e for x, e in zip(k, alpha))
+            ref[idx] += mono * np.array(mat, dtype=float)
+    assert np.array_equal(symbol_on_modes(a, grid), ref)
+
+
 def test_grid_budget_enforced():
     with pytest.raises(ValueError):
         Grid(4, 64)

@@ -14,7 +14,10 @@ run the same list of operations:
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
   which reach the branches no system file reaches: det G ≡ 0 for n = 1 and
   n = 2, irrational zeros for n = 2 (numeric kernel vectors), an
-  inconclusive n = 3 minimum, and a source larger than the target;
+  inconclusive n = 3 minimum, an n = 3 zero on the line through (1, 2, 3),
+  off every axis/sign candidate, that the rounding of the refined minimizer
+  certifies, a non-isotropic elliptic n = 4 operator (a refined minimum),
+  and a source larger than the target;
 - `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
   which reach the branches of I_A that no system file reaches: a non-scalar
   Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
@@ -74,6 +77,8 @@ ELLIPTIC_CASES = (
     ("n2 irrational 2x2 a", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; d2 u1 + 2 d1 u2"),
     ("n2 irrational 2x2 b", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; 3 d2 u1 + 2 d1 u2"),
     ("n3 inconclusive", 3, "rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1"),
+    ("n3 refined rational zero", 3, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1"),
+    ("n4 anisotropic elliptic", 4, "rows: d1^2 u1 + 2 d2^2 u1 + d3 d4 u1; d3^2 u1 + 3 d4^2 u1 + d1 d2 u1"),
     ("source > target", 2, "from 2 to 1\nrows: d1 u1 + d2 u2"),
 )
 
