@@ -39,7 +39,6 @@ from .ratlinalg import (
 
 WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
 ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
-SAMPLE_BLOCK = 4096  # sphere nodes per evaluation of det G; bounds the temporaries
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
@@ -239,8 +238,7 @@ def _is_elliptic_sampled(a):
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the first levels with >= 10^4 nodes
-    blocks = range(0, len(nodes), SAMPLE_BLOCK)
-    vals = np.concatenate([det_g(nodes[s:s + SAMPLE_BLOCK]) for s in blocks])
+    vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
@@ -268,6 +266,8 @@ def _is_elliptic_sampled(a):
             cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
             if not any(cand):
                 continue
+            if next(c for c in cand if c) < 0:  # ±ξ share ker A: report the one with
+                cand = tuple(-c for c in cand)  # first nonzero coordinate positive
             # A(cξ) = c^k A(ξ): the integerized point has the same kernel
             kern = _gram_kernel_at(a, cand)
             if kern is not None:

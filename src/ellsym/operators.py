@@ -22,6 +22,7 @@ from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .ratlinalg import as_fraction_matrix, identity, nullspace
 
 MultiIndex = tuple
+SYMBOL_BLOCK = 4096  # points per monomial table in symbol_values; bounds the temporaries
 
 
 def _freeze_matrix(mat):
@@ -167,13 +168,19 @@ class OperatorSpec:
         return MatrixPolynomial(entries)
 
     def symbol_values(self, points):
-        """Float A(ξ) at each row of `points`, shape (len(points), target, source):
-        the table of monomials ξ^α times the stacked coefficient matrices C_α."""
+        """A(ξ) at each row of `points` (real or complex), shape (len(points),
+        target, source): the table of monomials ξ^α times the stacked coefficient
+        matrices C_α, SYMBOL_BLOCK points at a time."""
         exps, stack = self._float_coeffs
-        mono = np.ones((len(points), len(exps)))
-        for i in range(self.space_dim):
-            mono *= points[:, i:i + 1] ** exps[:, i]
-        return (mono @ stack).reshape(len(points), self.target_dim, self.source_dim)
+        dtype = np.result_type(points, float)
+        out = np.empty((len(points), stack.shape[1]), dtype=dtype)
+        for s in range(0, len(points), SYMBOL_BLOCK):
+            block = points[s:s + SYMBOL_BLOCK]
+            mono = np.ones((len(block), len(exps)), dtype=dtype)
+            for i in range(self.space_dim):
+                mono *= block[:, i:i + 1] ** exps[:, i]
+            np.matmul(mono, stack, out=out[s:s + SYMBOL_BLOCK])
+        return out.reshape(len(points), self.target_dim, self.source_dim)
 
     @cached_property
     def _float_coeffs(self):

@@ -283,13 +283,15 @@ def test_elliptic_inconclusive_when_no_rational_zero_exists():
     assert report.exit_status() == 2
 
 
-def test_elliptic_sampled_refinement_certifies_rational_zero():
-    # A(ξ) = (2ξ1 − ξ2, 3ξ1 − ξ3)ᵀ vanishes on the line through (1,2,3), which
-    # no axis/sign candidate meets: only the rounded sampled minimizer finds it
-    a = parse_operator("rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1", 3)
-    v = is_elliptic(a)
+@pytest.mark.parametrize("n", [3, 4])
+def test_elliptic_sampled_refinement_certifies_rational_zero(n):
+    # A(ξ) = (2ξ1 − ξ2, 3ξ1 − ξ3, ...)ᵀ vanishes on the line through (1,2,...,n),
+    # which no axis/sign candidate meets: only the rounded sampled minimizer finds
+    # it. det G is even, so ±ξ tie; the witness has its first coordinate positive.
+    rows = "; ".join(f"{j} d1 u1 - d{j} u1" for j in range(2, n + 1))
+    v = is_elliptic(parse_operator(f"rows: {rows}", n))
     assert v.status == "no" and v.witness_exact
-    assert v.witness_xi in ((F(1), F(2), F(3)), (F(-1), F(-2), F(-3)))
+    assert v.witness_xi == tuple(F(j) for j in range(1, n + 1))
     assert v.kernel_vector == (F(1),)
 
 

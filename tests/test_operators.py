@@ -6,7 +6,7 @@ import pytest
 
 from ellsym.dsl import parse_operator
 from ellsym.errors import NotEllipticError
-from ellsym.operators import OperatorSpec, annihilator, homogenize
+from ellsym.operators import SYMBOL_BLOCK, OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import mat_vec, nullspace, rank
 from genops import (
@@ -251,6 +251,15 @@ def test_symbol_values_match_exact_eval(n, k, count):
                 bound = sum(abs(c * Polynomial.monomial(n, al).eval(exact_point))
                             for al, c in p.terms.items())
                 assert abs(F(float(got)) - p.eval(exact_point)) <= F(1e-12) * bound
+
+
+def test_symbol_values_across_blocks():
+    # more points than one monomial table holds: every row lands in its place
+    a = random_elliptic_operator(random.Random(7), 3, 2, dim_v=2)
+    points = np.random.default_rng(7).normal(size=(2 * SYMBOL_BLOCK + 5, 3))
+    vals = a.symbol_values(points)
+    for i in (0, SYMBOL_BLOCK - 1, SYMBOL_BLOCK, 2 * SYMBOL_BLOCK + 4):
+        assert np.allclose(vals[i], a.symbol_values(points[i:i + 1])[0], rtol=1e-14, atol=0)
 
 
 def test_symbol_values_zero_operator():

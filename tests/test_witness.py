@@ -30,7 +30,7 @@ def coords(grid):
 
 @pytest.mark.parametrize("order", [2, 9])
 def test_symbol_on_modes_is_the_sum_over_alpha(order):
-    # A(ik) = Σ C_α (ik)^α, in exact integers; order 9 evaluates A(k) in floats
+    # A(ik) = Σ C_α (ik)^α; every value here is an integer below 2^53, so exact
     a = parse_operator(
         f"from 2 to 2\nrows: d1^{order} u1 + 2 d1 d2^{order - 1} u2; -3 d2^{order} u1", 2
     )
@@ -43,6 +43,14 @@ def test_symbol_on_modes_is_the_sum_over_alpha(order):
             mono = 1j ** sum(alpha) * math.prod(x**e for x, e in zip(k, alpha))
             ref[idx] += mono * np.array(mat, dtype=float)
     assert np.array_equal(symbol_on_modes(a, grid), ref)
+
+
+def test_symbol_on_modes_beyond_int64():
+    # |k| reaches 2^15 on this grid, so k^5 reaches 2^75: no integer wrap-around
+    a = parse_operator("rows: d1^5 u1", 1)
+    grid = Grid(1, 2**16)
+    ref = np.array([1j * float(int(k) ** 5) for k in grid.mode_grids()[0]])
+    np.testing.assert_allclose(symbol_on_modes(a, grid)[:, 0, 0], ref, rtol=1e-15, atol=0)
 
 
 def test_grid_budget_enforced():
