@@ -8,19 +8,27 @@ from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import EpsilonTooSmallError, ResidualTooLargeError
 from ellsym.operators import SystemSpec
 from ellsym.witness import (
+    CONSTRAINED_DECAY_POWER,
     Grid,
     WitnessConfig,
-    apply_operator,
+    _classify,
+    _fit_log,
     blowup_experiment,
     constrain_field,
+    derivative_magnitude,
     l1_norm,
+    lp_norm_of_field,
     mollified_dirac,
     solve_system,
     symbol_on_modes,
 )
-from genops import divergence_operator, gradient_operator, laplacian_operator
+from genops import div_curl_operator, divergence_operator, gradient_operator, laplacian_operator
 
 F = Fraction
+
+
+def apply_operator(op, fhat, grid):
+    return np.einsum("...ij,...j->...i", symbol_on_modes(op, grid), fhat)
 
 
 def coords(grid):
@@ -254,3 +262,170 @@ def test_parity_hook_odd_dimension_flat_slope():
     slope = np.polyfit(x, np.array(centers), 1)[0]
     assert abs(slope) < 0.05 * mean
     assert res.classification != "GROWING"
+
+
+def load_system(name):
+    with open(f"systems/{name}.sys") as fh:
+        return parse_system(fh.read())
+
+
+def live_modes(grid):
+    """Modes the solve keeps: neither the zero mode nor a Nyquist mode."""
+    live = ~grid.nyquist_mask()
+    live[(0,) * grid.n] = False
+    return live
+
+
+def test_solve_flags_every_mode_of_a_rank_one_symbol():
+    # A(ξ) = [[ξ1, ξ2], [3ξ1, 3ξ2]] has rank 1 at every ξ, so G = A*A is
+    # singular at every mode; |det G| < 1e-300 missed 141 of them at grid 32
+    a = parse_operator("from 2 to 2\nrows: d1 u1 + d2 u2; 3 d1 u1 + 3 d2 u2", 2)
+    grid = Grid(2, 32)
+    f = np.random.default_rng(7).standard_normal(grid.shape + (2,))
+    _, info = solve_system(a, f, grid)
+    assert not info["uhat"].any()
+    # û = 0, so the residual is the data itself, mode by mode
+    assert np.array_equal(info["resid_sq"], info["data_sq"])
+
+
+# n = 4 runs at grid 16: at grid 32 the 4x4 symbol alone would take 270 MB
+@pytest.mark.parametrize(
+    "a, npts",
+    [
+        pytest.param(load_system(name).a, npts, id=name)
+        for name, npts in (
+            ("laplacian_r2", 64),
+            ("laplacian_div_r2", 64),
+            ("gradient_r2", 64),
+            ("divcurl_r3", 32),
+            ("biharmonic_div_r4", 16),
+        )
+    ]
+    + [
+        # non-scalar Gram matrices: det G / ∏ diag G is 1/2 for both
+        pytest.param(
+            laplacian_operator(2, dim=2).compose_right([[1, 1], [0, 1]]), 64, id="sheared laplacian"
+        ),
+        pytest.param(
+            div_curl_operator().compose_right([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), 32, id="sheared divcurl"
+        ),
+    ],
+)
+def test_solve_flags_no_mode_of_an_elliptic_system(a, npts):
+    n = len(next(iter(a.coeffs)))
+    grid = Grid(n, npts)
+    f = np.random.default_rng(17).standard_normal(grid.shape + (a.target_dim,))
+    _, info = solve_system(a, f, grid)
+    # random data have A(ik)* f̂ ≠ 0, so only a flagged mode gets û = 0
+    assert (np.abs(info["uhat"]).sum(axis=-1)[live_modes(grid)] > 0).all()
+
+
+def test_constrain_field_commutes_with_a_modewise_scale():
+    grid = Grid(2, 64)
+    rng = np.random.default_rng(13)
+    hhat = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    k2 = sum(kd.astype(float) ** 2 for kd in grid.mode_grids())
+    g = np.exp(-0.5 * 0.3**2 * k2)[..., None]
+    div = divergence_operator(2)
+    scaled_first = constrain_field(g * hhat, div, grid)
+    scaled_after = g * constrain_field(hhat, div, grid)
+    live = ~grid.nyquist_mask()
+    gap = np.linalg.norm((scaled_first - scaled_after)[live], axis=-1)
+    assert (gap <= 1e-14 * np.linalg.norm((g * hhat)[live], axis=-1)).all()
+
+
+def per_width_reference(config):
+    """Rows of the experiment built width by width: data, solve, derivatives."""
+    system = config.system
+    a, n = system.a, system.n
+    grid = Grid(n, config.grid_n)
+    j = config.j
+    order = a.order - (n if j is None else j)
+    p = None if j is None else n / (n - j)
+    k2 = sum(kd.astype(float) ** 2 for kd in grid.mode_grids())
+    if config.mode == "constrained":
+        base = np.random.default_rng(config.seed).standard_normal(grid.shape + (a.target_dim,))
+        decay = np.zeros(grid.shape)
+        decay[k2 > 0] = k2[k2 > 0] ** (-CONSTRAINED_DECAY_POWER / 2.0)
+        base_hat = np.fft.fftn(base, axes=range(n)) * decay[..., None]
+    rows = []
+    for eps in config.epsilons:
+        if config.mode == "dirac":
+            f, _ = mollified_dirac(grid, eps, config.e)
+        else:
+            fhat = base_hat * np.exp(-0.5 * eps**2 * k2)[..., None]
+            if system.c is not None:
+                fhat = constrain_field(fhat, system.c, grid)
+            fhat.reshape(-1, a.target_dim)[0] = 0.0
+            f = np.fft.ifftn(fhat, axes=range(n)).real
+        l1 = l1_norm(f, grid)
+        _, info = solve_system(a, f, grid)
+        mag = derivative_magnitude(info["uhat"], grid, order)
+        rows.append(
+            {
+                "ratio": lp_norm_of_field(mag, grid, p) / l1,
+                "center_ratio": float(mag[(0,) * n]) / l1,
+                "residual": info["residual"],
+            }
+        )
+    return rows
+
+
+EQUIVALENCE_CASES = {
+    "laplacian_r2 dirac j=inf": dict(
+        system="laplacian_r2", epsilons=[0.8, 0.4, 0.2], e=(F(1), F(0)), j=None, grid_n=64
+    ),
+    "divcurl_r3 dirac e1 j=1": dict(
+        system="divcurl_r3", epsilons=[0.8, 0.6, 0.4], e=(F(1), F(0), F(0), F(0)), j=1, grid_n=32
+    ),
+    "divcurl_r3 dirac e4 out of range": dict(
+        system="divcurl_r3", epsilons=[0.8, 0.6], e=(F(0), F(0), F(0), F(1)), j=1, grid_n=32
+    ),
+    # a random field is not a gradient: the residual is O(1) and moves with eps
+    "gradient_r2 constrained out of range": dict(
+        system="gradient_r2", epsilons=[0.8, 0.4, 0.2], j=1, grid_n=64, seed=1, mode="constrained"
+    ),
+    "laplacian_div_r2 constrained j=1": dict(
+        system="laplacian_div_r2", epsilons=[0.4, 0.2, 0.1], j=1, grid_n=64, seed=20240811,
+        mode="constrained",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EQUIVALENCE_CASES))
+def test_blowup_matches_the_per_width_pipeline(label):
+    kwargs = dict(EQUIVALENCE_CASES[label])
+    config = WitnessConfig(system=load_system(kwargs.pop("system")), **kwargs)
+    res = blowup_experiment(config)
+    ref = per_width_reference(config)
+    tol = config.residual_tol
+    assert [r["residual"] > tol for r in res.rows] == [r["residual"] > tol for r in ref]
+    in_range = [r["residual"] <= tol for r in ref]
+    for row, want, ok in zip(res.rows, ref, in_range):
+        if not ok:
+            # an out-of-range residual is O(1) and agrees; an in-range one is rounding noise
+            assert row["ratio"] is None
+            assert row["residual"] == pytest.approx(want["residual"], rel=1e-12)
+            continue
+        assert row["ratio"] == pytest.approx(want["ratio"], rel=1e-12)
+        if config.mode == "dirac":
+            # the center value is 0 by symmetry for div-curl: compare on the ratio's scale
+            assert abs(row["center_ratio"] - want["center_ratio"]) <= 1e-12 * want["ratio"]
+    ratios = [r["ratio"] if ok else None for r, ok in zip(ref, in_range)]
+    assert res.classification == _classify(ratios, config.growth_factor, config.flatness)
+    if config.j is None:
+        slope, intercept, _ = _fit_log(config.epsilons, ratios)
+        assert res.slope == pytest.approx(slope, rel=1e-12)
+        assert res.intercept == pytest.approx(intercept, rel=1e-12)
+    out = [f"solve residual {r['residual']:.3e} exceeds" for r, ok in zip(ref, in_range) if not ok]
+    got = [d for d in res.diagnostics if "no ratio recorded" in d]
+    assert len(got) == len(out) and all(w in g for g, w in zip(got, out))
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.6])  # below 2 spacings of grid 64; above π/2
+def test_blowup_rejects_widths_off_the_grid_or_period(eps):
+    config = WitnessConfig(
+        system=load_system("laplacian_r2"), epsilons=[0.4, eps], e=(F(1), F(0)), j=None, grid_n=64
+    )
+    with pytest.raises(EpsilonTooSmallError):
+        blowup_experiment(config)

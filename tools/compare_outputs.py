@@ -8,7 +8,10 @@ run the same list of operations:
 - `check --json`, `annihilator --json` and `moment --json` on every file in
   `systems/` (`moment` on `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in
   an error, whose message and exit code are compared too);
-- one dirac `witness --json` (`laplacian_r2`, e = (1,0), grid 128);
+- four `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, a
+  constrained `laplacian_div_r2`, a dirac `divcurl_r3` with j = 1, and an
+  out-of-range `gradient_r2` direction, whose rows carry the residual
+  diagnostic instead of a ratio;
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
   matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
@@ -47,7 +50,17 @@ SYSTEMS = (
     "laplacian_r2",
     "quartic_r4",
 )
-WITNESS_ARGS = ["--e", "1,0", "--eps", "0.4,0.2,0.1", "--grid", "128"]
+# (label, system, witness options)
+WITNESS_CASES = (
+    ("laplacian_r2", "laplacian_r2", ["--e", "1,0", "--eps", "0.4,0.2,0.1", "--grid", "128"]),
+    (
+        "laplacian_div_r2 constrained",
+        "laplacian_div_r2",
+        ["--mode", "constrained", "--j", "1", "--grid", "256", "--seed", "20240811"],
+    ),
+    ("divcurl_r3 e1 j=1", "divcurl_r3", ["--e", "1,0,0,0", "--j", "1", "--eps", "0.4,0.3,0.2", "--grid", "64"]),
+    ("gradient_r2 out of range", "gradient_r2", ["--e", "1,0", "--j", "1"]),
+)
 LADDER_SEEDS = (1, 2)
 MAX_SHOWN = 10  # non-float differences printed per operation
 
@@ -126,12 +139,10 @@ def operations():
     for name in SYSTEMS:
         for cmd in ("check", "annihilator", "moment"):
             ops.append((f"{cmd} {name}", ["-m", "ellsym.cli", cmd, f"systems/{name}.sys", "--json"]))
-    ops.append(
-        (
-            "witness laplacian_r2",
-            ["-m", "ellsym.cli", "witness", "systems/laplacian_r2.sys", *WITNESS_ARGS, "--json"],
+    for label, name, options in WITNESS_CASES:
+        ops.append(
+            (f"witness {label}", ["-m", "ellsym.cli", "witness", f"systems/{name}.sys", *options, "--json"])
         )
-    )
     for seed in LADDER_SEEDS:
         ops.append((f"ladder seed {seed}", ["-c", LADDER_SCRIPT % seed]))
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
