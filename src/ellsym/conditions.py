@@ -2,9 +2,9 @@
 
 The continuum intersections ⋂_{ξ≠0} ker C(ξ) and ⋂_{ξ≠0} im A(ξ) are reduced
 to finite exact linear algebra: the first is the common kernel of the
-coefficient matrices of C; the second is {v ∈ S : L(ξ)v ≡ 0}, with S the
-exact intersection of im A(ξ) over a few sample points and L an annihilator
-(ker L(ξ) = im A(ξ) off the origin): the common kernel of L·B's coefficients.
+coefficient matrices of C; the second is the exact intersection of im A(α)
+over the principal lattice Λ_D, D = dim V·k, on which the degree-D minors
+that decide membership vanish only if they vanish identically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     NotHomogeneousError,
     OrderTooLowError,
 )
-from .operators import annihilator_times
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .quadrature import converged_moments, surface_area
 from .ratlinalg import (
@@ -305,25 +304,21 @@ def kernel_intersection(c):
 
 
 def image_intersection(a):
-    """I_A = ⋂_{ξ≠0} im A(ξ), exactly. I_A lies in S = ⋂ im A(ξ) over the
-    sample points, where the guard makes A(ξ) injective (im A(ξ)^⊥ = ker A(ξ)ᵀ).
-    The walk stops at S = {0}, which certifies canceling, or at a point that
-    leaves S unchanged; the identity L·v ≡ 0 then decides membership."""
-    a.require_injective_at_samples()
-    if a.source_dim == a.target_dim:  # square: A·adj G·Aᵀ = det G·Id, so L ≡ 0
-        return Subspace.full(a.target_dim)
+    """I_A = ⋂_{ξ≠0} im A(ξ), exactly, as S = ⋂ im A(α) over Λ_D (`a.lattice()`).
+    Where A(ξ) is injective, v ∈ im A(ξ) iff every (dim V + 1)-minor of
+    [A(ξ) | v], a degree-D form, vanishes; zero on Λ_D, it vanishes identically.
+    The walk raises NotEllipticError at the first singular A(α) and stops at
+    S = {0}; a square operator has I_A = E once its first point passes."""
+    if not a.is_homogeneous():
+        raise NotHomogeneousError("I_A requires a single-order operator")
+    square = a.source_dim == a.target_dim
     perp, basis = [], identity(a.target_dim)  # S^⊥ spanned by perp; S by basis
-    for _, a_xi, _ in a._sample_kernels:
-        rows = perp + nullspace(transpose(a_xi))
-        cand = nullspace(rows, ncols=a.target_dim)
-        if len(cand) == len(basis):
-            break
-        perp, basis = rows, cand
+    for a_xi in a.injective_values(a.lattice()[:1] if square else a.lattice()):
+        perp += nullspace(transpose(a_xi))  # im A(α)^⊥ = ker A(α)ᵀ
+        basis = nullspace(perp, ncols=a.target_dim)
         if not basis:
-            return Subspace.zero(a.target_dim)
-    b = transpose(basis)  # v = B c: the common kernel of L·B's coefficients
-    coords = kernel_intersection(annihilator_times(a, b))
-    return Subspace.from_vectors(a.target_dim, [mat_vec(b, c) for c in coords.basis])
+            break
+    return Subspace.from_vectors(a.target_dim, basis)
 
 
 @dataclass
@@ -639,8 +634,8 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
         return report
     if elliptic.status == "inconclusive":
         diagnostics.append(
-            "ellipticity is inconclusive; downstream verdicts assume the "
-            "sampled nonvanishing of det G seen by the annihilator guard"
+            "ellipticity is inconclusive; downstream verdicts assume A(α) "
+            "is injective at the lattice points walked for I_A"
         )
     if elliptic.status == "numerically_positive":
         diagnostics.append(
@@ -651,7 +646,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
     try:
         i_a = report.image_basis = image_intersection(a)
     except NotEllipticError as exc:
-        diagnostics.append(f"annihilator construction failed: {exc}")
+        diagnostics.append(f"I_A not computed: {exc}")
         return report
     report.canceling = i_a.is_zero()
     report.cc, isect = _cc(i_a, k_c)
@@ -683,33 +678,3 @@ def _dims(system):
         "target": system.a.target_dim,
         "constraint_target": system.c.target_dim if system.c else None,
     }
-
-
-# -- sampled oracles (used by tests) ---------------------------------------------
-
-
-def random_rational_point(rng, n, max_num=9, max_den=9):
-    while True:
-        p = tuple(
-            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
-            for _ in range(n)
-        )
-        if any(x != 0 for x in p):
-            return p
-
-
-def sampled_kernel_dimension(c, points):
-    """Numeric dim of ⋂ ker C(ξ) over the sample (rank tolerance 1e-10)."""
-    stacked = []
-    sym = c.symbol()
-    for xi in points:
-        mat = sym.eval(xi)
-        stacked.extend([[float(x) for x in row] for row in mat])
-    arr = np.array(stacked)
-    if arr.size == 0:
-        return c.source_dim, np.eye(c.source_dim)
-    _, s, vt = np.linalg.svd(arr)
-    tol = 1e-10 * max(1.0, (s[0] if len(s) else 1.0))
-    ker_dim = sum(1 for x in s if x <= tol) + max(0, arr.shape[1] - len(s))
-    basis = vt[arr.shape[1] - ker_dim:] if ker_dim else np.zeros((0, arr.shape[1]))
-    return ker_dim, basis

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .ratlinalg import as_fraction_matrix, identity, nullspace
+from .ratlinalg import as_fraction_matrix, nullspace
 
 MultiIndex = tuple
 SYMBOL_BLOCK = 4096  # points per monomial table in symbol_values; bounds the temporaries
@@ -215,30 +215,42 @@ class OperatorSpec:
                 out = [[o + w * c if c else o for o, c in zip(r, cr)] for r, cr in zip(out, mat)]
         return out
 
-    @cached_property
-    def _sample_kernels(self):
-        """(ξ, A(ξ), ker A(ξ)) at each of `_sample_points`, in their order."""
-        values = [(xi, self.value_at(xi)) for xi in _sample_points(self.space_dim)]
-        return [(xi, val, nullspace(val)) for xi, val in values]
+    def lattice(self):
+        """Λ_D = {α ∈ ℕⁿ : |α| = D}, D = dim V · max row degree. Each dim V-minor of
+        A (and, for one order, each (dim V + 1)-minor of [A(ξ) | v]) times
+        (Σξ_i)^(D − its degree) is a degree-D form, and Λ_D is unisolvent for
+        those (Nicolaides, SIAM J. Numer. Anal. 9 (1972)): zero on Λ_D means ≡ 0."""
+        k = max((d for d in self.row_degrees() if d is not None), default=0)
+        return monomials_of_degree(self.space_dim, self.source_dim * k)
 
     @cached_property
     def degenerate(self):
-        """det G ≡ 0, exactly. A(ξ) injective at one sample point certifies
-        det G ≢ 0; det G is expanded only when A(ξ) is singular at all of them."""
-        return all(kern for *_, kern in self._sample_kernels) and self.gram_det.is_zero()
+        """det G ≡ 0, exactly. det G is the sum of the squared dim V-minors of A
+        (Cauchy–Binet), so it vanishes identically iff A(α) is singular at
+        every α ∈ Λ_D."""
+        return all(nullspace(self.value_at(alpha)) for alpha in self.lattice())
 
-    def require_injective_at_samples(self):
-        """Raise NotEllipticError when det G ≡ 0, else at the first sample point
-        where A(ξ) has a kernel, with ξ and a kernel vector as its payload."""
-        if self.degenerate:
-            raise NotEllipticError("det(A*A) vanishes identically")
-        for xi, _, kern in self._sample_kernels:
+    def injective_values(self, points):
+        """Yield A(ξ) at each point in turn; raise NotEllipticError at the first
+        point where A(ξ) has a kernel, with ξ and a kernel vector as its payload."""
+        for xi in points:
+            val = self.value_at(xi)
+            kern = nullspace(val)
             if kern:
                 raise NotEllipticError(
                     f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
                     witness_xi=xi,
                     kernel_vector=kern[0],
                 )
+            yield val
+
+    def require_injective_at_samples(self):
+        """Guard of `annihilator` and `moment_map`: NotEllipticError when det G ≡ 0,
+        else at the first of `_sample_points` where A(ξ) has a kernel."""
+        if self.degenerate:
+            raise NotEllipticError("det(A*A) vanishes identically")
+        for _ in self.injective_values(_sample_points(self.space_dim)):
+            pass
 
     @classmethod
     def from_symbol(cls, mp, space_dim=None):
@@ -306,27 +318,21 @@ def _sample_points(n, count=12):
 
 
 def annihilator(a):
-    """L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0: `annihilator_times` with
-    B = Id, behind the sample-point guard (the CLI calls it without is_elliptic)."""
-    a.require_injective_at_samples()
-    return annihilator_times(a, identity(a.target_dim))
-
-
-def annihilator_times(a, basis):
-    """L·B for a constant dim E × s matrix B, as an operator from R^s.
+    """L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0, behind the sample-point
+    guard (the CLI calls it without is_elliptic).
 
     L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When G(ξ) is a scalar
     polynomial q(ξ) times the identity, the reduced form
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
     and the minimal degree 2k; it is used whenever applicable.
     """
+    a.require_injective_at_samples()
     s, g = a.symbol(), a.gram
-    b = MatrixPolynomial.from_rational(basis, a.space_dim)
     q = g.entries[0][0]
     if g == MatrixPolynomial.scalar_identity(q, g.rows):
-        lb = b * q - s * (s.transpose() * b)
+        lb = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
     else:
-        lb = b * a.gram_det - s * (a.pinv_numerator * b)
+        lb = MatrixPolynomial.scalar_identity(a.gram_det, a.target_dim) - s * a.pinv_numerator
     return OperatorSpec.from_symbol(lb, a.space_dim)
 
 

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import numpy as np
+
 from ellsym.operators import OperatorSpec
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 
@@ -129,3 +131,33 @@ def random_invertible_matrix(rng, dim):
         ]
         if rank(mat) == dim:
             return mat
+
+
+# -- sampled oracles -------------------------------------------------------------
+
+
+def random_rational_point(rng, n, max_num=9, max_den=9):
+    while True:
+        p = tuple(
+            Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+            for _ in range(n)
+        )
+        if any(x != 0 for x in p):
+            return p
+
+
+def sampled_kernel_dimension(c, points):
+    """Numeric dim of ⋂ ker C(ξ) over the sample (rank tolerance 1e-10)."""
+    stacked = []
+    sym = c.symbol()
+    for xi in points:
+        mat = sym.eval(xi)
+        stacked.extend([[float(x) for x in row] for row in mat])
+    arr = np.array(stacked)
+    if arr.size == 0:
+        return c.source_dim, np.eye(c.source_dim)
+    _, s, vt = np.linalg.svd(arr)
+    tol = 1e-10 * max(1.0, (s[0] if len(s) else 1.0))
+    ker_dim = sum(1 for x in s if x <= tol) + max(0, arr.shape[1] - len(s))
+    basis = vt[arr.shape[1] - ker_dim:] if ker_dim else np.zeros((0, arr.shape[1]))
+    return ker_dim, basis

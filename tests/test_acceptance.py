@@ -17,9 +17,7 @@ from ellsym.conditions import (
     check_weak_cancellation,
     image_intersection,
     kernel_intersection,
-    random_rational_point,
     run_full_check,
-    sampled_kernel_dimension,
 )
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.operators import OperatorSpec, SystemSpec, annihilator, homogenize
@@ -34,6 +32,8 @@ from genops import (
     laplacian_operator,
     random_elliptic_operator,
     random_operator,
+    random_rational_point,
+    sampled_kernel_dimension,
 )
 
 F = Fraction

@@ -14,18 +14,18 @@ from ellsym.conditions import (
     kernel_intersection,
     left_inverse_family,
     potential_field,
-    random_rational_point,
     run_full_check,
-    sampled_kernel_dimension,
 )
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import (
     HypothesisFailedError,
+    NotEllipticError,
     NotHomogeneousError,
     OrderTooLowError,
 )
-from ellsym.operators import SystemSpec, homogenize
-from ellsym.ratlinalg import Subspace, identity, mat_vec, solve, transpose
+from ellsym.operators import OperatorSpec, SystemSpec, homogenize
+from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from ellsym.ratlinalg import Subspace, identity, mat_vec, nullspace, solve, transpose
 from genops import (
     div_curl_operator,
     divergence_operator,
@@ -33,6 +33,8 @@ from genops import (
     laplacian_operator,
     random_invertible_matrix,
     random_operator,
+    random_rational_point,
+    sampled_kernel_dimension,
 )
 
 F = Fraction
@@ -101,7 +103,7 @@ def test_image_basis_vectors_lie_in_image_at_samples():
             assert solve(mat, list(e)) is not None
 
 
-# -- I_A by sample points plus the identity L·v ≡ 0 ----------------------------------
+# -- I_A by the walk over the principal lattice ---------------------------------------
 
 # div-curl with a source change: G is not scalar, and I_A = span{e1} is
 # neither {0} nor E
@@ -120,7 +122,9 @@ def _annihilator_route(a):
     return kernel_intersection(annihilator(a))
 
 
-@pytest.mark.parametrize("n, k, m", [(n, k, m) for n in (2, 3) for m in (1, 2, 3) for k in (1, 2)])
+@pytest.mark.parametrize(
+    "n, k, m", [(n, k, m) for n in (2, 3) for m in (1, 2, 3) for k in (1, 2)] + [(4, 1, 2), (4, 2, 2)]
+)
 def test_image_intersection_matches_annihilator_route_random(n, k, m):
     from genops import random_elliptic_operator
 
@@ -128,6 +132,26 @@ def test_image_intersection_matches_annihilator_route_random(n, k, m):
     a = random_elliptic_operator(rng, n, k, dim_v=m, extra_rows=2)
     assert _scalar_gram(a) == (m == 1)
     assert image_intersection(a) == _annihilator_route(a)
+
+
+def test_image_intersection_matches_annihilator_route_mixed_blocks():
+    # Δ u1 beside the Hessian of u2 on R³, mixed by constant changes of source
+    # and target: G is not scalar and I_A = M·span{e1}, so the walk never
+    # reaches S = {0} and visits all 15 points of Λ_4
+    from genops import laplacian_power
+
+    n = 3
+    rows = [[laplacian_power(n, 1), Polynomial.zero(n)]]
+    for alpha in monomials_of_degree(n, 2):
+        rows.append([Polynomial.zero(n), Polynomial.monomial(n, alpha, F(1))])
+    rng = random.Random(77)
+    m_target = random_invertible_matrix(rng, 7)
+    a = OperatorSpec.from_symbol(MatrixPolynomial(rows)).compose_left(m_target)
+    a = a.compose_right(random_invertible_matrix(rng, 2))
+    assert not _scalar_gram(a) and len(a.lattice()) == 15
+    i_a = image_intersection(a)
+    assert i_a == Subspace.from_vectors(7, [[row[0] for row in m_target]])
+    assert i_a == _annihilator_route(a)
 
 
 @pytest.mark.parametrize(
@@ -154,12 +178,41 @@ def test_image_intersection_square_nonscalar_gram():
     assert _annihilator_route(a).is_full()
 
 
-def test_identity_alone_prunes_non_members(monkeypatch):
-    # no sample point filters: the walk starts and ends at S = E, so the
-    # identity L·v ≡ 0 alone must cut E down to I_A = span{e1}
-    a = div_curl_operator().compose_right(SHEARED_DIVCURL)
-    monkeypatch.setattr(a, "_sample_kernels", [])
-    assert image_intersection(a).basis == ((F(1), F(0), F(0), F(0)),)
+def test_image_intersection_witness_at_first_singular_lattice_point():
+    # A(ξ) = [[ξ1, 0], [ξ2, 0], [0, ξ1]] on Λ_2 = (2,0), (1,1), (0,2): S is
+    # span{e3} after two points, and A(0, 2) has the kernel span{e2}
+    a = parse_operator("from 2 to 3\nrows: d1 u1; d2 u1; d1 u2", 2)
+    with pytest.raises(NotEllipticError) as info:
+        image_intersection(a)
+    assert info.value.witness_xi == (0, 2)
+    kernel = nullspace(a.value_at(info.value.witness_xi))
+    assert Subspace.from_vectors(2, [info.value.kernel_vector]) == Subspace.from_vectors(2, kernel)
+
+
+def _ladder_systems(seed):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("ladder", "perfbench/ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return [parse_system(rung.text) for rung in ladder.build_ladder(seed)]
+
+
+def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypatch):
+    from ellsym import operators
+
+    def refuse(*args):
+        raise AssertionError("not on the check path")
+
+    monkeypatch.setattr(operators, "_sample_points", refuse)
+    monkeypatch.setattr(operators, "annihilator", refuse)
+    monkeypatch.setattr(MatrixPolynomial, "adjugate", refuse)
+    systems = []
+    for name in ["biharmonic_div_r4", "divcurl_r3", "gradient_r2", "laplacian_div_r2", "laplacian_r2", "quartic_r4"]:
+        with open(f"systems/{name}.sys") as fh:
+            systems.append(parse_system(fh.read()))
+    reports = [run_full_check(system) for system in systems + _ladder_systems(1)]
+    assert sum(r.image_basis is not None for r in reports) == len(reports) - 1  # all but quartic_r4
 
 
 @pytest.mark.parametrize("case", ["divcurl_r3", "genops_333"])
@@ -270,6 +323,14 @@ def test_elliptic_requires_homogeneous():
     mixed = parse_operator("from 1 to 2\nrows: d1 u1; d1^2 u1", 2)
     with pytest.raises(NotHomogeneousError):
         is_elliptic(mixed)
+
+
+def test_image_intersection_and_cc_require_homogeneous():
+    mixed = parse_operator("from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1", 2)
+    with pytest.raises(NotHomogeneousError):
+        image_intersection(mixed)
+    with pytest.raises(NotHomogeneousError):
+        check_cc(SystemSpec(mixed, None, 2))
 
 
 def test_elliptic_inconclusive_when_no_rational_zero_exists():
@@ -566,7 +627,7 @@ operator A {
 @pytest.mark.parametrize("case", ["laplacian_r2", "nonscalar_gram", "square_nonscalar_gram"])
 def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
     # A† comes from a solve on A(ξ); I_A needs no identity, hence no adj G:
-    # the sample points alone show I_A = {0} for the 3 × 2 operator, and a
+    # the lattice walk alone shows I_A = {0} for the 3 × 2 operator, and a
     # square operator has I_A = E
     from ellsym.poly import MatrixPolynomial
 
@@ -623,6 +684,9 @@ def test_degenerate_matches_expanded_det():
     ops = _non_elliptic_operators() + [
         parse_operator("from 2 to 2\nrows: d1 u1; d1 u1", 1),
         parse_operator("from 2 to 2\nrows: d1^2 u1 + d1 d2 u2; d1^2 u1 + d1 d2 u2", 2),
+        # mixed row degrees: Λ_D takes D from the largest row degree
+        parse_operator("from 2 to 2\nrows: d1 u1 + d1 u2; d1^2 u1 + d2^2 u1 + d1^2 u2 + d2^2 u2", 2),
+        parse_operator("from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1", 2),
     ]
     expected = [op.gram_det.is_zero() for op in ops]
     assert True in expected and False in expected
