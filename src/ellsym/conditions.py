@@ -42,7 +42,7 @@ ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
     "regime was supplied; the boundedness analysis assumes ellipticity, so "
-    "annihilator-based verdicts were skipped. This matches the known "
+    "I_A and the verdicts built on it were skipped. This matches the known "
     "discrepancy in the bundled fourth-order quartic system on R^4 (see "
     "README): the reported verdict and witnesses are the computed facts, "
     "no intended operator is guessed."
@@ -606,8 +606,8 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
     except NotHomogeneousError:
         order = None
         diagnostics.append(
-            "operator rows have mixed degrees; ellipticity and annihilator "
-            "analysis need a single order and were skipped"
+            "operator rows have mixed degrees; ellipticity and I_A need a "
+            "single order and were skipped"
         )
     if system.c is None:
         diagnostics.append(
@@ -628,9 +628,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
         if system.c is not None and order >= system.n:
             diagnostics.append(NONELLIPTIC_CONSTRAINT_DIAGNOSTIC)
         else:
-            diagnostics.append(
-                "operator is not elliptic; annihilator-based verdicts skipped"
-            )
+            diagnostics.append("operator is not elliptic; I_A and the verdicts built on it skipped")
         return report
     if elliptic.status == "inconclusive":
         diagnostics.append(

@@ -125,14 +125,6 @@ def _halton(n, h):
     return u
 
 
-def integrate(rule, values):
-    """Weighted sum with antithetic pairing (node-index order, first axis)."""
-    h = rule.count // 2
-    paired = values[:h] + values[h:]
-    w = rule.weights[:h]
-    return np.tensordot(w, paired, axes=(0, 0))
-
-
 def _require_moments(a):
     """Raise unless the moment map is defined: det G ≢ 0 and k >= n."""
     k = a.order

@@ -5,15 +5,19 @@ inside the period the Gaussian tails are below 1e-12 at the boundary and the
 blow-up phenomenon under study is local. The zero mode is not in the range of
 a homogeneous symbol, so the data mean is removed and its size reported.
 
-Derivatives follow the grid convention A(ik) = Σ C_α (ik)^α; only norms of
-fields enter the reported ratios, so the i-power bookkeeping cancels.
+Derivatives follow the grid convention A(ik) = Σ C_α (ik)^α. Data and
+solutions are real, so every solve runs on the rfftn half spectrum (last
+axis 0..N/2) in real arithmetic: A(ik) = i^k·A(k) for one order k, and only
+norms of fields enter the reported ratios.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +29,10 @@ DEFAULT_GROWTH_FACTOR = 2.0
 DEFAULT_FLATNESS = 0.10
 MIN_EPS_SPACING_FACTOR = 2.0  # required eps / grid-spacing ratio
 CONSTRAINED_DECAY_POWER = 2.0  # spectral decay |k|^-p of the fixed random base
+
+# lattice frequencies k (sparse: one broadcastable float array per axis), |k|²
+# and the mask of modes with a Nyquist index (N/2 on some axis)
+Spectrum = namedtuple("Spectrum", "k k2 nyquist")
 
 
 @dataclass
@@ -58,32 +66,31 @@ class Grid:
     def cell_volume(self):
         return self.spacing**self.n
 
-    def mode_grids(self):
-        k1 = np.rint(np.fft.fftfreq(self.npts) * self.npts).astype(int)
-        return np.meshgrid(*([k1] * self.n), indexing="ij")
+    # the Spectrum of every fftn mode, and of the rfftn half (last axis 0..N/2)
+    full = cached_property(lambda self: self._spectrum(self.npts))
+    half = cached_property(lambda self: self._spectrum(self.npts // 2 + 1))
 
-    def nyquist_mask(self):
-        mask = np.zeros(self.shape, dtype=bool)
-        for kd in self.mode_grids():
-            mask |= np.abs(kd) == self.npts // 2
-        return mask
+    def _spectrum(self, last):
+        k1 = np.rint(np.fft.fftfreq(self.npts) * self.npts)
+        k = np.meshgrid(*([k1] * (self.n - 1) + [k1[:last]]), indexing="ij", sparse=True)
+        nyquist = sum(np.abs(kd) == self.npts // 2 for kd in k) > 0
+        return Spectrum(k, sum(kd**2 for kd in k), nyquist)
 
 
-def symbol_on_modes(op, grid):
-    """A(ik) = Σ C_α (ik)^α on every lattice frequency, shape grid + (target, source)."""
-    kg = grid.mode_grids()
-    ik = np.zeros((kg[0].size, grid.n), dtype=complex)
-    for i, kd in enumerate(kg):  # in place: a stacked temporary raised peak RSS 6 %
-        ik[:, i].imag = kd.ravel()
-    return op.symbol_values(ik).reshape(grid.shape + (op.target_dim, op.source_dim))
+def symbol_on_modes(op, k):
+    """Real A(k) = Σ C_α k^α at the frequencies k of a Spectrum, shape k2 + (target, source)."""
+    points = np.stack(np.broadcast_arrays(*k), axis=-1)
+    values = op.symbol_values(points.reshape(-1, len(k)))
+    return values.reshape(points.shape[:-1] + (op.target_dim, op.source_dim))
 
 
 def mollified_dirac(grid, eps, e, center=None, min_factor=MIN_EPS_SPACING_FACTOR):
     """Unit-mass periodized Gaussian of width eps in the direction e.
 
-    Returns (field, fhat) where fhat holds Fourier-series coefficients. Exact
-    directional structure: every Fourier coefficient is a scalar times e, so
-    any constraint matrix annihilating e annihilates the field identically.
+    Returns (field, fhat) where fhat holds the Fourier-series coefficients on
+    the rfftn half spectrum. Exact directional structure: every Fourier
+    coefficient is a scalar times e, so any constraint matrix annihilating e
+    annihilates the field identically.
     """
     if eps < min_factor * grid.spacing:
         raise EpsilonTooSmallError(
@@ -93,81 +100,92 @@ def mollified_dirac(grid, eps, e, center=None, min_factor=MIN_EPS_SPACING_FACTOR
         raise EpsilonTooSmallError(
             f"eps={eps} too wide for the 2π period; Gaussian tails would wrap"
         )
-    kg = grid.mode_grids()
-    k2 = sum(kd.astype(float) ** 2 for kd in kg)
-    coeff = np.exp(-0.5 * eps * eps * k2) / (2.0 * math.pi) ** grid.n
+    spec = grid.half
+    coeff = np.exp(-0.5 * eps * eps * spec.k2) / (2.0 * math.pi) ** grid.n
     if center is not None:
-        phase = sum(kd * x0 for kd, x0 in zip(kg, center))
-        coeff = coeff * np.exp(-1j * phase)
+        coeff = coeff * np.exp(-1j * sum(kd * x0 for kd, x0 in zip(spec.k, center)))
     evec = np.array([float(x) for x in e])
-    f = np.fft.ifftn(coeff * grid.npts**grid.n).real[..., None] * evec
-    return f, coeff[..., None] * evec
+    f = np.fft.irfftn(coeff * grid.npts**grid.n, s=grid.shape, axes=range(grid.n))
+    return f[..., None] * evec, coeff[..., None] * evec
 
 
 def constrain_field(fhat, c_op, grid):
-    """Project every nonzero mode of fhat onto ker C(ik) (machine precision)."""
-    flat_sym = symbol_on_modes(c_op, grid).reshape(-1, c_op.target_dim, c_op.source_dim)
-    flat_f = fhat.reshape(-1, c_op.source_dim)
-    pinv = np.linalg.pinv(flat_sym)
-    corrected = flat_f - np.einsum(
-        "mij,mj->mi", pinv, np.einsum("mij,mj->mi", flat_sym, flat_f)
-    )
-    out = corrected.reshape(fhat.shape)
-    out.reshape(-1, c_op.source_dim)[0] = fhat.reshape(-1, c_op.source_dim)[0]
+    """Project every nonzero mode of the full spectrum fhat onto ker C(ik) = ker C(k)
+    (homogeneous rows), with the real projector I − C(k)⁺C(k)."""
+    sym = symbol_on_modes(c_op, grid.full.k).reshape(-1, c_op.target_dim, c_op.source_dim)
+    proj = np.eye(c_op.source_dim) - np.linalg.pinv(sym) @ sym
+    flat = fhat.reshape(-1, c_op.source_dim)
+    parts = proj @ np.stack([flat.real, flat.imag], axis=-1)
+    out = parts.view(complex).reshape(fhat.shape)
+    out.reshape(-1, c_op.source_dim)[0] = flat[0]
     return out
 
 
-def solve_system(a_op, f, grid, strict=False, residual_tol=DEFAULT_RESIDUAL_TOL):
-    """Least-squares spectral solve û = A†(ik) f̂ modewise; mean removed.
+def solve_modes(a_op, fhat, grid):
+    """Least-squares û = A(ik)†f̂ on the rfftn half spectrum, in real arithmetic.
 
-    Returns (u, info) with info = {residual, removed_mean, uhat, resid_sq,
-    data_sq}; the last two are ‖A(ik)û − f̂‖² and ‖f̂‖² per mode. The residual
-    is ‖A u − (f − mean)‖₂ / ‖f − mean‖₂, small iff f̂ lies in im A(ik) at
-    every mode. Modes with a singular Gram matrix G get û = 0; the test is
-    scale-free (Hadamard: det G / ∏ diag G lies in [0, 1] for G ⪰ 0).
-    strict=True raises ResidualTooLarge beyond tol.
+    fhat broadcasts to grid.half + (target,). A(ik) = i^k·D*A(k) with A(k)
+    real and row phases D = diag(i^(k − d_r)), so û = i^-k·G⁻¹A(k)ᵀ(D f̂) with
+    G = A(k)ᵀA(k) real; the real and imaginary parts of D f̂ are two real
+    right-hand sides (one if D f̂ is real). The zero mode and the Nyquist modes
+    (no conjugate partner) get no data. A mode with det G ≤ 1e-12·∏ diag G
+    (scale-free: the ratio lies in [0, 1]) is singular and gets û = 0.
+    Returns {uhat, resid_sq, data_sq, singular} on the half spectrum; the
+    squares ‖A(ik)û − f̂‖² and ‖f̂‖² count twice off the last axis's zero
+    plane, for the conjugate −k, so their sums are the full-grid sums.
     """
-    fhat = np.fft.fftn(f, axes=range(grid.n))
-    flat = fhat.reshape(-1, a_op.target_dim)
-    mean = flat[0].copy() / grid.npts**grid.n
-    flat[0] = 0.0
-    # Nyquist rows have no conjugate partner on an even grid; drop them
-    nymask = grid.nyquist_mask().reshape(-1)
-    flat[nymask] = 0.0
+    spec = grid.half
+    t, s = a_op.target_dim, a_op.source_dim
+    live = ~spec.nyquist
+    live.flat[0] = False
+    data = np.where(live[..., None], fhat, 0.0).reshape(-1, t)
+    degs = a_op.row_degrees()  # None for a zero row, which takes any phase
+    k = max((d for d in degs if d is not None), default=0)
+    if any(d not in (None, k) for d in degs):
+        data = data * np.array([1 if d is None else 1j ** (k - d) for d in degs])
+    cols = data.view(float).reshape(-1, t, 2) if np.iscomplexobj(data) else data[..., None]
 
-    sym = symbol_on_modes(a_op, grid).reshape(-1, a_op.target_dim, a_op.source_dim)
-    gram_m = np.einsum("mji,mjl->mil", sym.conj(), sym)
-    rhs = np.einsum("mji,mj->mi", sym.conj(), flat)
-    gram_m[0] = np.eye(a_op.source_dim)  # k=0: û(0) := 0
-    diag = np.einsum("mii->mi", gram_m).real.prod(axis=-1)
-    singular = np.abs(np.linalg.det(gram_m)) <= 1e-12 * diag
-    gram_m[singular] = np.eye(a_op.source_dim)
-    uhat = np.linalg.solve(gram_m, rhs[..., None])[..., 0]
-    uhat[singular] = 0.0
-    uhat[0] = 0.0
+    sym = symbol_on_modes(a_op, spec.k).reshape(-1, t, s)
+    sym_t = sym.transpose(0, 2, 1)
+    gram = sym_t @ sym
+    gram[0] = np.eye(s)  # k=0: û(0) := 0
+    diag = np.einsum("mii->mi", gram).prod(axis=-1)
+    singular = np.abs(np.linalg.det(gram)) <= 1e-12 * diag
+    gram[singular] = np.eye(s)
+    x = np.linalg.solve(gram, sym_t @ cols)
+    x[singular] = 0.0
+    x[0] = 0.0
 
-    resid_vec = np.einsum("mij,mj->mi", sym, uhat) - flat
-    resid_sq = (np.abs(resid_vec) ** 2).sum(axis=-1).reshape(grid.shape)
-    data_sq = (np.abs(flat) ** 2).sum(axis=-1).reshape(grid.shape)
-    residual = _residual(resid_sq, data_sq, 1.0)
+    shape = spec.k2.shape
+    resid_sq = ((sym @ x - cols) ** 2).sum(axis=(-2, -1)).reshape(shape)
+    data_sq = (cols**2).sum(axis=(-2, -1)).reshape(shape)
+    for sq in (resid_sq, data_sq):
+        sq[..., 1:] *= 2.0
+    uhat = (-1j) ** k * (x.view(complex) if x.shape[-1] == 2 else x)[..., 0]
+    return dict(uhat=uhat.reshape(shape + (s,)), resid_sq=resid_sq, data_sq=data_sq,
+                singular=singular.reshape(shape))
+
+
+def solve_system(a_op, f, grid, strict=False, residual_tol=DEFAULT_RESIDUAL_TOL):
+    """Least-squares spectral solve of A u = f for real f, mean removed: rfftn,
+    solve_modes, irfftn. Returns (u, info); info holds solve_modes' half-spectrum
+    entries, removed_mean and the residual ‖A u − (f − mean)‖₂ / ‖f − mean‖₂,
+    small iff f̂ lies in im A(ik) at every mode. strict=True raises
+    ResidualTooLarge beyond tol."""
+    fhat = np.fft.rfftn(f, axes=range(grid.n))
+    mean = fhat.reshape(-1, a_op.target_dim)[0] / grid.npts**grid.n
+    info = solve_modes(a_op, fhat, grid)
+    info["residual"] = residual = _residual(info["resid_sq"], info["data_sq"], 1.0)
     if strict and residual > residual_tol:
         raise ResidualTooLargeError(
             f"modewise solve residual {residual:.3e} exceeds {residual_tol:.1e}"
         )
-    uhat = uhat.reshape(grid.shape + (a_op.source_dim,))
-    u = np.fft.ifftn(uhat, axes=range(grid.n)).real
-    info = {
-        "residual": residual,
-        "removed_mean": float(np.linalg.norm(mean)) * (2.0 * math.pi) ** grid.n,
-        "uhat": uhat,
-        "resid_sq": resid_sq,
-        "data_sq": data_sq,
-    }
-    return u, info
+    info["removed_mean"] = float(np.linalg.norm(mean)) * (2.0 * math.pi) ** grid.n
+    return np.fft.irfftn(info["uhat"], s=grid.shape, axes=range(grid.n)), info
 
 
 def _residual(resid_sq, data_sq, g):
-    """‖g r‖ / ‖g f̂‖ from the per-mode squares that solve_system returns."""
+    """‖g r‖ / ‖g f̂‖ from the per-mode squares that solve_modes returns."""
     g2 = g * g
     fnorm2 = float((g2 * data_sq).sum())
     return math.sqrt(float((g2 * resid_sq).sum()) / fnorm2) if fnorm2 > 0 else 0.0
@@ -178,24 +196,14 @@ def l1_norm(f, grid):
 
 
 def derivative_magnitude(uhat, grid, order):
-    """Pointwise Frobenius norm of the full order-th derivative tensor of u.
-
-    uhat must be Hermitian (u real) off the Nyquist modes, which are dropped,
-    so each field is the irfftn of the half spectrum along the last axis.
-    """
-    half = slice(0, grid.npts // 2 + 1)
-    kg = [kd[..., half] for kd in grid.mode_grids()]
-    ny = grid.nyquist_mask()[..., half]
+    """Pointwise Frobenius norm of the full order-th derivative tensor of u, from
+    its rfftn half spectrum uhat with the Nyquist modes dropped."""
+    spec = grid.half
     acc = np.zeros(grid.shape)
     for beta in monomials_of_degree(grid.n, order):
-        mono = np.ones(ny.shape)
-        for d, b in enumerate(beta):
-            if b:
-                mono = mono * kg[d].astype(float) ** b
-        mono[ny] = 0.0
-        mult = (1j ** (order % 4)) * mono
-        dhat = mult[..., None] * uhat[..., half, :]
-        du = np.fft.irfftn(dhat, s=grid.shape, axes=range(grid.n))
+        mono = math.prod(kd**b for kd, b in zip(spec.k, beta))
+        mult = np.where(spec.nyquist, 0.0, (1j ** (order % 4)) * mono)
+        du = np.fft.irfftn(mult[..., None] * uhat, s=grid.shape, axes=range(grid.n))
         acc += multinomial(order, beta) * (du**2).sum(axis=-1)
     return np.sqrt(acc)
 
@@ -332,7 +340,6 @@ def blowup_experiment(config):
 
     rows = []
     diagnostics = []
-    k2 = sum(kd.astype(float) ** 2 for kd in grid.mode_grids())
 
     # Width eps scales fixed data h by g(k) = exp(-eps²|k|²/2). Projection and
     # solve are modewise linear, so both are done once, on h.
@@ -356,34 +363,37 @@ def blowup_experiment(config):
                 )
         out_of_range = "the Dirac direction is not in the symbol range"
         # the grid Dirac: ĥ = e·N^n/(2π)^n on every mode
-        h = np.zeros(grid.shape + (a.target_dim,))
-        h[(0,) * n] = [float(x) / (2.0 * math.pi) ** n * grid.npts**n for x in config.e]
+        hhat = np.array([float(x) / (2.0 * math.pi) ** n * grid.npts**n for x in config.e])
 
-        def data(eps, g):
+        def data(eps):
             return mollified_dirac(grid, eps, config.e, min_factor=config.min_eps_factor)[0]
 
     elif config.mode == "constrained":
+        k2 = grid.full.k2
         rng = np.random.default_rng(config.seed)
         base = rng.standard_normal(grid.shape + (a.target_dim,))
         decay = np.where(k2 > 0, k2, 1.0) ** (-CONSTRAINED_DECAY_POWER / 2.0)
-        hhat = np.fft.fftn(base, axes=range(n)) * decay[..., None]
+        full = np.fft.fftn(base, axes=range(n)) * decay[..., None]
         if system.c is not None:
-            hhat = constrain_field(hhat, system.c, grid)
-        hhat.reshape(-1, a.target_dim)[0] = 0.0
-        h = np.fft.ifftn(hhat, axes=range(n)).real
+            full = constrain_field(full, system.c, grid)
+        full.reshape(-1, a.target_dim)[0] = 0.0
+        hhat = full[..., : grid.npts // 2 + 1, :]
         out_of_range = "the constrained field is not in the symbol range"
 
-        def data(eps, g):
-            return np.fft.ifftn(hhat * g[..., None], axes=range(n)).real
+        def data(eps):
+            # mixed Nyquist modes of the projected spectrum have no conjugate
+            # partner, so f is the real part of the full inverse transform
+            g = np.exp(-0.5 * eps**2 * k2)
+            return np.fft.ifftn(full * g[..., None], axes=range(n)).real
 
     else:
         raise InvalidArgumentError(f"unknown mode {config.mode!r}")
 
-    _, info = solve_system(a, h, grid, strict=False)
+    info = solve_modes(a, hhat, grid)
     for eps in config.epsilons:
         eps = float(eps)
-        g = np.exp(-0.5 * eps**2 * k2)
-        l1 = l1_norm(data(eps, g), grid)
+        g = np.exp(-0.5 * eps**2 * grid.half.k2)
+        l1 = l1_norm(data(eps), grid)
         residual = _residual(info["resid_sq"], info["data_sq"], g)
         row = {"epsilon": eps, "ratio": None, "residual": residual}
         rows.append(row)

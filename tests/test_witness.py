@@ -19,6 +19,7 @@ from ellsym.witness import (
     l1_norm,
     lp_norm_of_field,
     mollified_dirac,
+    solve_modes,
     solve_system,
     symbol_on_modes,
 )
@@ -27,8 +28,17 @@ from genops import div_curl_operator, divergence_operator, gradient_operator, la
 F = Fraction
 
 
-def apply_operator(op, fhat, grid):
-    return np.einsum("...ij,...j->...i", symbol_on_modes(op, grid), fhat)
+def grid_symbol(op, k):
+    """The complex A(ik) = Σ C_α (ik)^α at the frequencies k of a Spectrum."""
+    shape = np.broadcast_shapes(*(kd.shape for kd in k))
+    ik = np.zeros(shape + (len(k),), dtype=complex)
+    for i, kd in enumerate(k):
+        ik[..., i].imag = kd
+    return op.symbol_values(ik.reshape(-1, len(k))).reshape(shape + (op.target_dim, op.source_dim))
+
+
+def apply_operator(op, fhat, spectrum):
+    return np.einsum("...ij,...j->...i", grid_symbol(op, spectrum.k), fhat)
 
 
 def coords(grid):
@@ -38,27 +48,28 @@ def coords(grid):
 
 @pytest.mark.parametrize("order", [2, 9])
 def test_symbol_on_modes_is_the_sum_over_alpha(order):
-    # A(ik) = Σ C_α (ik)^α; every value here is an integer below 2^53, so exact
+    # A(k) = Σ C_α k^α; every value here is an integer below 2^53, so exact
     a = parse_operator(
         f"from 2 to 2\nrows: d1^{order} u1 + 2 d1 d2^{order - 1} u2; -3 d2^{order} u1", 2
     )
     grid = Grid(2, 16)
-    kg = grid.mode_grids()
-    ref = np.zeros(grid.shape + (2, 2), dtype=complex)
-    for idx in np.ndindex(grid.shape):
-        k = [int(kd[idx]) for kd in kg]
-        for alpha, mat in a.coeffs.items():
-            mono = 1j ** sum(alpha) * math.prod(x**e for x, e in zip(k, alpha))
-            ref[idx] += mono * np.array(mat, dtype=float)
-    assert np.array_equal(symbol_on_modes(a, grid), ref)
+    for spec in (grid.full, grid.half):
+        kg = np.broadcast_arrays(*spec.k)
+        ref = np.zeros(spec.k2.shape + (2, 2))
+        for idx in np.ndindex(spec.k2.shape):
+            k = [int(kd[idx]) for kd in kg]
+            for alpha, mat in a.coeffs.items():
+                ref[idx] += math.prod(x**e for x, e in zip(k, alpha)) * np.array(mat, dtype=float)
+        assert np.array_equal(symbol_on_modes(a, spec.k), ref)
 
 
 def test_symbol_on_modes_beyond_int64():
     # |k| reaches 2^15 on this grid, so k^5 reaches 2^75: no integer wrap-around
     a = parse_operator("rows: d1^5 u1", 1)
     grid = Grid(1, 2**16)
-    ref = np.array([1j * float(int(k) ** 5) for k in grid.mode_grids()[0]])
-    np.testing.assert_allclose(symbol_on_modes(a, grid)[:, 0, 0], ref, rtol=1e-15, atol=0)
+    for spec in (grid.full, grid.half):
+        ref = np.array([float(int(k) ** 5) for k in spec.k[0]])
+        np.testing.assert_allclose(symbol_on_modes(a, spec.k)[:, 0, 0], ref, rtol=1e-15, atol=0)
 
 
 def test_grid_budget_enforced():
@@ -83,7 +94,7 @@ def test_mollifier_annihilated_by_constraint():
     c = parse_operator("from 4 to 1\nrows: d1 f1 + d2 f2 + d3 f3", 3)
     e4 = (F(0), F(0), F(0), F(1))
     _, fhat = mollified_dirac(grid, 0.8, e4)
-    cf = apply_operator(c, fhat, grid)
+    cf = apply_operator(c, fhat, grid.half)
     assert np.abs(cf).max() < 1e-12
 
 
@@ -100,7 +111,7 @@ def test_constrain_field_divergence_free():
     fhat = np.fft.fftn(f, axes=(0, 1))
     div = divergence_operator(2)
     projected = constrain_field(fhat, div, grid)
-    residual = apply_operator(div, projected, grid)
+    residual = apply_operator(div, projected, grid.full)
     residual.reshape(-1, 1)[0] = 0.0  # zero mode is not constrained
     scale = np.abs(projected).max()
     assert np.abs(residual).max() < 1e-10 * max(scale, 1.0)
@@ -162,9 +173,9 @@ def test_constraint_preserved_through_pipeline():
     fhat = np.fft.fftn(rng.standard_normal(grid.shape + (2,)), axes=(0, 1))
     fhat = constrain_field(fhat, div, grid)
     f = np.fft.ifftn(fhat, axes=(0, 1)).real
-    before = np.abs(apply_operator(div, np.fft.fftn(f, axes=(0, 1)), grid))[1:].max()
+    before = np.abs(apply_operator(div, np.fft.fftn(f, axes=(0, 1)), grid.full))[1:].max()
     solve_system(laplacian_operator(2), f, grid)
-    after = np.abs(apply_operator(div, np.fft.fftn(f, axes=(0, 1)), grid))[1:].max()
+    after = np.abs(apply_operator(div, np.fft.fftn(f, axes=(0, 1)), grid.full))[1:].max()
     assert before == after  # the solve never mutates f
 
 
@@ -270,8 +281,8 @@ def load_system(name):
 
 
 def live_modes(grid):
-    """Modes the solve keeps: neither the zero mode nor a Nyquist mode."""
-    live = ~grid.nyquist_mask()
+    """Half-spectrum modes the solve keeps: neither the zero mode nor a Nyquist mode."""
+    live = ~grid.half.nyquist
     live[(0,) * grid.n] = False
     return live
 
@@ -284,13 +295,13 @@ def test_solve_flags_every_mode_of_a_rank_one_symbol():
     f = np.random.default_rng(7).standard_normal(grid.shape + (2,))
     _, info = solve_system(a, f, grid)
     assert not info["uhat"].any()
+    assert info["singular"].sum() == grid.half.k2.size - 1  # all but the zero mode
     # û = 0, so the residual is the data itself, mode by mode
     assert np.array_equal(info["resid_sq"], info["data_sq"])
 
 
-# n = 4 runs at grid 16: at grid 32 the 4x4 symbol alone would take 270 MB
-@pytest.mark.parametrize(
-    "a, npts",
+# n = 4 runs at grid 16: at grid 32 the 4x4 complex symbol alone would take 270 MB
+ELLIPTIC_SOLVE_CASES = (
     [
         pytest.param(load_system(name).a, npts, id=name)
         for name, npts in (
@@ -309,8 +320,11 @@ def test_solve_flags_every_mode_of_a_rank_one_symbol():
         pytest.param(
             div_curl_operator().compose_right([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), 32, id="sheared divcurl"
         ),
-    ],
+    ]
 )
+
+
+@pytest.mark.parametrize("a, npts", ELLIPTIC_SOLVE_CASES)
 def test_solve_flags_no_mode_of_an_elliptic_system(a, npts):
     n = len(next(iter(a.coeffs)))
     grid = Grid(n, npts)
@@ -320,16 +334,94 @@ def test_solve_flags_no_mode_of_an_elliptic_system(a, npts):
     assert (np.abs(info["uhat"]).sum(axis=-1)[live_modes(grid)] > 0).all()
 
 
+def reference_solve(a, f, grid):
+    """The complex full-grid solve: û = G⁻¹A(ik)*f̂ with G = A(ik)*A(ik) at every mode.
+
+    Returns u, the sums of ‖A(ik)û − f̂‖² and ‖f̂‖² over the grid, and the
+    singular-mode mask.
+    """
+    flat = np.fft.fftn(f, axes=range(grid.n)).reshape(-1, a.target_dim)
+    flat[0] = 0.0
+    flat[grid.full.nyquist.reshape(-1)] = 0.0
+    sym = grid_symbol(a, grid.full.k).reshape(-1, a.target_dim, a.source_dim)
+    gram = np.einsum("mji,mjl->mil", sym.conj(), sym)
+    rhs = np.einsum("mji,mj->mi", sym.conj(), flat)
+    gram[0] = np.eye(a.source_dim)
+    diag = np.einsum("mii->mi", gram).real.prod(axis=-1)
+    singular = np.abs(np.linalg.det(gram)) <= 1e-12 * diag
+    gram[singular] = np.eye(a.source_dim)
+    uhat = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    uhat[singular] = 0.0
+    uhat[0] = 0.0
+    resid_sq = np.abs(np.einsum("mij,mj->mi", sym, uhat) - flat) ** 2
+    u = np.fft.ifftn(uhat.reshape(grid.shape + (a.source_dim,)), axes=range(grid.n)).real
+    return u, resid_sq.sum(), (np.abs(flat) ** 2).sum(), singular.reshape(grid.shape)
+
+
+def assert_matches_reference(a, f, grid):
+    u, info = solve_system(a, f, grid)
+    ref_u, ref_resid, ref_data, ref_singular = reference_solve(a, f, grid)
+    assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+    assert info["data_sq"].sum() == pytest.approx(ref_data, rel=1e-12)
+    # an in-range residual is rounding noise: compare it on the data's scale
+    assert abs(info["resid_sq"].sum() - ref_resid) <= 1e-12 * ref_data
+    assert np.array_equal(info["singular"], ref_singular[..., : grid.npts // 2 + 1])
+
+
+@pytest.mark.parametrize(
+    "a, npts",
+    ELLIPTIC_SOLVE_CASES
+    + [
+        pytest.param(
+            parse_operator("from 2 to 2\nrows: d1 u1 + d2 u2; 3 d1 u1 + 3 d2 u2", 2), 32, id="rank one"
+        ),
+        # rows of degree 1 and 2: the data take the row phases i^(k - d_r)
+        pytest.param(
+            parse_operator("from 2 to 3\nrows: d1 u1 + d2 u2; d1 d2 u1 - d2^2 u2; d1^2 u2", 2),
+            32,
+            id="mixed degrees",
+        ),
+    ],
+)
+def test_solve_matches_the_complex_full_grid_reference(a, npts):
+    grid = Grid(len(next(iter(a.coeffs))), npts)
+    f = np.random.default_rng(17).standard_normal(grid.shape + (a.target_dim,))
+    assert_matches_reference(a, f, grid)
+
+
+def test_solve_matches_the_reference_on_constrained_odd_order_data():
+    # k = 1 and a complex f̂: two real right-hand sides per mode, û = -i·X
+    system = load_system("divcurl_r3")
+    grid = Grid(3, 32)
+    base = np.random.default_rng(23).standard_normal(grid.shape + (4,))
+    fhat = constrain_field(np.fft.fftn(base, axes=range(3)), system.c, grid)
+    assert_matches_reference(system.a, np.fft.ifftn(fhat, axes=range(3)).real, grid)
+
+
+def test_solve_modes_takes_one_real_column_for_real_data():
+    # the grid Dirac: f̂ = e on every mode, real, as blowup_experiment passes it
+    a = load_system("divcurl_r3").a
+    grid = Grid(3, 32)
+    e = np.array([1.0, 0.5, 0.0, 0.0])
+    f = np.zeros(grid.shape + (4,))
+    f[0, 0, 0] = e
+    info = solve_modes(a, e, grid)
+    u = np.fft.irfftn(info["uhat"], s=grid.shape, axes=range(3))
+    ref_u, ref_resid, ref_data, _ = reference_solve(a, f, grid)
+    assert np.abs(u - ref_u).max() <= 1e-12 * np.abs(ref_u).max()
+    assert info["data_sq"].sum() == pytest.approx(ref_data, rel=1e-12)
+    assert info["resid_sq"].sum() == pytest.approx(ref_resid, rel=1e-12)
+
+
 def test_constrain_field_commutes_with_a_modewise_scale():
     grid = Grid(2, 64)
     rng = np.random.default_rng(13)
     hhat = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
-    k2 = sum(kd.astype(float) ** 2 for kd in grid.mode_grids())
-    g = np.exp(-0.5 * 0.3**2 * k2)[..., None]
+    g = np.exp(-0.5 * 0.3**2 * grid.full.k2)[..., None]
     div = divergence_operator(2)
     scaled_first = constrain_field(g * hhat, div, grid)
     scaled_after = g * constrain_field(hhat, div, grid)
-    live = ~grid.nyquist_mask()
+    live = ~grid.full.nyquist
     gap = np.linalg.norm((scaled_first - scaled_after)[live], axis=-1)
     assert (gap <= 1e-14 * np.linalg.norm((g * hhat)[live], axis=-1)).all()
 
@@ -342,7 +434,7 @@ def per_width_reference(config):
     j = config.j
     order = a.order - (n if j is None else j)
     p = None if j is None else n / (n - j)
-    k2 = sum(kd.astype(float) ** 2 for kd in grid.mode_grids())
+    k2 = grid.full.k2
     if config.mode == "constrained":
         base = np.random.default_rng(config.seed).standard_normal(grid.shape + (a.target_dim,))
         decay = np.zeros(grid.shape)

@@ -8,10 +8,12 @@ run the same list of operations:
 - `check --json`, `annihilator --json` and `moment --json` on every file in
   `systems/` (`moment` on `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in
   an error, whose message and exit code are compared too);
-- four `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, a
-  constrained `laplacian_div_r2`, a dirac `divcurl_r3` with j = 1, and an
+- six `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, a
+  constrained `laplacian_div_r2`, a dirac `divcurl_r3` with j = 1, an
   out-of-range `gradient_r2` direction, whose rows carry the residual
-  diagnostic instead of a ratio;
+  diagnostic instead of a ratio, an n = 4 dirac `biharmonic_div_r4` with
+  j = ∞ (a 4x4 symbol, order 4), and a constrained `divcurl_r3` (odd order,
+  complex data, out of range);
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
   matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
@@ -62,6 +64,12 @@ WITNESS_CASES = (
     ),
     ("divcurl_r3 e1 j=1", "divcurl_r3", ["--e", "1,0,0,0", "--j", "1", "--eps", "0.4,0.3,0.2", "--grid", "64"]),
     ("gradient_r2 out of range", "gradient_r2", ["--e", "1,0", "--j", "1"]),
+    (
+        "biharmonic_div_r4 n=4",
+        "biharmonic_div_r4",
+        ["--e", "1,0,0,0", "--j", "inf", "--eps", "0.8,0.6,0.4", "--grid", "32"],
+    ),
+    ("divcurl_r3 constrained", "divcurl_r3", ["--mode", "constrained", "--j", "1", "--grid", "32"]),
 )
 LADDER_SEEDS = (1, 2)
 MAX_SHOWN = 10  # non-float differences printed per operation
