@@ -12,18 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from . import sturm
 from .errors import (
     HypothesisFailedError,
+    InvalidArgumentError,
+    NearSingularSymbolError,
     NotEllipticError,
     NotHomogeneousError,
     OrderTooLowError,
+    QuadratureNotConvergedError,
 )
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .quadrature import converged_moments, surface_area
+from .quadrature import build_rule, converged_moments, surface_area
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
@@ -129,8 +133,6 @@ def _axis_and_sign_candidates(n, limit=3**7):
         pts.append(tuple(e))
         seen.add(tuple(int(x) for x in pts[-1]))
     if 3**n - 1 <= limit:
-        from itertools import product
-
         for pattern in product((0, 1, -1), repeat=n):
             if any(pattern) and pattern not in seen:
                 seen.add(pattern)
@@ -227,21 +229,21 @@ def _numeric_kernel(a, xi_float):
 
 def _is_elliptic_sampled(a):
     """n >= 3: quasi-uniform sphere sampling, then a batched compass search
-    (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the ten lowest nodes."""
-    from .quadrature import build_rule
-
+    (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the five lowest pair
+    representatives. det G is even, so the mirrored nodes add nothing: the
+    five are the ten lowest sphere nodes less their mirrors."""
     n = a.space_dim
 
     def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
         sym = a.symbol_values(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
-    nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the first levels with >= 10^4 nodes
+    nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the first rules of >= 10^4 sphere nodes
     vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
-    starts = np.argsort(vals)[:10]
+    starts = np.argsort(vals)[:5]
     x, f = nodes[starts], vals[starts] / scale
     h = np.full(len(x), 0.05)  # about the node spacing
     steps = np.concatenate([np.eye(n), -np.eye(n)])
@@ -599,6 +601,8 @@ class ConditionReport:
 
 def run_full_check(system, tol=WEAK_ZERO_TOL):
     """Assemble the full certified report for a system A u = f, C f = 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidArgumentError(f"tol must be a finite number >= 0, got {tol}")
     a = system.a
     diagnostics = []
     try:
@@ -650,8 +654,6 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
     report.cc, isect = _cc(i_a, k_c)
 
     if system.n >= 2 and order >= system.n:
-        from .errors import NearSingularSymbolError, QuadratureNotConvergedError
-
         try:
             weak = check_weak_cancellation(a, i_a, tol=tol)
             cwc = check_weak_cancellation(a, isect, tol=tol)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotEllipticError, NotHomogeneousError
+from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .ratlinalg import as_fraction_matrix, nullspace
 
@@ -278,8 +278,6 @@ class SystemSpec:
     n: int
 
     def __post_init__(self):
-        from .errors import DimensionMismatchError
-
         if self.a.space_dim != self.n:
             raise DimensionMismatchError(
                 f"operator space dimension {self.a.space_dim} != declared dim {self.n}"

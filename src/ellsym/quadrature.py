@@ -1,9 +1,9 @@
 """Quadrature on the unit sphere S^{n-1} and the moment map of a symbol.
 
-Rules are antithetic: nodes come in ± pairs with equal weights, laid out so
-that nodes[m//2 + i] == -nodes[i] exactly. Moment integrands are rational
+Rules are antithetic: the sphere nodes come in ± pairs with equal weights,
+and a rule stores one node of each pair. Moment integrands are rational
 with homogeneous numerator/denominator, so their values at -ξ are the values
-at ξ times a known sign; the pairing exploits that to make odd integrands
+at ξ times a known sign; the pair sum exploits that to make odd integrands
 cancel bitwise, not just to rounding.
 """
 
@@ -24,6 +24,7 @@ from .errors import (
 from .poly import monomials_of_degree, multinomial
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
+MAX_RULE_NODES = 2**22  # sphere nodes per rule: S² through level 10
 
 
 def surface_area(n):
@@ -32,31 +33,27 @@ def surface_area(n):
 
 @dataclass
 class QuadratureRule:
-    """Nodes/weights on S^{n-1}; second half of the nodes mirrors the first."""
+    """One node of each antithetic pair ±ξ on S^{n-1}, with the weight of each
+    of the two; the rule covers count = 2·len(nodes) sphere nodes."""
 
     n: int
     level: int
     nodes: np.ndarray
     weights: np.ndarray
-    antithetic: bool
-    description: str
 
     @property
     def count(self):
-        return len(self.weights)
-
-    def half(self):
-        h = self.count // 2
-        return self.nodes[:h], self.weights[:h]
+        return 2 * len(self.weights)
 
 
 def build_rule(n, level):
-    """Antithetic rule at a refinement level.
+    """Antithetic rule at a refinement level, one node per ± pair.
 
     n=2: 2^level equispaced angles (spectral accuracy for smooth integrands);
     n=3: Gauss-Legendre in cos(theta) x uniform in phi (exact for polynomial
     degree up to the node counts); n>=4: mirrored low-discrepancy (Halton)
-    nodes with equal weights.
+    nodes with equal weights. A rule over MAX_RULE_NODES sphere nodes is
+    refused before anything is allocated.
     """
     if n < 2:
         raise InvalidArgumentError("sphere rules need n >= 2")
@@ -65,14 +62,17 @@ def build_rule(n, level):
         raise InvalidArgumentError(
             f"quadrature level must be >= {min_level} for n={n}, got {level}"
         )
+    # pairs: half of 2^level, of 2^level·2^(level+1), or of 2^(level+5) sphere nodes
+    h = 2 ** (level - 1) if n == 2 else 2 ** (2 * level) if n == 3 else 2 ** (level + 4)
+    if 2 * h > MAX_RULE_NODES:
+        raise InvalidArgumentError(
+            f"quadrature level {level} on S^{n - 1} needs {2 * h} nodes, over the "
+            f"budget of {MAX_RULE_NODES}"
+        )
     if n == 2:
-        m = 2**level
-        h = m // 2
-        angles = 2.0 * math.pi * np.arange(h) / m
-        half = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        nodes = np.concatenate([half, -half], axis=0)
-        weights = np.full(m, 2.0 * math.pi / m)
-        desc = f"uniform circle, {m} nodes"
+        angles = 2.0 * math.pi * np.arange(h) / (2 * h)
+        nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        weights = np.full(h, 2.0 * math.pi / (2 * h))
     elif n == 3:
         nz = 2**level
         nphi = 2 ** (level + 1)
@@ -81,7 +81,7 @@ def build_rule(n, level):
         zpos, wpos = z[pos], wz[pos]
         phis = 2.0 * math.pi * np.arange(nphi) / nphi
         r = np.sqrt(1.0 - zpos**2)
-        half = np.stack(
+        nodes = np.stack(
             [
                 np.outer(r, np.cos(phis)).ravel(),
                 np.outer(r, np.sin(phis)).ravel(),
@@ -89,25 +89,16 @@ def build_rule(n, level):
             ],
             axis=1,
         )
-        whalf = np.outer(wpos, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
-        nodes = np.concatenate([half, -half], axis=0)
-        weights = np.concatenate([whalf, whalf])
-        desc = f"Gauss-Legendre x uniform, {nz}x{nphi} nodes"
+        weights = np.outer(wpos, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
     else:
         from statistics import NormalDist
 
-        h = 2 ** (level + 4)
         inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
         g = inv_cdf(_halton(n, h))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        half = g / norms
-        nodes = np.concatenate([half, -half], axis=0)
-        weights = np.full(2 * h, surface_area(n) / (2 * h))
-        desc = f"mirrored Halton, {2 * h} nodes"
+        nodes = g / np.linalg.norm(g, axis=1, keepdims=True)
+        weights = np.full(h, surface_area(n) / (2 * h))
     # renormalize away the last-digit drift so each node is unit to 1e-14
-    nn = np.linalg.norm(nodes, axis=1, keepdims=True)
-    nodes = nodes / nn
-    return QuadratureRule(n, level, nodes, weights, True, desc)
+    return QuadratureRule(n, level, nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights)
 
 
 def _halton(n, h):
@@ -148,13 +139,13 @@ def tensor_basis(n, order):
     return gammas, weights
 
 
-def _pseudoinverse_at(a, half_nodes):
-    """A†(ξ) = G(ξ)⁻¹A(ξ)ᵀ on the half nodes, by one batched solve.
+def _pseudoinverse_at(a, nodes):
+    """A†(ξ) = G(ξ)⁻¹A(ξ)ᵀ at the pair representatives, by one batched solve.
 
     A(-ξ) = (-1)^k A(ξ), so the values at -ξ need no evaluation. The
     near-singular test compares det G(ξ) with its largest value over the nodes.
     """
-    sym = a.symbol_values(half_nodes)
+    sym = a.symbol_values(nodes)
     sym_t = sym.transpose(0, 2, 1)
     gram = sym_t @ sym
     det = np.abs(np.linalg.det(gram))
@@ -176,14 +167,13 @@ def moments_for_vectors(a, vectors, rule):
     """
     _require_moments(a)
     n = a.space_dim
-    half_nodes, half_w = rule.half()
-    adag = _pseudoinverse_at(a, half_nodes)
+    adag = _pseudoinverse_at(a, rule.nodes)
     gammas, tweights = tensor_basis(n, a.order - n)
-    xi_pow = np.ones((len(half_nodes), len(gammas)))
+    xi_pow = np.ones((len(rule.nodes), len(gammas)))
     for gi, gamma in enumerate(gammas):
         for d, e in enumerate(gamma):
             if e:
-                xi_pow[:, gi] *= half_nodes[:, d] ** e
+                xi_pow[:, gi] *= rule.nodes[:, d] ** e
     # A†(-ξ) = (-1)^k A†(ξ) and (-ξ)^γ = (-1)^(k-n) ξ^γ: odd n cancels bitwise
     total_sign = -1 if n % 2 else 1
     values = []
@@ -193,7 +183,7 @@ def moments_for_vectors(a, vectors, rule):
         w = adag @ evec  # (m, V)
         integrand = w[:, :, None] * xi_pow[:, None, :] * tweights[None, None, :]
         pair = integrand * (1 + total_sign)  # F(ξ) + F(-ξ) on each pair
-        acc = np.tensordot(half_w, pair, axes=(0, 0))
+        acc = np.tensordot(rule.weights, pair, axes=(0, 0))
         values.append(acc.reshape(-1))
         node_norms = np.sqrt((integrand**2).sum(axis=(1, 2)))
         scales.append(float(node_norms.max()) if len(node_norms) else 0.0)

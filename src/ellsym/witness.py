@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .conditions import kernel_intersection
 from .errors import EpsilonTooSmallError, InvalidArgumentError, ResidualTooLargeError
 from .poly import monomials_of_degree, multinomial
 
@@ -84,6 +85,20 @@ def symbol_on_modes(op, k):
     return values.reshape(points.shape[:-1] + (op.target_dim, op.source_dim))
 
 
+def _check_width(grid, eps, min_factor):
+    """Raise unless eps is a finite width of at least min_factor grid spacings
+    and at most π/2, where the Gaussian tails stay inside the period."""
+    if not math.isfinite(eps) or eps < min_factor * grid.spacing:
+        raise EpsilonTooSmallError(
+            f"eps={eps} is not a finite width of at least {min_factor} grid "
+            f"spacings ({min_factor * grid.spacing:.4g})"
+        )
+    if eps > math.pi / 2:
+        raise EpsilonTooSmallError(
+            f"eps={eps} too wide for the 2π period; Gaussian tails would wrap"
+        )
+
+
 def mollified_dirac(grid, eps, e, center=None, min_factor=MIN_EPS_SPACING_FACTOR):
     """Unit-mass periodized Gaussian of width eps in the direction e.
 
@@ -92,14 +107,7 @@ def mollified_dirac(grid, eps, e, center=None, min_factor=MIN_EPS_SPACING_FACTOR
     coefficient is a scalar times e, so any constraint matrix annihilating e
     annihilates the field identically.
     """
-    if eps < min_factor * grid.spacing:
-        raise EpsilonTooSmallError(
-            f"eps={eps} below {min_factor} grid spacings ({min_factor * grid.spacing:.4g})"
-        )
-    if eps > math.pi / 2:
-        raise EpsilonTooSmallError(
-            f"eps={eps} too wide for the 2π period; Gaussian tails would wrap"
-        )
+    _check_width(grid, eps, min_factor)
     spec = grid.half
     coeff = np.exp(-0.5 * eps * eps * spec.k2) / (2.0 * math.pi) ** grid.n
     if center is not None:
@@ -352,8 +360,6 @@ def blowup_experiment(config):
                 f"has dimension {a.target_dim}"
             )
         if system.c is not None:
-            from .conditions import kernel_intersection
-
             member = _exact_member(kernel_intersection(system.c), config.e)
             if member is False:
                 diagnostics.append(
@@ -389,6 +395,8 @@ def blowup_experiment(config):
     else:
         raise InvalidArgumentError(f"unknown mode {config.mode!r}")
 
+    for eps in config.epsilons:
+        _check_width(grid, float(eps), config.min_eps_factor)
     info = solve_modes(a, hhat, grid)
     for eps in config.epsilons:
         eps = float(eps)

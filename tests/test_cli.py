@@ -177,8 +177,14 @@ def test_missing_file_exit_code(capsys):
         ("witness", "systems/laplacian_r2.sys", "--grid", "32"),
         ("witness", "systems/laplacian_r2.sys", "--e", "1", "--grid", "32"),
         ("witness", "systems/laplacian_r2.sys", "--e", "1,0", "--grid", "15"),
+        ("moment", "systems/laplacian_r2.sys", "--level", "40"),
+        ("check", "systems/laplacian_r2.sys", "--tol", "nan"),
+        ("check", "systems/laplacian_r2.sys", "--tol", "-1"),
     ],
-    ids=["level-1", "level-0", "dirac-without-e", "e-too-short", "odd-grid"],
+    ids=[
+        "level-1", "level-0", "dirac-without-e", "e-too-short", "odd-grid",
+        "level-over-budget", "tol-nan", "tol-negative",
+    ],
 )
 def test_invalid_argument_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -358,7 +358,7 @@ def test_elliptic_sampled_refinement_certifies_rational_zero(n):
 
 def _nelder_mead_minimum(a):
     """The sphere minimum of det G as scipy's Nelder–Mead refines it from the
-    ten lowest nodes: the reference for the compass search."""
+    five lowest pair representatives: the reference for the compass search."""
     from scipy.optimize import minimize
 
     from ellsym.quadrature import build_rule
@@ -372,7 +372,7 @@ def _nelder_mead_minimum(a):
     vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     best = float(vals.min()) / scale
-    for idx in np.argsort(vals)[:10]:
+    for idx in np.argsort(vals)[:5]:
         res = minimize(
             lambda x: float(det_g((x / np.linalg.norm(x))[None, :])[0]) / scale,
             nodes[idx],

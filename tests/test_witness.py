@@ -478,7 +478,7 @@ EQUIVALENCE_CASES = {
         system="gradient_r2", epsilons=[0.8, 0.4, 0.2], j=1, grid_n=64, seed=1, mode="constrained"
     ),
     "laplacian_div_r2 constrained j=1": dict(
-        system="laplacian_div_r2", epsilons=[0.4, 0.2, 0.1], j=1, grid_n=64, seed=20240811,
+        system="laplacian_div_r2", epsilons=[0.4, 0.2, 0.1], j=1, grid_n=128, seed=20240811,
         mode="constrained",
     ),
 }
@@ -514,10 +514,16 @@ def test_blowup_matches_the_per_width_pipeline(label):
     assert len(got) == len(out) and all(w in g for g, w in zip(got, out))
 
 
-@pytest.mark.parametrize("eps", [0.1, 1.6])  # below 2 spacings of grid 64; above π/2
+# below 2 spacings of grid 64, above π/2, and not a width at all
+@pytest.mark.parametrize("eps", [0.1, 1.6, 0, -0.2, math.nan])
 def test_blowup_rejects_widths_off_the_grid_or_period(eps):
-    config = WitnessConfig(
+    dirac = WitnessConfig(
         system=load_system("laplacian_r2"), epsilons=[0.4, eps], e=(F(1), F(0)), j=None, grid_n=64
     )
-    with pytest.raises(EpsilonTooSmallError):
-        blowup_experiment(config)
+    constrained = WitnessConfig(
+        system=load_system("laplacian_div_r2"), epsilons=[0.4, eps], j=1, grid_n=64,
+        mode="constrained",
+    )
+    for config in (dirac, constrained):
+        with pytest.raises(EpsilonTooSmallError):
+            blowup_experiment(config)

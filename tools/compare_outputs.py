@@ -13,7 +13,7 @@ run the same list of operations:
   out-of-range `gradient_r2` direction, whose rows carry the residual
   diagnostic instead of a ratio, an n = 4 dirac `biharmonic_div_r4` with
   j = ∞ (a 4x4 symbol, order 4), and a constrained `divcurl_r3` (odd order,
-  complex data, out of range);
+  complex data, out of range; widths of at least two spacings of grid 32);
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
   matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
@@ -21,7 +21,8 @@ run the same list of operations:
   n = 2, irrational zeros for n = 2 (numeric kernel vectors), an
   inconclusive n = 3 minimum, an n = 3 zero on the line through (1, 2, 3),
   off every axis/sign candidate, that the rounding of the refined minimizer
-  certifies, a non-isotropic elliptic n = 4 operator (a refined minimum),
+  certifies, the same for an n = 4 zero on the line through (1, 2, 3, 4)
+  (a witness whose sign rests on which compass start wins), a non-isotropic elliptic n = 4 operator (a refined minimum),
   and a source larger than the target;
 - `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
   which reach the branches of I_A that no system file reaches: a non-scalar
@@ -69,7 +70,11 @@ WITNESS_CASES = (
         "biharmonic_div_r4",
         ["--e", "1,0,0,0", "--j", "inf", "--eps", "0.8,0.6,0.4", "--grid", "32"],
     ),
-    ("divcurl_r3 constrained", "divcurl_r3", ["--mode", "constrained", "--j", "1", "--grid", "32"]),
+    (
+        "divcurl_r3 constrained",
+        "divcurl_r3",
+        ["--mode", "constrained", "--j", "1", "--eps", "0.8,0.6,0.4", "--grid", "32"],
+    ),
 )
 LADDER_SEEDS = (1, 2)
 MAX_SHOWN = 10  # non-float differences printed per operation
@@ -101,6 +106,7 @@ ELLIPTIC_CASES = (
     ("n2 irrational 2x2 b", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; 3 d2 u1 + 2 d1 u2"),
     ("n3 inconclusive", 3, "rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1"),
     ("n3 refined rational zero", 3, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1"),
+    ("n4 refined rational zero", 4, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1; 4 d1 u1 - d4 u1"),
     ("n4 anisotropic elliptic", 4, "rows: d1^2 u1 + 2 d2^2 u1 + d3 d4 u1; d3^2 u1 + 3 d4^2 u1 + d1 d2 u1"),
     ("source > target", 2, "from 2 to 1\nrows: d1 u1 + d2 u2"),
 )
