@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .conditions import WEAK_ZERO_TOL, run_full_check
 from .dsl import format_operator, parse_system
-from .errors import EllsymError, NotEllipticError
+from .errors import EllsymError, InvalidArgumentError, NotEllipticError
 from .operators import annihilator, homogenize
 from .quadrature import build_rule, moment_map
 from .witness import WitnessConfig, blowup_experiment
@@ -179,7 +179,10 @@ def cmd_witness(args):
     system = parse_system(text)
     e = None
     if args.e:
-        e = tuple(Fraction(part) for part in args.e.split(","))
+        try:
+            e = tuple(Fraction(part) for part in args.e.split(","))
+        except ZeroDivisionError:
+            raise InvalidArgumentError(f"direction e={args.e} has a zero denominator") from None
     epsilons = [float(x) for x in args.eps.split(",")]
     j = None if args.j == "inf" else int(args.j)
     config = WitnessConfig(
@@ -268,10 +271,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EllsymError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
+    except (EllsymError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -124,20 +124,13 @@ def _gram_kernel_at(a, xi):
 
 
 def _axis_and_sign_candidates(n, limit=3**7):
-    """Exact candidate points: basis vectors, then small {-1,0,1} patterns."""
-    pts = []
-    seen = set()
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        pts.append(tuple(e))
-        seen.add(tuple(int(x) for x in pts[-1]))
-    if 3**n - 1 <= limit:
-        for pattern in product((0, 1, -1), repeat=n):
-            if any(pattern) and pattern not in seen:
-                seen.add(pattern)
-                pts.append(tuple(Fraction(x) for x in pattern))
-    return pts
+    """Exact candidate points: basis vectors, then small {-1,0,1} patterns; each
+    pattern comes before its mirror, as 1 comes before -1."""
+    axes = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    if 3**n - 1 > limit:
+        return axes
+    signs = product((0, 1, -1), repeat=n)
+    return axes + [tuple(map(Fraction, p)) for p in signs if any(p) and p not in axes]
 
 
 def is_elliptic(a):
@@ -168,12 +161,13 @@ def is_elliptic(a):
         return EllipticityVerdict("yes")
 
     # exact witnesses at axis/sign points first (cheap, and they exist for
-    # every non-elliptic example in the bundled systems)
-    exact_hits = []
+    # every non-elliptic example in the bundled systems); A(−ξ) = ±A(ξ), so a
+    # mirror, listed after its pair, reuses that pair's kernel
+    kernels = {}
     for xi in _axis_and_sign_candidates(n):
-        kern = _gram_kernel_at(a, xi)
-        if kern is not None:
-            exact_hits.append((xi, kern))
+        neg = tuple(-x for x in xi)
+        kernels[xi] = kernels[neg] if neg in kernels else _gram_kernel_at(a, xi)
+    exact_hits = [(xi, v) for xi, v in kernels.items() if v is not None]
     if exact_hits:
         (xi0, v0), rest = exact_hits[0], exact_hits[1:]
         return EllipticityVerdict(
@@ -627,7 +621,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
         report.elliptic = EllipticityVerdict("inconclusive", note="operator not homogeneous")
         return report
 
-    elliptic = report.elliptic = is_elliptic(a)
+    elliptic = report.elliptic = a.ellipticity
     if elliptic.definitely_not:
         if system.c is not None and order >= system.n:
             diagnostics.append(NONELLIPTIC_CONSTRAINT_DIAGNOSTIC)
@@ -656,7 +650,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
     if system.n >= 2 and order >= system.n:
         try:
             weak = check_weak_cancellation(a, i_a, tol=tol)
-            cwc = check_weak_cancellation(a, isect, tol=tol)
+            cwc = weak if isect == i_a else check_weak_cancellation(a, isect, tol=tol)
             report.weak, report.cwc = weak, cwc
         except (NearSingularSymbolError, QuadratureNotConvergedError) as exc:
             diagnostics.append(f"moment quadrature failed: {exc}")

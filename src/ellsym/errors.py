@@ -43,7 +43,7 @@ class NotHomogeneousError(EllsymError):
 class NotEllipticError(EllsymError):
     """Operation requires an elliptic operator.
 
-    witness_xi / kernel_vector hold an exact certificate when one was found.
+    witness_xi / kernel_vector hold the witness found, exact unless the message says `near`.
     """
 
     def __init__(self, message, witness_xi=None, kernel_vector=None):

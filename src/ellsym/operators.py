@@ -10,13 +10,13 @@ operations require a single common order and say so.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from .conditions import is_elliptic
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .ratlinalg import as_fraction_matrix, nullspace
@@ -244,13 +244,21 @@ class OperatorSpec:
                 )
             yield val
 
-    def require_injective_at_samples(self):
-        """Guard of `annihilator` and `moment_map`: NotEllipticError when det G ≡ 0,
-        else at the first of `_sample_points` where A(ξ) has a kernel."""
+    @cached_property
+    def ellipticity(self):
+        """The `is_elliptic` verdict, the one that `check` reports."""
+        return is_elliptic(self)
+
+    def require_elliptic(self):
+        """Guard of `annihilator` and `moment_map`: NotEllipticError when det G ≡ 0
+        or when `ellipticity` is a No, with its witness and kernel vector."""
         if self.degenerate:
             raise NotEllipticError("det(A*A) vanishes identically")
-        for _ in self.injective_values(_sample_points(self.space_dim)):
-            pass
+        v = self.ellipticity
+        if v.definitely_not:
+            xi = tuple(str(x) for x in v.witness_xi)
+            raise NotEllipticError(f"det(A*A) vanishes {'at' if v.witness_exact else 'near'} ξ = {xi}",
+                                   witness_xi=v.witness_xi, kernel_vector=v.kernel_vector)
 
     @classmethod
     def from_symbol(cls, mp, space_dim=None):
@@ -297,34 +305,16 @@ class SystemSpec:
 # -- symbol-level operations ------------------------------------------------
 
 
-_SAMPLE_SEED = 1729
-
-
-def _sample_points(n, count=12):
-    """Deterministic nonzero rational sample points: axes first, then random."""
-    pts = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        pts.append(tuple(e))
-    rng = random.Random(_SAMPLE_SEED + n)
-    while len(pts) < count + n:
-        p = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
-        if any(x != 0 for x in p):
-            pts.append(p)
-    return pts
-
-
 def annihilator(a):
-    """L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0, behind the sample-point
-    guard (the CLI calls it without is_elliptic).
+    """L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0, for a single-order A that
+    `check` does not report as not elliptic (NotElliptic otherwise).
 
     L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When G(ξ) is a scalar
     polynomial q(ξ) times the identity, the reduced form
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
     and the minimal degree 2k; it is used whenever applicable.
     """
-    a.require_injective_at_samples()
+    a.require_elliptic()
     s, g = a.symbol(), a.gram
     q = g.entries[0][0]
     if g == MatrixPolynomial.scalar_identity(q, g.rows):

@@ -222,10 +222,10 @@ class MomentMap:
 
 def moment_map(a, rule):
     """Assemble M on the standard basis of E from `rule` and the next level:
-    one step of the refinement in converged_moments, with no tolerance. It
-    refuses A(ξ) singular at a sample point, as `annihilator` does."""
+    one step of the refinement in converged_moments, with no tolerance. Like
+    `annihilator`, it refuses an A that `check` reports as not elliptic."""
     _require_moments(a)
-    a.require_injective_at_samples()
+    a.require_elliptic()
     vals, scales, err, rules = _refine(
         a, np.eye(a.target_dim), rule, rel_tol=math.inf, max_level=rule.level + 1
     )

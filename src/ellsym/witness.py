@@ -30,6 +30,7 @@ DEFAULT_GROWTH_FACTOR = 2.0
 DEFAULT_FLATNESS = 0.10
 MIN_EPS_SPACING_FACTOR = 2.0  # required eps / grid-spacing ratio
 CONSTRAINED_DECAY_POWER = 2.0  # spectral decay |k|^-p of the fixed random base
+ZERO_DATA_RTOL = 1e-12  # a projected spectrum this far below the unprojected one is rounding noise
 
 # lattice frequencies k (sparse: one broadcastable float array per axis), |k|²
 # and the mask of modes with a Nyquist index (N/2 on some axis)
@@ -368,8 +369,14 @@ def blowup_experiment(config):
                     "C f = 0"
                 )
         out_of_range = "the Dirac direction is not in the symbol range"
-        # the grid Dirac: ĥ = e·N^n/(2π)^n on every mode
-        hhat = np.array([float(x) / (2.0 * math.pi) ** n * grid.npts**n for x in config.e])
+        no_data = "the Dirac data underflow to zero"
+        try:
+            evec = np.array([float(x) for x in config.e])
+        except OverflowError:  # a rational component beyond the float range
+            evec = np.array([math.inf])
+        if not (np.isfinite(evec).all() and evec.any()):
+            raise InvalidArgumentError("direction e must be nonzero and finite in floating point")
+        hhat = evec / (2.0 * math.pi) ** n * grid.npts**n  # the grid Dirac: ĥ = e·N^n/(2π)^n
 
         def data(eps):
             return mollified_dirac(grid, eps, config.e, min_factor=config.min_eps_factor)[0]
@@ -380,11 +387,15 @@ def blowup_experiment(config):
         base = rng.standard_normal(grid.shape + (a.target_dim,))
         decay = np.where(k2 > 0, k2, 1.0) ** (-CONSTRAINED_DECAY_POWER / 2.0)
         full = np.fft.fftn(base, axes=range(n)) * decay[..., None]
-        if system.c is not None:
-            full = constrain_field(full, system.c, grid)
         full.reshape(-1, a.target_dim)[0] = 0.0
+        if system.c is not None:
+            projected = constrain_field(full, system.c, grid)
+            if np.abs(projected).max() <= ZERO_DATA_RTOL * np.abs(full).max():
+                projected[...] = 0.0  # ker C(k) = {0} on every mode: no data
+            full = projected
         hhat = full[..., : grid.npts // 2 + 1, :]
         out_of_range = "the constrained field is not in the symbol range"
+        no_data = "the constraint admits no nonzero data"
 
         def data(eps):
             # mixed Nyquist modes of the projected spectrum have no conjugate
@@ -405,6 +416,9 @@ def blowup_experiment(config):
         residual = _residual(info["resid_sq"], info["data_sq"], g)
         row = {"epsilon": eps, "ratio": None, "residual": residual}
         rows.append(row)
+        if l1 == 0.0:
+            diagnostics.append(f"eps={eps}: {no_data} — no ratio recorded")
+            continue
         if residual > config.residual_tol:
             diagnostics.append(
                 f"eps={eps}: solve residual {residual:.3e} exceeds "

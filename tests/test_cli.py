@@ -105,6 +105,47 @@ def test_moment_refuses_operator_singular_at_sample_point(capsys):
     assert err == "error: det(A*A) vanishes at ξ = ('1', '0', '0', '0')\n"
 
 
+# operators that `check` proves not elliptic at zeros off the coordinate axes
+NON_ELLIPTIC_OFF_AXES = {
+    "square r2": "dim 2\noperator A {\n  from 1 to 1\n  rows: (d1 - 2 d2)^2 u1\n}\n",
+    "irrational r2": "dim 2\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 - 2 d2^2 u1\n}\n",
+    "cone r3": "dim 3\noperator A {\n  from 1 to 1\n"
+    "  rows: ((d1 - d2)^2 + d3^2)(d1^2 + d2^2 + d3^2) u1\n}\n",
+}
+
+
+@pytest.mark.parametrize("label", sorted(NON_ELLIPTIC_OFF_AXES))
+def test_moment_and_annihilator_refuse_what_check_refuses(capsys, tmp_path, label):
+    path = tmp_path / "op.sys"
+    path.write_text(NON_ELLIPTIC_OFF_AXES[label])
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    verdict = json.loads(out)["result"]["elliptic"]
+    assert (code, verdict["status"]) == (0, "no")
+    where = "at" if verdict["witness_exact"] else "near"
+    message = f"det(A*A) vanishes {where} ξ = {tuple(verdict['witness_xi'])}\n"
+    assert run(capsys, "moment", str(path)) == (1, "", "error: " + message)
+    assert run(capsys, "annihilator", str(path)) == (1, "", "NotElliptic: " + message)
+
+
+def test_witness_constraint_without_data_is_indeterminate(capsys, tmp_path):
+    # ker C(k) = {0} at every k ≠ 0: the projected field is rounding noise
+    path = tmp_path / "lap_grad.sys"
+    path.write_text(
+        "dim 2\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 + d2^2 u1\n}\n"
+        "constraint C {\n  from 1 to 2\n  rows: d1 f1; d2 f1\n}\n"
+    )
+    code, out, _ = run(
+        capsys, "witness", str(path), "--mode", "constrained", "--j", "1",
+        "--grid", "32", "--eps", "0.8,0.4", "--json",
+    )
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["classification"] == "INDETERMINATE"
+    assert [r["ratio"] for r in result["rows"]] == [None, None]
+    assert len(result["diagnostics"]) == 2
+    assert all("admits no nonzero data" in d for d in result["diagnostics"])
+
+
 def test_homogenize_command(capsys):
     code, out, _ = run(capsys, "homogenize", "systems/divcurl_r3.sys")
     assert code == 0
@@ -180,14 +221,20 @@ def test_missing_file_exit_code(capsys):
         ("moment", "systems/laplacian_r2.sys", "--level", "40"),
         ("check", "systems/laplacian_r2.sys", "--tol", "nan"),
         ("check", "systems/laplacian_r2.sys", "--tol", "-1"),
+        ("witness", "systems/laplacian_r2.sys", "--e", "0,0", "--grid", "32", "--eps", "0.8,0.4"),
+        ("witness", "systems/laplacian_r2.sys", "--e", "1/0,0", "--grid", "32", "--eps", "0.8,0.4"),
+        ("witness", "systems/laplacian_r2.sys", "--e", "1e400,0", "--grid", "32", "--eps", "0.8,0.4"),
+        ("check", "{tmp}"),
+        ("check", "systems/laplacian_r2.sys", "--out", "{tmp}"),
     ],
     ids=[
         "level-1", "level-0", "dirac-without-e", "e-too-short", "odd-grid",
-        "level-over-budget", "tol-nan", "tol-negative",
+        "level-over-budget", "tol-nan", "tol-negative", "e-zero", "e-zero-denominator",
+        "e-beyond-float", "input-is-directory", "out-is-directory",
     ],
 )
-def test_invalid_argument_exit_code(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_invalid_argument_exit_code(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

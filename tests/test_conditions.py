@@ -204,7 +204,6 @@ def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypa
     def refuse(*args):
         raise AssertionError("not on the check path")
 
-    monkeypatch.setattr(operators, "_sample_points", refuse)
     monkeypatch.setattr(operators, "annihilator", refuse)
     monkeypatch.setattr(MatrixPolynomial, "adjugate", refuse)
     systems = []
@@ -213,6 +212,59 @@ def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypa
             systems.append(parse_system(fh.read()))
     reports = [run_full_check(system) for system in systems + _ladder_systems(1)]
     assert sum(r.image_basis is not None for r in reports) == len(reports) - 1  # all but quartic_r4
+
+
+@pytest.mark.parametrize("name", ["laplacian_r2", "biharmonic_div_r4"])
+def test_moment_map_after_check_evaluates_nothing_exact(monkeypatch, name):
+    from ellsym import conditions, operators, quadrature
+
+    with open(f"systems/{name}.sys") as fh:
+        system = parse_system(fh.read())
+    run_full_check(system)
+
+    def refuse(*args):
+        raise AssertionError("the verdict of the check is not reused")
+
+    monkeypatch.setattr(OperatorSpec, "value_at", refuse)
+    for module in (operators, conditions):  # every binding of the function
+        monkeypatch.setattr(module, "is_elliptic", refuse)
+    mm = quadrature.moment_map(system.a, quadrature.build_rule(system.n, 3))
+    assert mm.levels == (3, 4)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_is_elliptic_evaluates_each_sign_pair_once(monkeypatch, n):
+    a = laplacian_operator(n)
+    assert not a.degenerate  # the lattice test runs first, outside the count
+    calls = []
+    orig = OperatorSpec.value_at
+
+    def counted(self, xi):
+        calls.append(tuple(xi))
+        return orig(self, xi)
+
+    monkeypatch.setattr(OperatorSpec, "value_at", counted)
+    assert is_elliptic(a).status == "numerically_positive"
+    assert len(calls) == len(set(calls)) == (3**n - 1) // 2
+    assert all(next(x for x in xi if x) > 0 for xi in calls)
+
+
+def test_cwc_reuses_weak_when_the_subspaces_agree(monkeypatch):
+    from ellsym import conditions
+
+    calls = []
+    orig = conditions.converged_moments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "converged_moments", counted)
+    with open("systems/laplacian_r2.sys") as fh:
+        report = run_full_check(parse_system(fh.read()))
+    assert report.image_basis.intersect(report.kernel_basis) == report.image_basis
+    assert len(calls) == 1
+    assert report.cwc.to_json() == report.weak.to_json()
 
 
 @pytest.mark.parametrize("case", ["divcurl_r3", "genops_333"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ellsym.dsl import parse_operator
-from ellsym.errors import NotEllipticError
+from ellsym.errors import NotEllipticError, NotHomogeneousError
 from ellsym.operators import SYMBOL_BLOCK, OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import mat_vec, nullspace, rank
@@ -231,6 +231,12 @@ def test_annihilator_guard_payload_is_kernel_of_gram():
     assert xi == (F(0), F(1))
     assert a.gram_det.eval(xi) == 0
     assert info.value.kernel_vector == nullspace(a.gram.eval(xi))[0]
+
+
+def test_annihilator_requires_a_single_order():
+    a = parse_operator("from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1", 2)
+    with pytest.raises(NotHomogeneousError):
+        annihilator(a)
 
 
 @pytest.mark.parametrize("n, k", [(2, 3), (3, 4), (4, 2)])

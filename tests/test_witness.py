@@ -527,3 +527,14 @@ def test_blowup_rejects_widths_off_the_grid_or_period(eps):
     for config in (dirac, constrained):
         with pytest.raises(EpsilonTooSmallError):
             blowup_experiment(config)
+
+
+def test_blowup_dirac_data_underflowing_to_zero_record_no_ratio():
+    # nonzero and finite, but every |f|² of the field underflows: ‖f‖_{L¹} = 0
+    config = WitnessConfig(
+        system=load_system("laplacian_r2"), epsilons=[0.8, 0.4], e=(F(1, 10**320), F(0)), grid_n=32
+    )
+    result = blowup_experiment(config)
+    assert result.classification == "INDETERMINATE"
+    assert [r["ratio"] for r in result.rows] == [None, None]
+    assert all("underflow to zero" in d for d in result.diagnostics)

@@ -24,6 +24,11 @@ run the same list of operations:
   certifies, the same for an n = 4 zero on the line through (1, 2, 3, 4)
   (a witness whose sign rests on which compass start wins), a non-isotropic elliptic n = 4 operator (a refined minimum),
   and a source larger than the target;
+- level-3 `moment_map(...).to_json()` and `annihilator` (its rows) for the
+  inline operators of GUARD_CASES, or the class and message of the error
+  each raises: three operators that `check` proves not elliptic away from
+  the axes (an exact zero at (2, 1) on R², an irrational zero on R², an
+  exact zero at (1, 1, 0) on R³), and one with mixed row orders;
 - `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
   which reach the branches of I_A that no system file reaches: a non-scalar
   Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
@@ -111,6 +116,14 @@ ELLIPTIC_CASES = (
     ("source > target", 2, "from 2 to 1\nrows: d1 u1 + d2 u2"),
 )
 
+# (label, space dimension, operator text) for the moment_map / annihilator guard
+GUARD_CASES = (
+    ("n2 square zero", 2, "rows: (d1 - 2 d2)^2 u1"),
+    ("n2 irrational zero", 2, "rows: d1^2 u1 - 2 d2^2 u1"),
+    ("n3 cone times laplacian", 3, "rows: ((d1 - d2)^2 + d3^2)(d1^2 + d2^2 + d3^2) u1"),
+    ("mixed orders", 2, "from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1"),
+)
+
 # div-curl on R^3 after the source change u = M w, M = [[1,1,0],[0,1,0],[0,0,2]]:
 # G is not scalar and I_A = span{e1}
 SHEARED_DIVCURL = (
@@ -150,6 +163,25 @@ print(json.dumps({label: is_elliptic(parse_operator(text, n)).to_json() for labe
 """ % (ELLIPTIC_CASES,)
 
 
+GUARD_SCRIPT = """
+import json
+from ellsym import annihilator, build_rule, format_operator, moment_map, parse_operator
+
+def attempt(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+cases = %r
+out = {}
+for label, n, text in cases:
+    out[label + " moment"] = attempt(lambda: moment_map(parse_operator(text, n), build_rule(n, 3)).to_json())
+    out[label + " annihilator"] = attempt(lambda: format_operator(annihilator(parse_operator(text, n))).splitlines())
+print(json.dumps(out, sort_keys=True))
+""" % (GUARD_CASES,)
+
+
 def operations():
     """(label, argv after the interpreter) for every operation."""
     ops = []
@@ -163,6 +195,7 @@ def operations():
     for seed in LADDER_SEEDS:
         ops.append((f"ladder seed {seed}", ["-c", LADDER_SCRIPT % seed]))
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
+    ops.append(("moment_map and annihilator guard", ["-c", GUARD_SCRIPT]))
     ops.append(("run_full_check inline systems", ["-c", CHECK_SCRIPT]))
     return ops
 
