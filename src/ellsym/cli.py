@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .conditions import WEAK_ZERO_TOL, run_full_check
 from .dsl import format_operator, parse_system
-from .errors import EllsymError, InvalidArgumentError, NotEllipticError
+from .errors import EllsymError, InvalidArgumentError
 from .operators import annihilator, homogenize
 from .quadrature import build_rule, moment_map
 from .witness import WitnessConfig, blowup_experiment
@@ -105,12 +105,7 @@ def cmd_check(args):
 
 def cmd_annihilator(args):
     text, digest = _read_input(args.path)
-    system = parse_system(text)
-    try:
-        ann = annihilator(system.a)
-    except NotEllipticError as exc:
-        sys.stderr.write(f"NotElliptic: {exc}\n")
-        return 1
+    ann = annihilator(parse_system(text).a)
     trivial = not ann.coeffs
     if args.json:
         payload = {

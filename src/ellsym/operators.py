@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditions import is_elliptic
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
-from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from .poly import MatrixPolynomial, Polynomial, monomial_table, monomials_of_degree
 from .ratlinalg import as_fraction_matrix, nullspace
 
 MultiIndex = tuple
@@ -169,17 +169,13 @@ class OperatorSpec:
 
     def symbol_values(self, points):
         """A(ξ) at each row of `points` (real or complex), shape (len(points),
-        target, source): the table of monomials ξ^α times the stacked coefficient
-        matrices C_α, SYMBOL_BLOCK points at a time."""
+        target, source): the `monomial_table` of the ξ^α times the stacked
+        coefficient matrices C_α, SYMBOL_BLOCK points at a time."""
         exps, stack = self._float_coeffs
-        dtype = np.result_type(points, float)
-        out = np.empty((len(points), stack.shape[1]), dtype=dtype)
+        out = np.empty((len(points), stack.shape[1]), dtype=np.result_type(points, float))
         for s in range(0, len(points), SYMBOL_BLOCK):
-            block = points[s:s + SYMBOL_BLOCK]
-            mono = np.ones((len(block), len(exps)), dtype=dtype)
-            for i in range(self.space_dim):
-                mono *= block[:, i:i + 1] ** exps[:, i]
-            np.matmul(mono, stack, out=out[s:s + SYMBOL_BLOCK])
+            block = slice(s, s + SYMBOL_BLOCK)
+            np.matmul(monomial_table(points[block], exps), stack, out=out[block])
         return out.reshape(len(points), self.target_dim, self.source_dim)
 
     @cached_property

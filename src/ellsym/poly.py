@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def monomials_of_degree(nvars, degree):
     """All exponent tuples of the given total degree, descending lex order."""
@@ -30,6 +32,20 @@ def multinomial(degree, alpha):
     for a in alpha:
         val //= math.factorial(a)
     return val
+
+
+def monomial_table(points, exps):
+    """ξ^α for each row ξ of `points` (real or complex) and row α of `exps`: the powers
+    x_i^0 … x_i^max by repeated multiplication (x^e errs by ≤ (e − 1)·u, Higham 2002,
+    §3.1), the columns x_i^(α_i) multiplied in coordinate order."""
+    dtype = np.result_type(points, float)
+    table = np.ones((len(points), len(exps)), dtype=dtype)
+    for i in range(exps.shape[1]):
+        powers = np.ones((len(points), int(exps[:, i].max(initial=0)) + 1), dtype=dtype)
+        for e in range(1, powers.shape[1]):
+            np.multiply(powers[:, e - 1], points[:, i], out=powers[:, e])
+        table *= powers[:, exps[:, i]]
+    return table
 
 
 class Polynomial:

@@ -21,7 +21,7 @@ from .errors import (
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
-from .poly import monomials_of_degree, multinomial
+from .poly import monomial_table, monomials_of_degree, multinomial
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
 MAX_RULE_NODES = 2**22  # sphere nodes per rule: S² through level 10
@@ -161,6 +161,7 @@ def _pseudoinverse_at(a, nodes):
 def moments_for_vectors(a, vectors, rule):
     """Moment integrals ∫ A†(ξ) e ⊗^{k-n} ξ for each vector e.
 
+    The ξ^γ come from the `monomial_table` that `symbol_values` also uses.
     Returns (values, scales): values has one row per input vector holding the
     weighted components of the symmetric tensor; scales holds per-vector
     maxima of the integrand norm over the nodes (the zero-test reference).
@@ -169,11 +170,7 @@ def moments_for_vectors(a, vectors, rule):
     n = a.space_dim
     adag = _pseudoinverse_at(a, rule.nodes)
     gammas, tweights = tensor_basis(n, a.order - n)
-    xi_pow = np.ones((len(rule.nodes), len(gammas)))
-    for gi, gamma in enumerate(gammas):
-        for d, e in enumerate(gamma):
-            if e:
-                xi_pow[:, gi] *= rule.nodes[:, d] ** e
+    xi_pow = monomial_table(rule.nodes, np.array(gammas))
     # A†(-ξ) = (-1)^k A†(ξ) and (-ξ)^γ = (-1)^(k-n) ξ^γ: odd n cancels bitwise
     total_sign = -1 if n % 2 else 1
     values = []

@@ -376,10 +376,14 @@ def blowup_experiment(config):
             evec = np.array([math.inf])
         if not (np.isfinite(evec).all() and evec.any()):
             raise InvalidArgumentError("direction e must be nonzero and finite in floating point")
+        # ratios are linear in e above and below: an exact power-of-two scale keeps squares finite
+        top = np.abs(evec).max()
+        if top > 1.0:
+            evec = np.ldexp(evec, -math.frexp(top)[1])
         hhat = evec / (2.0 * math.pi) ** n * grid.npts**n  # the grid Dirac: ĥ = e·N^n/(2π)^n
 
         def data(eps):
-            return mollified_dirac(grid, eps, config.e, min_factor=config.min_eps_factor)[0]
+            return mollified_dirac(grid, eps, evec, min_factor=config.min_eps_factor)[0]
 
     elif config.mode == "constrained":
         k2 = grid.full.k2

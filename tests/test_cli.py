@@ -82,9 +82,9 @@ def test_annihilator_trivial_note(capsys):
 
 
 def test_annihilator_nonelliptic_errors(capsys):
-    code, _out, err = run(capsys, "annihilator", "systems/quartic_r4.sys")
-    assert code == 1
-    assert "NotElliptic" in err
+    code, out, err = run(capsys, "annihilator", "systems/quartic_r4.sys")
+    assert (code, out) == (1, "")
+    assert err == "error: det(A*A) vanishes at ξ = ('1', '0', '0', '0')\n"
 
 
 def test_moment_command(capsys):
@@ -123,8 +123,8 @@ def test_moment_and_annihilator_refuse_what_check_refuses(capsys, tmp_path, labe
     assert (code, verdict["status"]) == (0, "no")
     where = "at" if verdict["witness_exact"] else "near"
     message = f"det(A*A) vanishes {where} ξ = {tuple(verdict['witness_xi'])}\n"
-    assert run(capsys, "moment", str(path)) == (1, "", "error: " + message)
-    assert run(capsys, "annihilator", str(path)) == (1, "", "NotElliptic: " + message)
+    for command in ("moment", "annihilator"):
+        assert run(capsys, command, str(path)) == (1, "", "error: " + message)
 
 
 def test_witness_constraint_without_data_is_indeterminate(capsys, tmp_path):
@@ -195,6 +195,28 @@ def test_witness_json_deterministic(capsys):
     assert out1 == out2
     env = json.loads(out1)
     assert env["result"]["config"]["seed"] == 3
+
+
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_witness_large_direction_matches_unit_direction(capsys):
+    # the ratios are scale-invariant in e; a finite e near the float limit must
+    # neither overflow the per-mode squares nor print bare NaN tokens
+    results = {}
+    for e in ("1,0", "1e300,0"):
+        code, out, _ = run(
+            capsys, "witness", "systems/laplacian_r2.sys", "--e", e,
+            "--grid", "32", "--eps", "0.8,0.4", "--json",
+        )
+        results[e] = (code, json.loads(out, parse_constant=_no_constant)["result"])
+    (code, unit), (big_code, big) = results["1,0"], results["1e300,0"]
+    assert big_code == code
+    assert big["classification"] == unit["classification"]
+    for row, big_row in zip(unit["rows"], big["rows"]):
+        for key in ("ratio", "center_ratio"):
+            assert big_row[key] == pytest.approx(row[key], rel=1e-15, abs=0)
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

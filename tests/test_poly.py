@@ -1,9 +1,14 @@
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from ellsym.poly import (
     MatrixPolynomial,
     Polynomial,
+    monomial_table,
     monomials_of_degree,
     multinomial,
 )
@@ -155,3 +160,44 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     assert sq == p * p
     assert fourth == p * p * p * p
     assert p**1 == p and p**3 == p * p * p
+
+
+def _exact_monomial(pairs, alpha):
+    """ξ^α in exact complex arithmetic, each coordinate a (re, im) pair of Fractions."""
+    re, im = Fraction(1), Fraction(0)
+    for (zr, zi), e in zip(pairs, alpha):
+        for _ in range(int(e)):
+            re, im = re * zr - im * zi, re * zi + im * zr
+    return re, im
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_monomial_table_degree_12_within_rounding(kind):
+    # each of the d − 1 products of a degree-d monomial errs by at most 2u times
+    # the product of the factors' |Re| + |Im|, so the whole table entry errs by at
+    # most d·2⁻⁵² times the sum of the magnitudes of the expanded terms
+    n = 3
+    exps = np.array([a for d in (0, 1, 5, 12) for a in monomials_of_degree(n, d)])
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(8, n)) * 1.5
+    if kind == "complex":
+        points = points + 1j * rng.normal(size=(8, n))
+    table = monomial_table(points, exps)
+    assert table.shape == (8, len(exps)) and table.dtype == points.dtype
+    for x, row in zip(points, table):
+        pairs = [(Fraction(c.real), Fraction(c.imag)) for c in x.astype(complex)]
+        for alpha, got in zip(exps, row):
+            re, im = _exact_monomial(pairs, alpha)
+            terms = math.prod((abs(z[0]) + abs(z[1])) ** int(e) for z, e in zip(pairs, alpha))
+            bound = sum(alpha) * Fraction(2) ** -52 * terms
+            got = complex(got)
+            assert abs(Fraction(got.real) - re) <= bound and abs(Fraction(got.imag) - im) <= bound
+
+
+def test_monomial_table_empty_and_zero_exponents():
+    points = np.array([[0.5, -2.0], [0.0, 3.0]])
+    empty = monomial_table(points, np.zeros((0, 2), dtype=np.int64))
+    assert empty.shape == (2, 0)
+    ones = monomial_table(points, np.zeros((3, 2), dtype=np.int64))
+    assert np.array_equal(ones, np.ones((2, 3)))  # 0^0 = 1, as for x**0
+    assert monomial_table(points[:0], np.array([[1, 2]])).shape == (0, 1)

@@ -239,6 +239,23 @@ def test_batched_solve_pseudoinverse_matches_exact(index):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("n, k, level", [(2, 6, 5), (4, 7, 3)])
+def test_moment_tensor_monomials_match_exact(n, k, level):
+    # reference: ω^γ at each float node, exact in Fractions and rounded once
+    a = random_elliptic_operator(random.Random(31 + n), n, k)
+    rule = build_rule(n, level)
+    gammas, tweights = tensor_basis(n, k - n)
+    omega = np.array([[float(math.prod(Fraction(x) ** g for x, g in zip(node, gamma)))
+                       for gamma in gammas] for node in rule.nodes])
+    adag = _pseudoinverse_at(a, rule.nodes)
+    vectors = np.eye(a.target_dim)
+    values, _ = moments_for_vectors(a, vectors, rule)
+    for got, e in zip(values, vectors):
+        ref = 2 * np.einsum("m,mv,mg->vg", rule.weights, adag @ e, omega * tweights).ravel()
+        assert np.abs(ref).max() > 0
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_moment_map_identically_singular_symbol(tmp_path, capsys):
     rows = "rows: d1^2 u1 + d1 d2 u2; d1^2 u1 + d1 d2 u2"
     message = "det(A*A) is not a nonzero homogeneous polynomial"

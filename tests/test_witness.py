@@ -7,6 +7,7 @@ import pytest
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import EpsilonTooSmallError, ResidualTooLargeError
 from ellsym.operators import SystemSpec
+from ellsym.poly import monomial_table
 from ellsym.witness import (
     CONSTRAINED_DECAY_POWER,
     Grid,
@@ -52,15 +53,16 @@ def test_symbol_on_modes_is_the_sum_over_alpha(order):
     a = parse_operator(
         f"from 2 to 2\nrows: d1^{order} u1 + 2 d1 d2^{order - 1} u2; -3 d2^{order} u1", 2
     )
+    alphas = sorted(a.coeffs)
     grid = Grid(2, 16)
     for spec in (grid.full, grid.half):
-        kg = np.broadcast_arrays(*spec.k)
-        ref = np.zeros(spec.k2.shape + (2, 2))
-        for idx in np.ndindex(spec.k2.shape):
-            k = [int(kd[idx]) for kd in kg]
-            for alpha, mat in a.coeffs.items():
-                ref[idx] += math.prod(x**e for x, e in zip(k, alpha)) * np.array(mat, dtype=float)
-        assert np.array_equal(symbol_on_modes(a, spec.k), ref)
+        points = np.stack(np.broadcast_arrays(*spec.k), axis=-1).reshape(-1, 2)
+        mono = np.array([[math.prod(int(x) ** e for x, e in zip(k, alpha)) for alpha in alphas]
+                         for k in points], dtype=float)
+        assert np.array_equal(monomial_table(points, np.array(alphas)), mono)
+        coeffs = np.array([a.coeffs[alpha] for alpha in alphas], dtype=float)
+        ref = np.einsum("ma,aij->mij", mono, coeffs)
+        assert np.array_equal(symbol_on_modes(a, spec.k), ref.reshape(spec.k2.shape + (2, 2)))
 
 
 def test_symbol_on_modes_beyond_int64():

@@ -8,10 +8,11 @@ run the same list of operations:
 - `check --json`, `annihilator --json` and `moment --json` on every file in
   `systems/` (`moment` on `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in
   an error, whose message and exit code are compared too);
-- six `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, a
-  constrained `laplacian_div_r2`, a dirac `divcurl_r3` with j = 1, an
-  out-of-range `gradient_r2` direction, whose rows carry the residual
-  diagnostic instead of a ratio, an n = 4 dirac `biharmonic_div_r4` with
+- seven `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, the
+  same with e = (3, 1) (beyond unit size, so `blowup_experiment` scales it
+  by a power of two), a constrained `laplacian_div_r2`, a dirac
+  `divcurl_r3` with j = 1, an out-of-range `gradient_r2` direction, whose
+  rows carry the residual diagnostic instead of a ratio, an n = 4 dirac `biharmonic_div_r4` with
   j = ∞ (a 4x4 symbol, order 4), and a constrained `divcurl_r3` (odd order,
   complex data, out of range; widths of at least two spacings of grid 32);
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
@@ -63,6 +64,7 @@ SYSTEMS = (
 # (label, system, witness options)
 WITNESS_CASES = (
     ("laplacian_r2", "laplacian_r2", ["--e", "1,0", "--eps", "0.4,0.2,0.1", "--grid", "128"]),
+    ("laplacian_r2 e=(3,1)", "laplacian_r2", ["--e", "3,1", "--eps", "0.4,0.2,0.1", "--grid", "128"]),
     (
         "laplacian_div_r2 constrained",
         "laplacian_div_r2",
