@@ -123,9 +123,6 @@ def cmd_annihilator(args):
 def cmd_moment(args):
     text, digest = _read_input(args.path)
     system = parse_system(text)
-    if system.n < 2:
-        sys.stderr.write("error: moment quadrature needs dimension n >= 2\n")
-        return 1
     rule = build_rule(system.n, args.level)
     mm = moment_map(system.a, rule)
     if args.json:

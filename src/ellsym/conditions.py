@@ -27,7 +27,7 @@ from .errors import (
     QuadratureNotConvergedError,
 )
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .quadrature import build_rule, converged_moments, surface_area
+from .quadrature import build_rule, converged_moments, finest_level, surface_area
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
@@ -42,6 +42,7 @@ from .ratlinalg import (
 
 WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
 ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
+SAMPLE_NODES = 2**15  # sphere nodes of the n >= 3 sampler's rule, at most
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
@@ -221,8 +222,13 @@ def _numeric_kernel(a, xi_float):
     return tuple(Fraction(float(x)).limit_denominator(10**6) for x in vt[-1])
 
 
+def sampler_level(n):
+    """The finest rule with at most SAMPLE_NODES nodes (n = 3…6: 7, 4, 3, 2), or 1."""
+    return max(1, finest_level(n, SAMPLE_NODES))
+
+
 def _is_elliptic_sampled(a):
-    """n >= 3: quasi-uniform sphere sampling, then a batched compass search
+    """n >= 3: sampling on the sphere rule's nodes, then a batched compass search
     (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the five lowest pair
     representatives. det G is even, so the mirrored nodes add nothing: the
     five are the ten lowest sphere nodes less their mirrors."""
@@ -232,7 +238,7 @@ def _is_elliptic_sampled(a):
         sym = a.symbol_values(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
-    nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the first rules of >= 10^4 sphere nodes
+    nodes = build_rule(n, sampler_level(n)).nodes
     vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     if scale == 0.0:

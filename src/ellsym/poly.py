@@ -127,9 +127,6 @@ class Polynomial:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)

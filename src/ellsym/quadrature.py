@@ -9,6 +9,7 @@ cancel bitwise, not just to rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,11 +25,21 @@ from .errors import (
 from .poly import monomial_table, monomials_of_degree, multinomial
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
-MAX_RULE_NODES = 2**22  # sphere nodes per rule: S² through level 10
+MAX_RULE_NODES = 2**21  # sphere nodes per rule: S² through level 10
 
 
 def surface_area(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+def rule_size(n, level):
+    """Sphere nodes of `build_rule(n, level)`: 2·m^(n-1), m as in `_sphere`."""
+    return 2 ** ((n - 1) * level + (n > 2))
+
+
+def finest_level(n, nodes):
+    """The finest level whose rule has at most `nodes` sphere nodes, or 0."""
+    return next(level for level in itertools.count() if rule_size(n, level + 1) > nodes)
 
 
 @dataclass
@@ -47,14 +58,11 @@ class QuadratureRule:
 
 
 def build_rule(n, level):
-    """Antithetic rule at a refinement level, one node per ± pair.
-
-    n=2: 2^level equispaced angles (spectral accuracy for smooth integrands);
-    n=3: Gauss-Legendre in cos(theta) x uniform in phi (exact for polynomial
-    degree up to the node counts); n>=4: mirrored low-discrepancy (Halton)
-    nodes with equal weights. A rule over MAX_RULE_NODES sphere nodes is
-    refused before anything is allocated.
-    """
+    """Antithetic rule at a refinement level, one node per ± pair: for n=2,
+    2^level equispaced angles (spectral accuracy for smooth integrands); for
+    n>=3, the Gauss product rule of `_sphere` with m = 2^level, exact to degree
+    2m - 1 (Stroud, Approximate Calculation of Multiple Integrals, 1971). A
+    rule over MAX_RULE_NODES sphere nodes is refused before any allocation."""
     if n < 2:
         raise InvalidArgumentError("sphere rules need n >= 2")
     min_level = 2 if n == 2 else 1  # the circle rule needs at least 4 nodes
@@ -62,58 +70,43 @@ def build_rule(n, level):
         raise InvalidArgumentError(
             f"quadrature level must be >= {min_level} for n={n}, got {level}"
         )
-    # pairs: half of 2^level, of 2^level·2^(level+1), or of 2^(level+5) sphere nodes
-    h = 2 ** (level - 1) if n == 2 else 2 ** (2 * level) if n == 3 else 2 ** (level + 4)
-    if 2 * h > MAX_RULE_NODES:
+    count = rule_size(n, level)
+    if count > MAX_RULE_NODES:
         raise InvalidArgumentError(
-            f"quadrature level {level} on S^{n - 1} needs {2 * h} nodes, over the "
+            f"quadrature level {level} on S^{n - 1} needs {count} nodes, over the "
             f"budget of {MAX_RULE_NODES}"
         )
-    if n == 2:
-        angles = 2.0 * math.pi * np.arange(h) / (2 * h)
-        nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        weights = np.full(h, 2.0 * math.pi / (2 * h))
-    elif n == 3:
-        nz = 2**level
-        nphi = 2 ** (level + 1)
-        z, wz = np.polynomial.legendre.leggauss(nz)
-        pos = z > 0
-        zpos, wpos = z[pos], wz[pos]
-        phis = 2.0 * math.pi * np.arange(nphi) / nphi
-        r = np.sqrt(1.0 - zpos**2)
-        nodes = np.stack(
-            [
-                np.outer(r, np.cos(phis)).ravel(),
-                np.outer(r, np.sin(phis)).ravel(),
-                np.outer(zpos, np.ones(nphi)).ravel(),
-            ],
-            axis=1,
-        )
-        weights = np.outer(wpos, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
-    else:
-        from statistics import NormalDist
-
-        inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
-        g = inv_cdf(_halton(n, h))
-        nodes = g / np.linalg.norm(g, axis=1, keepdims=True)
-        weights = np.full(h, surface_area(n) / (2 * h))
+    nodes, weights = _sphere(n, 2 ** (level - (n == 2)), half=True)
     # renormalize away the last-digit drift so each node is unit to 1e-14
     return QuadratureRule(n, level, nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights)
 
 
-def _halton(n, h):
-    """Unscrambled Halton points (Halton, Numer. Math. 2 (1960)) of indices 1..h
-    (0 is the corner u = 0) in the first n primes, all below n² + 3: the base-p
-    digits of each index mirrored about the radix point (radical inverse)."""
-    primes = [p for p in range(2, n * n + 3) if all(p % q for q in range(2, p))][:n]
-    u = np.zeros((h, n))
-    for d, p in enumerate(primes):
-        i, f = np.arange(1, h + 1), 1.0
-        while i.any():
-            f /= p
-            u[:, d] += f * (i % p)
-            i //= p
-    return u
+def _sphere(n, m, half=False):
+    """Product rule on S^{n-1} ∋ (√(1-t²)·ω', t), dσ = (1-t²)^((n-3)/2) dt dσ':
+    m Gauss–Gegenbauer nodes t times the rule on S^{n-2}, down to a circle of
+    2m equispaced nodes. `half` keeps one node of each ± pair: t > 0, or on
+    the circle the angles in [0, π)."""
+    if n == 2:
+        angles = 2.0 * math.pi * np.arange(m if half else 2 * m) / (2 * m)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1), np.full(len(angles), math.pi / m)
+    t, w = _gauss_gegenbauer(m, (n - 2) / 2)
+    if half:
+        t, w = t[t > 0], w[t > 0]
+    inner, inner_w = _sphere(n - 1, m)
+    nodes = np.sqrt(1.0 - t**2)[:, None, None] * np.pad(inner, ((0, 0), (0, 1)))
+    nodes[:, :, -1] = t[:, None]
+    return nodes.reshape(-1, n), np.outer(w, inner_w).ravel()
+
+
+def _gauss_gegenbauer(m, lam):
+    """m-point Gauss rule for the weight (1-t²)^(λ-1/2) on [-1, 1] by Golub–Welsch
+    (Math. Comp. 23 (1969)): the nodes are the eigenvalues of the Jacobi matrix,
+    the weights μ₀·v₀²; mirrored so that the rule is exactly symmetric."""
+    j = np.arange(1, m)
+    off = 0.5 * np.sqrt(j * (j + 2 * lam - 1) / ((j + lam) * (j + lam - 1)))
+    t, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1) * v[0] ** 2
+    return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
 def _require_moments(a):
@@ -248,21 +241,25 @@ def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
     (relative to the integrand scale times the sphere area); returns the finer
     values, their per-vector scales, the error and the two rules compared."""
     _require_moments(a)  # before any rule is built
-    return _refine(a, vectors, build_rule(a.space_dim, base_level), rel_tol, max_level)
+    base = min(base_level, finest_level(a.space_dim, MAX_RULE_NODES))  # n >= 8: below 3
+    return _refine(a, vectors, build_rule(a.space_dim, base), rel_tol, max_level)
 
 
 def _refine(a, vectors, rule, rel_tol, max_level):
     """The level loop behind every moment: start at `rule`, stop at the first
-    level that agrees with the one below it, or raise after max_level."""
+    level that agrees with the one below it, or raise after max_level or at
+    the last level within MAX_RULE_NODES."""
     area = surface_area(a.space_dim)
     vals, _ = moments_for_vectors(a, vectors, rule)
-    while rule.level < max_level:
+    top = min(max_level, finest_level(rule.n, MAX_RULE_NODES))
+    while rule.level < top:
         fine = build_rule(rule.n, rule.level + 1)
         fine_vals, scales = moments_for_vectors(a, vectors, fine)
         err = float(np.abs(fine_vals - vals).max())
         if err <= rel_tol * max(area * float(scales.max()), 1e-300):
             return fine_vals, scales, err, (rule, fine)
         rule, vals = fine, fine_vals
+    over = f", the finest within the budget of {MAX_RULE_NODES} nodes" if top < max_level else ""
     raise QuadratureNotConvergedError(
-        f"moment quadrature did not converge by level {max_level}"
+        f"moment quadrature did not converge by level {rule.level}{over}"
     )

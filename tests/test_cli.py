@@ -248,14 +248,16 @@ def test_missing_file_exit_code(capsys):
         ("witness", "systems/laplacian_r2.sys", "--e", "1e400,0", "--grid", "32", "--eps", "0.8,0.4"),
         ("check", "{tmp}"),
         ("check", "systems/laplacian_r2.sys", "--out", "{tmp}"),
+        ("moment", "{tmp}/line.sys"),
     ],
     ids=[
         "level-1", "level-0", "dirac-without-e", "e-too-short", "odd-grid",
         "level-over-budget", "tol-nan", "tol-negative", "e-zero", "e-zero-denominator",
-        "e-beyond-float", "input-is-directory", "out-is-directory",
+        "e-beyond-float", "input-is-directory", "out-is-directory", "moment-dim-1",
     ],
 )
 def test_invalid_argument_exit_code(capsys, tmp_path, argv):
+    (tmp_path / "line.sys").write_text("dim 1\noperator A {\n  from 1 to 1\n  rows: d1^2 u1\n}\n")
     code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert code == 1
     assert out == ""

@@ -413,6 +413,7 @@ def _nelder_mead_minimum(a):
     five lowest pair representatives: the reference for the compass search."""
     from scipy.optimize import minimize
 
+    from ellsym.conditions import sampler_level
     from ellsym.quadrature import build_rule
 
     def det_g(points):
@@ -420,7 +421,7 @@ def _nelder_mead_minimum(a):
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     n = a.space_dim
-    nodes = build_rule(n, 7 if n == 3 else 9).nodes  # the nodes is_elliptic samples
+    nodes = build_rule(n, sampler_level(n)).nodes  # the nodes is_elliptic samples
     vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     best = float(vals.min()) / scale
@@ -478,6 +479,18 @@ def test_weak_cancellation_odd_dimension_holds():
     assert res.holds
     for _e, nrm in res.moments:
         assert nrm == 0.0
+
+
+def test_weak_cancellation_r4_quartic_converges():
+    # the elliptic scalar Σ ∂_i⁴ on R⁴: I_A = E and M e = ∫ dσ/Σω_i⁴ on S³; the
+    # reference value is a Hopf-coordinate Gauss–Legendre rule, independent of
+    # the product rule that converges here
+    a = parse_operator("rows: d1^4 u1 + d2^4 u1 + d3^4 u1 + d4^4 u1", 4)
+    report = run_full_check(SystemSpec(a, None, 4))
+    assert not any("moment quadrature" in d for d in report.diagnostics)
+    assert not report.weak.holds and report.weak.levels == (5, 6)
+    [(_e, nrm)] = report.weak.moments
+    assert abs(nrm - 43.198066515915) <= 1e-9 * 43.198066515915
 
 
 # -- invariance properties ----------------------------------------------------------

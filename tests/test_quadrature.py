@@ -9,6 +9,7 @@ import pytest
 from ellsym.cli import main
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import NearSingularSymbolError, NotHomogeneousError, OrderTooLowError
+from ellsym.poly import monomial_table, monomials_of_degree
 from ellsym.quadrature import (
     _pseudoinverse_at,
     build_rule,
@@ -140,6 +141,21 @@ def test_converged_moments_raises_when_levels_exhausted():
         converged_moments(a, [(1.0, 0.0)], base_level=3, max_level=3, rel_tol=0.0)
 
 
+def test_refine_stops_at_the_budget_without_building_past_it(monkeypatch):
+    # S³ at level 6 has 2^19 nodes; level 7 would need 2^22, over MAX_RULE_NODES
+    from ellsym import quadrature
+    from ellsym.errors import QuadratureNotConvergedError
+
+    a = parse_operator("rows: d1^4 u1 + d2^4 u1 + d3^4 u1 + d4^4 u1", 4)
+    rule = build_rule(4, 6)
+    built = []
+    monkeypatch.setattr(quadrature, "build_rule", lambda n, level: built.append(level) or build_rule(n, level))
+    message = "did not converge by level 6, the finest within the budget of 2097152 nodes"
+    with pytest.raises(QuadratureNotConvergedError, match=message):
+        quadrature._refine(a, [(1.0,)], rule, rel_tol=0.0, max_level=9)
+    assert built == []
+
+
 def test_random_elliptic_odd_dimension_bitwise_zero():
     rng = random.Random(4242)
     for k in (3, 4, 5):
@@ -170,7 +186,8 @@ def test_tensor_basis_weights():
 
 
 def test_import_leaves_scipy_unloaded():
-    # importing, and the n >= 4 paths (sampled ellipticity, Halton rules)
+    # importing, and the n >= 4 paths (sampled ellipticity, Gauss–Gegenbauer
+    # product rules, whose nodes come from numpy's eigh)
     import subprocess
     import sys
 
@@ -187,20 +204,39 @@ def test_import_leaves_scipy_unloaded():
         assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_halton_rule_matches_scipy_reference(n):
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+def folland_integral(beta):
+    """∫_{S^{n-1}} ω^β dσ in closed form (Folland, Amer. Math. Monthly 108
+    (2001)): 2·∏Γ(b_i)/Γ(Σb_i) with b_i = (β_i + 1)/2, and 0 for any odd β_i."""
+    if any(b % 2 for b in beta):
+        return 0.0
+    halves = [(b + 1) / 2 for b in beta]
+    return 2 * math.prod(math.gamma(h) for h in halves) / math.gamma(sum(halves))
 
-    for level in range(1, 10):
-        h = 2 ** (level + 4)
-        seq = qmc.Halton(d=n, scramble=False, seed=0)
-        seq.fast_forward(1)
-        g = ndtri(seq.random(h))
-        half = g / np.linalg.norm(g, axis=1, keepdims=True)
-        nodes = build_rule(n, level).nodes
-        assert len(nodes) == h
-        assert np.abs(nodes - half).max() < 1e-14
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_product_rule_exact_to_its_degree(n):
+    # every ω^β with |β| <= 2^(level+1) - 1, as β = (α, γ) over the first and
+    # the last coordinates: one matrix product per |α| and per block of 1024
+    # pairs sums them all; ±ω add (1 + (-1)^|β|) times the stored node's term.
+    # The bound is rounding in sums of up to 2^15 terms of size <= the weights.
+    head, tail = n // 2, n - n // 2
+    for level in (1, 2, 3):
+        deg = 2 ** (level + 1) - 1
+        rule = build_rule(n, level)
+        alphas = [monomials_of_degree(head, a) for a in range(deg + 1)]
+        gammas = [g for d in range(deg + 1) for g in monomials_of_degree(tail, d)]
+        sums = [0.0] * (deg + 1)
+        for block in np.array_split(np.arange(len(rule.nodes)), -(-len(rule.nodes) // 1024)):
+            right = monomial_table(rule.nodes[block, head:], np.array(gammas))
+            for a in range(deg + 1):
+                left = monomial_table(rule.nodes[block, :head], np.array(alphas[a]))
+                left *= rule.weights[block, None]
+                sums[a] = sums[a] + left.T @ right[:, : math.comb(deg - a + tail, tail)]
+        for a in range(deg + 1):
+            for alpha, row in zip(alphas[a], sums[a]):
+                for gamma, total in zip(gammas, row):
+                    got = total * (1 + (-1) ** (a + sum(gamma)))
+                    assert abs(got - folland_integral(alpha + gamma)) <= 4e-14
 
 
 def _reference_operators():

@@ -33,9 +33,10 @@ run the same list of operations:
 - `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
   which reach the branches of I_A that no system file reaches: a non-scalar
   Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
-  (I_A = E), constrained systems whose CC fails, and the inconclusive n = 3
+  (I_A = E), constrained systems whose CC fails, the inconclusive n = 3
   operator of ELLIPTIC_CASES, whose report carries the diagnostics of an
-  inconclusive ellipticity verdict.
+  inconclusive ellipticity verdict, and the quartic Σ ∂_i⁴ on R⁴, whose
+  weak verdict needs the n = 4 moment quadrature to converge.
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -146,6 +147,7 @@ CHECK_CASES = (
     ("sheared laplacian", "dim 2\n" + SHEARED_LAPLACIAN),
     ("sheared laplacian, CC fails", "dim 2\n" + SHEARED_LAPLACIAN + "constraint C {\n  from 2 to 1\n  rows: d1 f1\n}\n"),
     ("n3 inconclusive", "dim 3\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1\n}\n"),
+    ("R4 quartic", "dim 4\noperator A {\n  from 1 to 1\n  rows: d1^4 u1 + d2^4 u1 + d3^4 u1 + d4^4 u1\n}\n"),
 )
 
 CHECK_SCRIPT = """
