@@ -27,7 +27,7 @@ from .errors import (
     QuadratureNotConvergedError,
 )
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .quadrature import build_rule, converged_moments, finest_level, surface_area
+from .quadrature import converged_moments, sample_nodes, surface_area
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
@@ -42,7 +42,6 @@ from .ratlinalg import (
 
 WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
 ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
-SAMPLE_NODES = 2**15  # sphere nodes of the n >= 3 sampler's rule, at most
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
@@ -104,24 +103,16 @@ class EllipticityVerdict:
 
 def _integerize(vec):
     """Clear denominators and common factors for a tidy exact witness."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    g = math.gcd(*ints) or 1
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def _gram_kernel_at(a, xi):
     """Exact kernel vector of A(ξ) at a rational point; None iff det G(ξ) ≠ 0."""
     kern = nullspace(a.value_at(xi))
-    if kern:
-        return _integerize(kern[0])
-    return None
+    return _integerize(kern[0]) if kern else None
 
 
 def _axis_and_sign_candidates(n, limit=3**7):
@@ -222,13 +213,8 @@ def _numeric_kernel(a, xi_float):
     return tuple(Fraction(float(x)).limit_denominator(10**6) for x in vt[-1])
 
 
-def sampler_level(n):
-    """The finest rule with at most SAMPLE_NODES nodes (n = 3…6: 7, 4, 3, 2), or 1."""
-    return max(1, finest_level(n, SAMPLE_NODES))
-
-
 def _is_elliptic_sampled(a):
-    """n >= 3: sampling on the sphere rule's nodes, then a batched compass search
+    """n >= 3: sampling on `sample_nodes`, then a batched compass search
     (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the five lowest pair
     representatives. det G is even, so the mirrored nodes add nothing: the
     five are the ten lowest sphere nodes less their mirrors."""
@@ -238,7 +224,7 @@ def _is_elliptic_sampled(a):
         sym = a.symbol_values(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
-    nodes = build_rule(n, sampler_level(n)).nodes
+    nodes = sample_nodes(n)
     vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     if scale == 0.0:
@@ -400,13 +386,8 @@ def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL):
     vals, scales, err, rules = converged_moments(a, vectors, rel_tol=tol)
     levels = tuple(r.level for r in rules)
     area = surface_area(n)
-    moments = []
-    holds = True
-    for row, vec, scl in zip(subspace.basis, vals, scales):
-        nrm = float(np.linalg.norm(vec))
-        moments.append((row, nrm))
-        if nrm > tol * area * max(scl, 1e-300):
-            holds = False
+    moments = [(row, float(np.linalg.norm(vec))) for row, vec in zip(subspace.basis, vals)]
+    holds = not any(nrm > tol * area * max(scl, 1e-300) for (_, nrm), scl in zip(moments, scales))
     return WeakCancellationResult(holds, False, moments, float(scales.max()), err, levels, tol)
 
 

@@ -26,6 +26,7 @@ from .poly import monomial_table, monomials_of_degree, multinomial
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
 MAX_RULE_NODES = 2**21  # sphere nodes per rule: S² through level 10
+SAMPLE_NODES = 2**15  # sphere nodes of the sampler and of a refinement's first rule, at most
 
 
 def surface_area(n):
@@ -79,6 +80,20 @@ def build_rule(n, level):
     nodes, weights = _sphere(n, 2 ** (level - (n == 2)), half=True)
     # renormalize away the last-digit drift so each node is unit to 1e-14
     return QuadratureRule(n, level, nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights)
+
+
+def sample_nodes(n):
+    """One node of each ± pair of at most SAMPLE_NODES sphere nodes: the finest
+    product rule that fits while that is level 2 or finer (n ≤ 8; level 7 on S²,
+    4 on S³, 3 on S⁴, 2 on S⁵ to S⁷). Above, the level-1 nodes share one sorted
+    |ξ_i| pattern, and from n = 16 on are too many: SAMPLE_NODES/2 normalized
+    Gaussian points of a fixed seed, uniform on the sphere (Muller, Comm. ACM 2
+    (1959))."""
+    level = finest_level(n, SAMPLE_NODES)
+    if level >= 2:
+        return build_rule(n, level).nodes
+    g = np.random.default_rng(0).standard_normal((SAMPLE_NODES // 2, n))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def _sphere(n, m, half=False):
@@ -237,12 +252,16 @@ def moment_map(a, rule):
 
 
 def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
-    """Refine from base_level until two successive levels agree to rel_tol
-    (relative to the integrand scale times the sphere area); returns the finer
-    values, their per-vector scales, the error and the two rules compared."""
+    """Refine until two successive levels agree to rel_tol (relative to the
+    integrand scale times the sphere area); returns the finer values, their
+    per-vector scales, the error and the two rules compared. The first level is
+    base_level, or coarser where that rule has more than SAMPLE_NODES nodes
+    (n ≥ 6) or leaves no finer level within MAX_RULE_NODES (n ≥ 8)."""
     _require_moments(a)  # before any rule is built
-    base = min(base_level, finest_level(a.space_dim, MAX_RULE_NODES))  # n >= 8: below 3
-    return _refine(a, vectors, build_rule(a.space_dim, base), rel_tol, max_level)
+    n = a.space_dim
+    top = finest_level(n, MAX_RULE_NODES)
+    base = max(1, min(base_level, finest_level(n, SAMPLE_NODES), top - 1))
+    return _refine(a, vectors, build_rule(n, base), rel_tol, max_level)
 
 
 def _refine(a, vectors, rule, rel_tol, max_level):

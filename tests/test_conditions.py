@@ -408,20 +408,37 @@ def test_elliptic_sampled_refinement_certifies_rational_zero(n):
     assert v.kernel_vector == (F(1),)
 
 
+@pytest.mark.parametrize("n", [9, 22])
+def test_elliptic_sampled_finds_an_off_axis_zero_in_high_dimension(n):
+    # A(ξ) = (ξ1 − ξ2, ξ3, ..., ξn)ᵀ vanishes only on the line through (1, 1, 0, ...);
+    # from n = 8 on the candidates are the axes alone, so only the sampler finds it
+    rows = "; ".join(["d1 u1 - d2 u1"] + [f"d{j} u1" for j in range(3, n + 1)])
+    v = is_elliptic(parse_operator(f"rows: {rows}", n))
+    assert v.status == "no" and v.witness_exact
+    assert v.witness_xi == (F(1), F(1)) + (F(0),) * (n - 2)
+
+
+def test_check_gradient_r22_gets_a_verdict():
+    # the coarsest product rule on S^21 has 2^22 nodes, over the rule budget
+    n = 22
+    report = run_full_check(SystemSpec(gradient_operator(n), None, n))
+    assert report.elliptic.status == "numerically_positive"
+    assert report.exit_status() == 0
+
+
 def _nelder_mead_minimum(a):
     """The sphere minimum of det G as scipy's Nelder–Mead refines it from the
     five lowest pair representatives: the reference for the compass search."""
     from scipy.optimize import minimize
 
-    from ellsym.conditions import sampler_level
-    from ellsym.quadrature import build_rule
+    from ellsym.quadrature import sample_nodes
 
     def det_g(points):
         sym = a.symbol_values(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     n = a.space_dim
-    nodes = build_rule(n, sampler_level(n)).nodes  # the nodes is_elliptic samples
+    nodes = sample_nodes(n)  # the nodes is_elliptic samples
     vals = det_g(nodes)
     scale = float(np.abs(vals).max())
     best = float(vals.min()) / scale

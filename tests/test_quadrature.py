@@ -11,11 +11,13 @@ from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import NearSingularSymbolError, NotHomogeneousError, OrderTooLowError
 from ellsym.poly import monomial_table, monomials_of_degree
 from ellsym.quadrature import (
+    SAMPLE_NODES,
     _pseudoinverse_at,
     build_rule,
     converged_moments,
     moment_map,
     moments_for_vectors,
+    sample_nodes,
     surface_area,
     tensor_basis,
 )
@@ -154,6 +156,27 @@ def test_refine_stops_at_the_budget_without_building_past_it(monkeypatch):
     with pytest.raises(QuadratureNotConvergedError, match=message):
         quadrature._refine(a, [(1.0,)], rule, rel_tol=0.0, max_level=9)
     assert built == []
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 16, 22])
+def test_sample_nodes_keep_the_budget_and_spread_in_every_dimension(n):
+    # the level-1 rule is one orbit of the sign flips (every node has the same
+    # sorted |ξ_i|), and from n = 16 on it has more than SAMPLE_NODES nodes
+    nodes = sample_nodes(n)
+    assert nodes.shape[1] == n and 2 * len(nodes) <= SAMPLE_NODES
+    assert np.allclose(np.linalg.norm(nodes, axis=1), 1.0, atol=1e-14)
+    assert np.ptp(np.sort(np.abs(nodes), axis=1), axis=0).max() > 0.25
+
+
+@pytest.mark.parametrize("n, levels", [(6, (2, 3)), (8, (1, 2))])
+def test_converged_moments_starts_within_the_sample_budget(n, levels):
+    # level 3 on S⁵ has 2^16 nodes, over SAMPLE_NODES; on S⁷ level 2 is the last
+    # within MAX_RULE_NODES. (−Δ)^(n/2) has the constant integrand 1, which
+    # every level integrates exactly, so the first two levels agree
+    a = laplacian_operator(n, power=n // 2, dim=1)
+    vals, _, _, rules = converged_moments(a, [(1.0,)])
+    assert tuple(r.level for r in rules) == levels
+    assert abs(vals[0, 0] - surface_area(n)) <= 1e-13 * surface_area(n)
 
 
 def test_random_elliptic_odd_dimension_bitwise_zero():
