@@ -35,6 +35,7 @@ from .ratlinalg import (
     mat_mul,
     mat_vec,
     nullspace,
+    primitive,
     projection_onto_rowspace,
     solve,
     transpose,
@@ -101,20 +102,6 @@ class EllipticityVerdict:
         return d
 
 
-def _integerize(vec):
-    """Clear denominators and common factors for a tidy exact witness."""
-    denom = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = math.gcd(*ints) or 1
-    return tuple(Fraction(v // g) for v in ints)
-
-
-def _gram_kernel_at(a, xi):
-    """Exact kernel vector of A(ξ) at a rational point; None iff det G(ξ) ≠ 0."""
-    kern = nullspace(a.value_at(xi))
-    return _integerize(kern[0]) if kern else None
-
-
 def _axis_and_sign_candidates(n, limit=3**7):
     """Exact candidate points: basis vectors, then small {-1,0,1} patterns; each
     pattern comes before its mirror, as 1 comes before -1."""
@@ -145,21 +132,17 @@ def is_elliptic(a):
         note = None
     if note:
         e1 = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-        kern = _gram_kernel_at(a, e1)
         return EllipticityVerdict(
-            "no", witness_xi=e1, kernel_vector=kern, witness_exact=True, note=note
+            "no", witness_xi=e1, kernel_vector=a.kernel_at(e1), witness_exact=True, note=note
         )
     if n == 1:
         return EllipticityVerdict("yes")
 
     # exact witnesses at axis/sign points first (cheap, and they exist for
-    # every non-elliptic example in the bundled systems); A(−ξ) = ±A(ξ), so a
-    # mirror, listed after its pair, reuses that pair's kernel
-    kernels = {}
-    for xi in _axis_and_sign_candidates(n):
-        neg = tuple(-x for x in xi)
-        kernels[xi] = kernels[neg] if neg in kernels else _gram_kernel_at(a, xi)
-    exact_hits = [(xi, v) for xi, v in kernels.items() if v is not None]
+    # every non-elliptic example in the bundled systems); a mirror, listed
+    # after its pair, is on the same line, so `kernel_at` evaluates it once
+    candidates = _axis_and_sign_candidates(n)
+    exact_hits = [(xi, v) for xi in candidates if (v := a.kernel_at(xi)) is not None]
     if exact_hits:
         (xi0, v0), rest = exact_hits[0], exact_hits[1:]
         return EllipticityVerdict(
@@ -189,10 +172,9 @@ def _is_elliptic_2d(a):
         return EllipticityVerdict("yes")
     hit = sturm.isolate_a_root(p)
     if hit[0] == "exact":
-        t = hit[1]
-        xi = _integerize((Fraction(1), t))
+        xi = primitive((1, hit[1]))
         return EllipticityVerdict(
-            "no", witness_xi=xi, kernel_vector=_gram_kernel_at(a, xi), witness_exact=True
+            "no", witness_xi=xi, kernel_vector=a.kernel_at(xi), witness_exact=True
         )
     lo, hi = hit[1], hit[2]
     mid = (lo + hi) / 2
@@ -251,18 +233,10 @@ def _is_elliptic_sampled(a):
     if best <= ELLIPTIC_MIN_THRESHOLD:
         for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
             cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
-            if not any(cand):
-                continue
-            if next(c for c in cand if c) < 0:  # ±ξ share ker A: report the one with
-                cand = tuple(-c for c in cand)  # first nonzero coordinate positive
-            # A(cξ) = c^k A(ξ): the integerized point has the same kernel
-            kern = _gram_kernel_at(a, cand)
-            if kern is not None:
+            # ±ξ and every multiple of ξ share ker A: report the primitive point
+            if any(cand) and (kern := a.kernel_at(cand)) is not None:
                 return EllipticityVerdict(
-                    "no",
-                    witness_xi=_integerize(cand),
-                    kernel_vector=kern,
-                    witness_exact=True,
+                    "no", witness_xi=primitive(cand), kernel_vector=kern, witness_exact=True
                 )
         return EllipticityVerdict(
             "inconclusive",
@@ -301,8 +275,15 @@ def image_intersection(a):
         raise NotHomogeneousError("I_A requires a single-order operator")
     square = a.source_dim == a.target_dim
     perp, basis = [], identity(a.target_dim)  # S^⊥ spanned by perp; S by basis
-    for a_xi in a.injective_values(a.lattice()[:1] if square else a.lattice()):
-        perp += nullspace(transpose(a_xi))  # im A(α)^⊥ = ker A(α)ᵀ
+    for alpha in a.lattice()[:1] if square else a.lattice():
+        left = nullspace(transpose(a.value_at(alpha)))  # im A(α)^⊥ = ker A(α)ᵀ
+        if len(left) != a.target_dim - a.source_dim:  # A(α) is not injective
+            raise NotEllipticError(
+                f"det(A*A) vanishes at ξ = {tuple(str(x) for x in alpha)}",
+                witness_xi=alpha,
+                kernel_vector=a.kernel_at(alpha),
+            )
+        perp += left
         basis = nullspace(perp, ncols=a.target_dim)
         if not basis:
             break

@@ -78,9 +78,9 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdigit() and ch.isascii():  # isdigit alone admits ², ٣, …
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdigit() and text[i].isascii():
                 i += 1
             tokens.append(Token("NUMBER", int(text[start:i]), line, col))
             col += i - start
@@ -200,7 +200,7 @@ class _Parser:
 
     def _classify_ident(self, tok):
         name = tok.value
-        if len(name) >= 2 and name[0] in "dfu" and name[1:].isdigit():
+        if len(name) >= 2 and name[0] in "dfu" and name[1:].isdigit() and name.isascii():
             return name[0], int(name[1:])
         raise DslSyntaxError(
             f"expected a derivative (d1..d{self.nvars}) or component, found {name!r}",
@@ -323,6 +323,8 @@ def _build_operator(rows, nvars, sig, text_name="operator"):
         raise DimensionMismatchError(
             f"{text_name} declares {sig[1]} rows but defines {target_dim}"
         )
+    if not rows:
+        raise DslSyntaxError(f"{text_name} has no rows")
     coeffs = {}
     for j, (comps, line) in enumerate(rows):
         degrees = set()

@@ -19,7 +19,7 @@ import numpy as np
 from .conditions import is_elliptic
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, Polynomial, monomial_table, monomials_of_degree
-from .ratlinalg import as_fraction_matrix, nullspace
+from .ratlinalg import nullspace, primitive
 
 MultiIndex = tuple
 SYMBOL_BLOCK = 4096  # points per monomial table in symbol_values; bounds the temporaries
@@ -85,66 +85,6 @@ class OperatorSpec:
             )
         return degs.pop()
 
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other):
-        assert (self.space_dim, self.source_dim, self.target_dim) == (
-            other.space_dim,
-            other.source_dim,
-            other.target_dim,
-        )
-        coeffs = {a: [list(r) for r in m] for a, m in self.coeffs.items()}
-        for a, m in other.coeffs.items():
-            if a in coeffs:
-                coeffs[a] = [
-                    [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(coeffs[a], m)
-                ]
-            else:
-                coeffs[a] = [list(r) for r in m]
-        return OperatorSpec(self.space_dim, self.source_dim, self.target_dim, coeffs)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return OperatorSpec(
-            self.space_dim,
-            self.source_dim,
-            self.target_dim,
-            {a: [[c * x for x in row] for row in m] for a, m in self.coeffs.items()},
-        )
-
-    def compose_left(self, mat):
-        """M ∘ A for a constant matrix M (target side change of coordinates)."""
-        mat = as_fraction_matrix(mat)
-        assert len(mat[0]) == self.target_dim
-        out = {}
-        for a, m in self.coeffs.items():
-            prod = [
-                [
-                    sum((mat[i][k] * m[k][j] for k in range(self.target_dim)), Fraction(0))
-                    for j in range(self.source_dim)
-                ]
-                for i in range(len(mat))
-            ]
-            out[a] = prod
-        return OperatorSpec(self.space_dim, self.source_dim, len(mat), out)
-
-    def compose_right(self, mat):
-        """A ∘ M for a constant matrix M (source side change of coordinates)."""
-        mat = as_fraction_matrix(mat)
-        assert len(mat) == self.source_dim
-        new_source = len(mat[0])
-        out = {}
-        for a, m in self.coeffs.items():
-            prod = [
-                [
-                    sum((m[i][k] * mat[k][j] for k in range(self.source_dim)), Fraction(0))
-                    for j in range(new_source)
-                ]
-                for i in range(self.target_dim)
-            ]
-            out[a] = prod
-        return OperatorSpec(self.space_dim, new_source, self.target_dim, out)
-
     # -- symbol data, each built on first use and kept ------------------------
 
     def symbol(self):
@@ -202,14 +142,33 @@ class OperatorSpec:
         return self.gram.adjugate() * self.symbol().transpose()
 
     def value_at(self, xi):
-        """Exact A(ξ) = Σ ξ^α C_α at a rational point, one ξ^α per multi-index."""
-        xi = [Fraction(x) for x in xi]
-        out = [[Fraction(0)] * self.source_dim for _ in range(self.target_dim)]
-        for alpha, mat in self.coeffs.items():
+        """c·A(ξ) = Σ ξ^α (c·C_α) in ints at an integer point, c the common
+        denominator of the coefficients: it has the kernel and image of A(ξ)."""
+        out = [[0] * self.source_dim for _ in range(self.target_dim)]
+        for alpha, mat in self._int_coeffs.items():
             w = math.prod(x**e for x, e in zip(xi, alpha) if e)
             if w:
                 out = [[o + w * c if c else o for o, c in zip(r, cr)] for r, cr in zip(out, mat)]
         return out
+
+    @cached_property
+    def _int_coeffs(self):
+        c = math.lcm(*(x.denominator for m in self.coeffs.values() for row in m for x in row))
+        return {alpha: [[int(x * c) for x in row] for row in m] for alpha, m in self.coeffs.items()}
+
+    def kernel_at(self, xi):
+        """The canonical kernel vector of A at `primitive(ξ)`, None where A is
+        injective. A(cξ) is A(ξ) with its rows scaled by powers of c, so the
+        answer holds on the whole line through ξ, and each line is evaluated once."""
+        p = primitive(xi)
+        if p not in self._kernels:
+            kern = nullspace(self.value_at(p))
+            self._kernels[p] = primitive(kern[0]) if kern else None
+        return self._kernels[p]
+
+    @cached_property
+    def _kernels(self):
+        return {}
 
     def lattice(self):
         """Λ_D = {α ∈ ℕⁿ : |α| = D}, D = dim V · max row degree. Each dim V-minor of
@@ -224,21 +183,7 @@ class OperatorSpec:
         """det G ≡ 0, exactly. det G is the sum of the squared dim V-minors of A
         (Cauchy–Binet), so it vanishes identically iff A(α) is singular at
         every α ∈ Λ_D."""
-        return all(nullspace(self.value_at(alpha)) for alpha in self.lattice())
-
-    def injective_values(self, points):
-        """Yield A(ξ) at each point in turn; raise NotEllipticError at the first
-        point where A(ξ) has a kernel, with ξ and a kernel vector as its payload."""
-        for xi in points:
-            val = self.value_at(xi)
-            kern = nullspace(val)
-            if kern:
-                raise NotEllipticError(
-                    f"det(A*A) vanishes at ξ = {tuple(str(x) for x in xi)}",
-                    witness_xi=xi,
-                    kernel_vector=kern[0],
-                )
-            yield val
+        return all(self.kernel_at(alpha) is not None for alpha in self.lattice())
 
     @cached_property
     def ellipticity(self):

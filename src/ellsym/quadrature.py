@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     InvalidArgumentError,
     NearSingularSymbolError,
-    NotHomogeneousError,
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
@@ -125,10 +124,8 @@ def _gauss_gegenbauer(m, lam):
 
 
 def _require_moments(a):
-    """Raise unless the moment map is defined: det G ≢ 0 and k >= n."""
+    """Raise unless k >= n; `require_elliptic` refuses det G ≡ 0."""
     k = a.order
-    if a.degenerate:
-        raise NotHomogeneousError("det(A*A) is not a nonzero homogeneous polynomial")
     if k < a.space_dim:
         raise OrderTooLowError(
             f"moment map needs order k >= n, got k={k}, n={a.space_dim}"

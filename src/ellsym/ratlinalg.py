@@ -6,6 +6,7 @@ Subspaces are kept in reduced row echelon form so equality is structural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,17 @@ def as_fraction_matrix(rows):
 
 def as_fraction_vector(v):
     return tuple(Fraction(x) for x in v)
+
+
+def primitive(v):
+    """The primitive integer multiple of a rational vector whose first nonzero
+    coordinate is positive, as a tuple of ints; 0 stays 0."""
+    v = [Fraction(x) for x in v]
+    d = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * d) for x in v]
+    g = math.gcd(*ints) or 1
+    g = -g if next((x for x in ints if x), 0) < 0 else g
+    return tuple(x // g for x in ints)
 
 
 def identity(m):

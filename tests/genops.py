@@ -6,6 +6,7 @@ import numpy as np
 
 from ellsym.operators import OperatorSpec
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from ellsym.ratlinalg import as_fraction_matrix, mat_mul
 
 NONZERO_COEFFS = [
     Fraction(1),
@@ -17,6 +18,43 @@ NONZERO_COEFFS = [
     Fraction(-1, 3),
     Fraction(5, 2),
 ]
+
+
+# -- operator algebra -------------------------------------------------------------
+
+
+def add(a, b):
+    """A + B for operators between the same spaces."""
+    assert (a.space_dim, a.source_dim, a.target_dim) == (b.space_dim, b.source_dim, b.target_dim)
+    coeffs = {alpha: [list(r) for r in m] for alpha, m in a.coeffs.items()}
+    for alpha, m in b.coeffs.items():
+        acc = coeffs.get(alpha, [[0] * a.source_dim for _ in range(a.target_dim)])
+        coeffs[alpha] = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(acc, m)]
+    return OperatorSpec(a.space_dim, a.source_dim, a.target_dim, coeffs)
+
+
+def scale(a, c):
+    """c·A for a rational c."""
+    c = Fraction(c)
+    coeffs = {alpha: [[c * x for x in row] for row in m] for alpha, m in a.coeffs.items()}
+    return OperatorSpec(a.space_dim, a.source_dim, a.target_dim, coeffs)
+
+
+def compose_left(a, mat):
+    """M ∘ A for a constant matrix M (target side change of coordinates)."""
+    mat = as_fraction_matrix(mat)
+    coeffs = {alpha: mat_mul(mat, m) for alpha, m in a.coeffs.items()}
+    return OperatorSpec(a.space_dim, a.source_dim, len(mat), coeffs)
+
+
+def compose_right(a, mat):
+    """A ∘ M for a constant matrix M (source side change of coordinates)."""
+    mat = as_fraction_matrix(mat)
+    coeffs = {alpha: mat_mul(m, mat) for alpha, m in a.coeffs.items()}
+    return OperatorSpec(a.space_dim, len(mat[0]), a.target_dim, coeffs)
+
+
+# -- operators ------------------------------------------------------------------
 
 
 def laplacian_power(n, p):

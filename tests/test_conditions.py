@@ -27,6 +27,8 @@ from ellsym.operators import OperatorSpec, SystemSpec, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import Subspace, identity, mat_vec, nullspace, solve, transpose
 from genops import (
+    compose_left,
+    compose_right,
     div_curl_operator,
     divergence_operator,
     gradient_operator,
@@ -35,6 +37,7 @@ from genops import (
     random_operator,
     random_rational_point,
     sampled_kernel_dimension,
+    scale,
 )
 
 F = Fraction
@@ -146,8 +149,8 @@ def test_image_intersection_matches_annihilator_route_mixed_blocks():
         rows.append([Polynomial.zero(n), Polynomial.monomial(n, alpha, F(1))])
     rng = random.Random(77)
     m_target = random_invertible_matrix(rng, 7)
-    a = OperatorSpec.from_symbol(MatrixPolynomial(rows)).compose_left(m_target)
-    a = a.compose_right(random_invertible_matrix(rng, 2))
+    a = compose_left(OperatorSpec.from_symbol(MatrixPolynomial(rows)), m_target)
+    a = compose_right(a, random_invertible_matrix(rng, 2))
     assert not _scalar_gram(a) and len(a.lattice()) == 15
     i_a = image_intersection(a)
     assert i_a == Subspace.from_vectors(7, [[row[0] for row in m_target]])
@@ -164,7 +167,7 @@ def test_image_intersection_matches_annihilator_route_bundled(name):
 
 
 def test_image_intersection_partial_nonscalar_gram():
-    a = div_curl_operator().compose_right(SHEARED_DIVCURL)
+    a = compose_right(div_curl_operator(), SHEARED_DIVCURL)
     assert not _scalar_gram(a)
     i_a = image_intersection(a)
     assert i_a.basis == ((F(1), F(0), F(0), F(0)),)
@@ -172,7 +175,7 @@ def test_image_intersection_partial_nonscalar_gram():
 
 
 def test_image_intersection_square_nonscalar_gram():
-    a = laplacian_operator(2).compose_right([[1, 1], [0, 1]])
+    a = compose_right(laplacian_operator(2), [[1, 1], [0, 1]])
     assert not _scalar_gram(a)
     assert image_intersection(a).is_full()
     assert _annihilator_route(a).is_full()
@@ -235,7 +238,9 @@ def test_moment_map_after_check_evaluates_nothing_exact(monkeypatch, name):
 @pytest.mark.parametrize("n", [3, 4])
 def test_is_elliptic_evaluates_each_sign_pair_once(monkeypatch, n):
     a = laplacian_operator(n)
-    assert not a.degenerate  # the lattice test runs first, outside the count
+    # the lattice test runs first, outside the count; it stops at its first
+    # point, (2, 0, …, 0), whose line is e1's, so e1 is not evaluated again
+    assert not a.degenerate
     calls = []
     orig = OperatorSpec.value_at
 
@@ -245,7 +250,8 @@ def test_is_elliptic_evaluates_each_sign_pair_once(monkeypatch, n):
 
     monkeypatch.setattr(OperatorSpec, "value_at", counted)
     assert is_elliptic(a).status == "numerically_positive"
-    assert len(calls) == len(set(calls)) == (3**n - 1) // 2
+    assert len(calls) == len(set(calls)) == (3**n - 1) // 2 - 1
+    assert (1,) + (0,) * (n - 1) not in calls
     assert all(next(x for x in xi if x) > 0 for xi in calls)
 
 
@@ -361,6 +367,20 @@ def test_elliptic_n1_degenerate():
     v = is_elliptic(a)
     assert v.status == "no"
     assert v.kernel_vector == (F(0), F(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elliptic_order_zero(n):
+    # A(ξ) = C for every ξ, and Λ_0 = {0}: ellipticity is the invertibility of C
+    invertible = parse_operator("from 2 to 2\nrows: u1 + u2; u2", n)
+    singular = parse_operator("from 2 to 2\nrows: u1 + 2 u2; 2 u1 + 4 u2", n)
+    assert invertible.lattice() == singular.lattice() == [(0,) * n]
+    status = "yes" if n <= 2 else "numerically_positive"  # n ≥ 3 is decided by sampling
+    report = run_full_check(SystemSpec(invertible, None, n))
+    assert report.elliptic.status == status and report.image_basis.is_full()
+    v = is_elliptic(singular)
+    assert (v.status, v.note) == ("no", "det(A*A) vanishes identically")
+    assert v.witness_xi == (1,) + (0,) * (n - 1) and v.kernel_vector == (2, -1)
 
 
 def test_elliptic_irrational_zero_decided_no():
@@ -522,8 +542,8 @@ def test_basis_change_invariance():
         g_e = random_invertible_matrix(rng, 4)
         from ellsym.ratlinalg import inverse
 
-        a2 = a.compose_left(g_e)
-        c2 = c.compose_right(inverse(g_e))
+        a2 = compose_left(a, g_e)
+        c2 = compose_right(c, inverse(g_e))
         res = check_cc(SystemSpec(a2, c2, 3))
         assert res.holds == base.holds
         assert res.image_intersection == base.image_intersection.transform(g_e)
@@ -537,7 +557,7 @@ def test_scaling_invariance():
     c = parse_operator("from 4 to 1\nrows: d1 f1 + d2 f2 + d3 f3", 3)
     base = check_cc(SystemSpec(a, c, 3))
     for scalar in (F(3), F(-1, 2)):
-        res = check_cc(SystemSpec(a.scale(scalar), c.scale(scalar), 3))
+        res = check_cc(SystemSpec(scale(a, scalar), scale(c, scalar), 3))
         assert res.holds == base.holds
         assert res.image_intersection == base.image_intersection
         assert res.kernel_intersection == base.kernel_intersection
@@ -737,15 +757,15 @@ def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
 def _detg_zero_hits(a):
     """Axis/sign candidates where the expanded det G vanishes, with the kernel
     vector of A*A(ξ): the reference the rank test replaced."""
-    from ellsym.conditions import _axis_and_sign_candidates, _integerize
-    from ellsym.ratlinalg import mat_mul, nullspace
+    from ellsym.conditions import _axis_and_sign_candidates
+    from ellsym.ratlinalg import mat_mul, nullspace, primitive
 
     hits = []
     for xi in _axis_and_sign_candidates(a.space_dim):
         if a.gram_det.eval(xi) == 0:
             axi = a.symbol().eval(xi)
             kern = nullspace(mat_mul(transpose(axi), axi), ncols=a.source_dim)
-            hits.append((xi, _integerize(kern[0])))
+            hits.append((xi, primitive(kern[0])))
     return hits
 
 
@@ -796,16 +816,16 @@ def test_run_full_check_expands_no_det_for_n_ge_3(monkeypatch, name):
 
 @pytest.mark.parametrize("index", range(15))
 def test_rank_zero_test_matches_expanded_det(index):
-    from ellsym.conditions import _axis_and_sign_candidates, _gram_kernel_at
+    from ellsym.conditions import _axis_and_sign_candidates
 
     a = _non_elliptic_operators()[index]
     hits = _detg_zero_hits(a)
     assert hits
     # same zero set and kernel vectors at every candidate ...
     found = [
-        (xi, _gram_kernel_at(a, xi))
+        (xi, a.kernel_at(xi))
         for xi in _axis_and_sign_candidates(a.space_dim)
-        if _gram_kernel_at(a, xi) is not None
+        if a.kernel_at(xi) is not None
     ]
     assert found == hits
     # ... hence the same verdict, witness and extra_witnesses order

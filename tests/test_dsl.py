@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsym.dsl import format_operator, format_system, parse_operator, parse_system
 from ellsym.errors import (
     DimensionMismatchError,
     DslSyntaxError,
     DuplicateBlockError,
+    EllsymError,
     NonHomogeneousRowError,
     UnknownComponentError,
 )
@@ -164,3 +168,85 @@ def test_zero_row_roundtrip():
     assert op.target_dim == 2
     assert all(all(x == 0 for x in mat[0]) for mat in op.coeffs.values())
     assert parse_operator(format_operator(op), 2) == op
+
+
+def test_block_without_rows_rejected():
+    with pytest.raises(DslSyntaxError, match="^operator A has no rows$"):
+        parse_system("dim 1\noperator A { from 1 to 0 rows: }\n")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("d1 f1 + d1^2 f1", "line 2: row 1 mixes derivative orders [1, 2]"),
+        ("d1 f3", "line 2: component 3 exceeds source dimension 2"),
+    ],
+)
+def test_row_errors_give_the_line_alone(rows, message):
+    # these errors know the row's line but no column
+    with pytest.raises(DslSyntaxError) as err:
+        parse_operator(f"from 2 to 1\nrows: {rows}", 2)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2² d1 u1", "line 2, col 33: unexpected character '²'"),
+        ("d1² u1", "line 2, col 32: expected a derivative (d1..d2) or component, found 'd1²'"),
+        ("٣ d1 u1", "line 2, col 32: unexpected character '٣'"),
+    ],
+)
+def test_non_ascii_digits_rejected(row, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_system(f"dim 2\noperator A {{ from 1 to 1 rows: {row} }}\n")
+    assert str(err.value) == message
+
+
+# the DSL's characters and keywords, and three characters that str.isdigit or
+# str.isalpha admit but the DSL does not
+DSL_ALPHABET = "0123456789dfu ^+-*/(){};:#\n\t" + "²٣ξ"
+DSL_WORDS = ["dim ", "operator A ", "constraint C ", "from ", " to ", "rows: "]
+
+
+def _parse_or_typed_error(text):
+    try:
+        parse_system(text)
+    except EllsymError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(DSL_WORDS), st.text(DSL_ALPHABET, max_size=8)), max_size=12)
+)
+def test_parse_system_raises_only_ellsym_errors_on_arbitrary_text(pieces):
+    _parse_or_typed_error("".join(pieces))
+
+
+# a file with no parenthesized power: a mutated exponent on a group of terms
+# expands without bound, which no budget in the parser caps yet
+DIVCURL_TEXT = (Path(__file__).parents[1] / "systems" / "divcurl_r3.sys").read_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(DIVCURL_TEXT)),
+            st.sampled_from(["insert", "replace", "delete"]),
+            st.sampled_from(DSL_ALPHABET),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_parse_system_raises_only_ellsym_errors_on_mutated_system(edits):
+    text = list(DIVCURL_TEXT)
+    for pos, kind, ch in edits:
+        pos = min(pos, len(text))
+        if kind == "insert":
+            text.insert(pos, ch)
+        elif pos < len(text):
+            text[pos : pos + 1] = [ch] if kind == "replace" else []
+    _parse_or_typed_error("".join(text))

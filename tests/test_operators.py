@@ -10,6 +10,7 @@ from ellsym.operators import SYMBOL_BLOCK, OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import mat_vec, nullspace, rank
 from genops import (
+    add,
     div_curl_operator,
     divergence_operator,
     gradient_operator,
@@ -33,7 +34,7 @@ def test_symbol_linear_in_coefficients():
     rng = random.Random(2)
     a = random_operator(rng, 2, 2, 2, homogeneous=True)
     b = random_operator(rng, 2, 2, 2, homogeneous=True)
-    lhs = (a + b).symbol()
+    lhs = add(a, b).symbol()
     rhs_entries = [
         [a.symbol().entries[i][j] + b.symbol().entries[i][j] for j in range(2)]
         for i in range(2)
@@ -272,3 +273,26 @@ def test_symbol_values_zero_operator():
     vals = OperatorSpec(3, 2, 2, {}).symbol_values(np.ones((5, 3)))
     assert vals.shape == (5, 2, 2) and not vals.any()
 
+
+
+def test_kernel_at_evaluates_each_line_once(monkeypatch):
+    # A(1, 2) = [[0, 0], [1, 1]]: the kernel is span{(1, −1)} on the whole line
+    rows = "d2 u1 - 2 d1 u1 + 1/2 d2 u2 - d1 u2; d1 u1 + 1/2 d2 u2"
+    a = parse_operator("from 2 to 2\nrows: " + rows, 2)
+    calls = []
+    orig = OperatorSpec.value_at
+
+    def counted(self, xi):
+        calls.append(xi)
+        return orig(self, xi)
+
+    monkeypatch.setattr(OperatorSpec, "value_at", counted)
+    xi = (F(1, 2), F(1))
+    points = [xi, tuple(-2 * x for x in xi), tuple(x / 3 for x in xi)]
+    assert [a.kernel_at(p) for p in points] == [(1, -1)] * 3
+    assert calls == [(1, 2)]
+    # c·A(ξ) with c = 2, the common denominator, in ints
+    assert orig(a, (1, 2)) == [[0, 0], [2, 2]]
+    assert all(type(x) is int for row in orig(a, (1, 2)) for x in row)
+    assert a.kernel_at((1, 0)) is None and a.kernel_at((-3, 0)) is None
+    assert calls == [(1, 2), (1, 0)]

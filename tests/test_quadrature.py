@@ -8,7 +8,7 @@ import pytest
 
 from ellsym.cli import main
 from ellsym.dsl import parse_operator, parse_system
-from ellsym.errors import NearSingularSymbolError, NotHomogeneousError, OrderTooLowError
+from ellsym.errors import NearSingularSymbolError, NotEllipticError, OrderTooLowError
 from ellsym.poly import monomial_table, monomials_of_degree
 from ellsym.quadrature import (
     SAMPLE_NODES,
@@ -317,9 +317,9 @@ def test_moment_tensor_monomials_match_exact(n, k, level):
 
 def test_moment_map_identically_singular_symbol(tmp_path, capsys):
     rows = "rows: d1^2 u1 + d1 d2 u2; d1^2 u1 + d1 d2 u2"
-    message = "det(A*A) is not a nonzero homogeneous polynomial"
+    message = "det(A*A) vanishes identically"
     a = parse_operator("from 2 to 2\n" + rows, 2)
-    with pytest.raises(NotHomogeneousError, match=re.escape(message)):
+    with pytest.raises(NotEllipticError, match=re.escape(message)):
         moment_map(a, build_rule(2, 4))
     path = tmp_path / "singular.sys"
     path.write_text("dim 2\noperator A {\n  from 2 to 2\n  " + rows + "\n}\n")

@@ -24,7 +24,13 @@ from ellsym.witness import (
     solve_system,
     symbol_on_modes,
 )
-from genops import div_curl_operator, divergence_operator, gradient_operator, laplacian_operator
+from genops import (
+    compose_right,
+    div_curl_operator,
+    divergence_operator,
+    gradient_operator,
+    laplacian_operator,
+)
 
 F = Fraction
 
@@ -317,10 +323,10 @@ ELLIPTIC_SOLVE_CASES = (
     + [
         # non-scalar Gram matrices: det G / ∏ diag G is 1/2 for both
         pytest.param(
-            laplacian_operator(2, dim=2).compose_right([[1, 1], [0, 1]]), 64, id="sheared laplacian"
+            compose_right(laplacian_operator(2, dim=2), [[1, 1], [0, 1]]), 64, id="sheared laplacian"
         ),
         pytest.param(
-            div_curl_operator().compose_right([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), 32, id="sheared divcurl"
+            compose_right(div_curl_operator(), [[1, 1, 0], [0, 1, 0], [0, 0, 2]]), 32, id="sheared divcurl"
         ),
     ]
 )

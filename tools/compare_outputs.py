@@ -24,7 +24,8 @@ run the same list of operations:
   off every axis/sign candidate, that the rounding of the refined minimizer
   certifies, the same for an n = 4 zero on the line through (1, 2, 3, 4)
   (a witness whose sign rests on which compass start wins), a non-isotropic elliptic n = 4 operator (a refined minimum),
-  and a source larger than the target;
+  a source larger than the target, and two order-0 operators, A(ξ) = C with
+  C invertible and C singular (Λ_0 = {0});
 - level-3 `moment_map(...).to_json()` and `annihilator` (its rows) for the
   inline operators of GUARD_CASES, or the class and message of the error
   each raises: three operators that `check` proves not elliptic away from
@@ -117,6 +118,8 @@ ELLIPTIC_CASES = (
     ("n4 refined rational zero", 4, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1; 4 d1 u1 - d4 u1"),
     ("n4 anisotropic elliptic", 4, "rows: d1^2 u1 + 2 d2^2 u1 + d3 d4 u1; d3^2 u1 + 3 d4^2 u1 + d1 d2 u1"),
     ("source > target", 2, "from 2 to 1\nrows: d1 u1 + d2 u2"),
+    ("order 0 invertible", 2, "from 2 to 2\nrows: u1 + u2; u2"),
+    ("order 0 singular", 2, "from 2 to 2\nrows: u1 + 2 u2; 2 u1 + 4 u2"),
 )
 
 # (label, space dimension, operator text) for the moment_map / annihilator guard
