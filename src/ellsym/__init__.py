@@ -7,6 +7,8 @@ experiments for the associated L^1-data estimates.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .conditions import (
     CCResult,
     ConditionReport,
@@ -30,17 +32,20 @@ from .operators import (
     homogenize,
 )
 from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .quadrature import QuadratureRule, build_rule, moment_map, surface_area
 from .ratlinalg import Subspace
-from .witness import (
-    Grid,
-    WitnessConfig,
-    WitnessResult,
-    blowup_experiment,
-    constrain_field,
-    mollified_dirac,
-    solve_system,
-)
+
+# the numeric layer (numpy): each name is imported and bound on first use (PEP 562)
+_NUMERIC = dict.fromkeys(("QuadratureRule", "build_rule", "moment_map", "surface_area"), "quadrature")
+_NUMERIC |= dict.fromkeys(("Grid", "WitnessConfig", "WitnessResult", "blowup_experiment",
+                           "constrain_field", "mollified_dirac", "solve_system"), "witness")
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+    return globals()[name]
+
 
 __all__ = [
     "CCResult",

@@ -19,8 +19,6 @@ from .conditions import WEAK_ZERO_TOL, run_full_check
 from .dsl import format_operator, parse_system
 from .errors import EllsymError, InvalidArgumentError
 from .operators import annihilator, homogenize
-from .quadrature import build_rule, moment_map
-from .witness import WitnessConfig, blowup_experiment
 
 
 def _read_input(path):
@@ -121,6 +119,8 @@ def cmd_annihilator(args):
 
 
 def cmd_moment(args):
+    from .quadrature import build_rule, moment_map  # the numeric layer (numpy)
+
     text, digest = _read_input(args.path)
     system = parse_system(text)
     rule = build_rule(system.n, args.level)
@@ -167,6 +167,8 @@ def cmd_homogenize(args):
 
 
 def cmd_witness(args):
+    from .witness import WitnessConfig, blowup_experiment  # the numeric layer (numpy)
+
     text, digest = _read_input(args.path)
     system = parse_system(text)
     e = None

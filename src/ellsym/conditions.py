@@ -10,11 +10,9 @@ that decide membership vanish only if they vanish identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
-
-import numpy as np
 
 from . import sturm
 from .errors import (
@@ -26,12 +24,12 @@ from .errors import (
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
-from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from .quadrature import converged_moments, sample_nodes, surface_area
+from .poly import MatrixPolynomial, Polynomial, monomials_of_degree, multinomial
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
     identity,
+    inverse,
     mat_mul,
     mat_vec,
     nullspace,
@@ -42,7 +40,6 @@ from .ratlinalg import (
 )
 
 WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
-ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
@@ -68,6 +65,8 @@ class EllipticityVerdict:
     min_normalized: float | None = None
     extra_witnesses: list = field(default_factory=list)
     note: str = ""
+    # identically_zero | source_exceeds_target | isotropic | axis_candidate | sturm | sampled
+    decided_by: str | None = None
 
     @property
     def definitely_not(self):
@@ -82,6 +81,8 @@ class EllipticityVerdict:
 
     def to_json(self):
         d = {"status": self.status}
+        if self.decided_by:
+            d["decided_by"] = self.decided_by
         if self.witness_xi is not None:
             d["witness_xi"] = [str(x) for x in self.witness_xi]
             d["witness_exact"] = self.witness_exact
@@ -115,28 +116,26 @@ def _axis_and_sign_candidates(n, limit=3**7):
 def is_elliptic(a):
     """Decide injectivity of A(ξ) for all ξ ≠ 0.
 
-    n=1 and n=2 are exact (det G ≡ 0 by `a.degenerate`, then a Sturm count on
-    det G for n=2); n>=3 is a semi-decision on det(A(ξ)ᵀA(ξ)) from
-    `a.symbol_values`: exact No when a rational zero of det G is found,
-    NumericallyPositive when the sampled-and-refined sphere minimum clears
-    ELLIPTIC_MIN_THRESHOLD, Inconclusive otherwise.
+    Exact when det G ≡ 0 (`a.degenerate`), when G(ξ) = |ξ|^2k·G(e₁) (`a.isotropic`,
+    every n = 1 operator among them), at an axis/sign candidate, and by a Sturm
+    count on det G for n = 2. Otherwise (n >= 3) a semi-decision on
+    det(A(ξ)ᵀA(ξ)) by the numeric layer (`quadrature.sampled_ellipticity`).
     """
     if not a.is_homogeneous():
         raise NotHomogeneousError("ellipticity requires a single-order operator")
     n = a.space_dim
     if a.source_dim > a.target_dim:  # rank A(ξ) <= dim E < dim V everywhere
-        note = "target dimension below source dimension"
+        note, by = "target dimension below source dimension", "source_exceeds_target"
     elif a.degenerate:
-        note = "det(A*A) vanishes identically"
+        note, by = "det(A*A) vanishes identically", "identically_zero"
     else:
         note = None
     if note:
         e1 = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
-        return EllipticityVerdict(
-            "no", witness_xi=e1, kernel_vector=a.kernel_at(e1), witness_exact=True, note=note
-        )
-    if n == 1:
-        return EllipticityVerdict("yes")
+        return EllipticityVerdict("no", witness_xi=e1, kernel_vector=a.kernel_at(e1),
+                                  witness_exact=True, note=note, decided_by=by)
+    if a.isotropic:  # det G(ξ) = |ξ|^(2k·dim V)·det G(e₁), and det G ≢ 0
+        return EllipticityVerdict("yes", decided_by="isotropic")
 
     # exact witnesses at axis/sign points first (cheap, and they exist for
     # every non-elliptic example in the bundled systems); a mirror, listed
@@ -151,11 +150,14 @@ def is_elliptic(a):
             kernel_vector=v0,
             witness_exact=True,
             extra_witnesses=rest,
+            decided_by="axis_candidate",
         )
 
     if n == 2:
-        return _is_elliptic_2d(a)
-    return _is_elliptic_sampled(a)
+        return replace(_is_elliptic_2d(a), decided_by="sturm")
+    from .quadrature import sampled_ellipticity  # the numeric layer (numpy)
+
+    return replace(sampled_ellipticity(a), decided_by="sampled")
 
 
 def _is_elliptic_2d(a):
@@ -176,75 +178,18 @@ def _is_elliptic_2d(a):
         return EllipticityVerdict(
             "no", witness_xi=xi, kernel_vector=a.kernel_at(xi), witness_exact=True
         )
+    from .quadrature import numeric_kernel  # the numeric layer (numpy)
+
     lo, hi = hit[1], hit[2]
     mid = (lo + hi) / 2
-    xi_f = (1.0, float(mid))
-    kern = _numeric_kernel(a, xi_f)
     return EllipticityVerdict(
         "no",
         witness_xi=(Fraction(1), Fraction(mid)),
-        kernel_vector=kern,
+        kernel_vector=numeric_kernel(a, (1.0, float(mid))),
         witness_exact=False,
         note=f"real zero of det G isolated in ({float(lo)}, {float(hi)}); "
         "no small-denominator rational zero found",
     )
-
-
-def _numeric_kernel(a, xi_float):
-    _, _, vt = np.linalg.svd(a.symbol_values(np.array([xi_float]))[0])
-    return tuple(Fraction(float(x)).limit_denominator(10**6) for x in vt[-1])
-
-
-def _is_elliptic_sampled(a):
-    """n >= 3: sampling on `sample_nodes`, then a batched compass search
-    (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the five lowest pair
-    representatives. det G is even, so the mirrored nodes add nothing: the
-    five are the ten lowest sphere nodes less their mirrors."""
-    n = a.space_dim
-
-    def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
-        sym = a.symbol_values(points)
-        return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
-
-    nodes = sample_nodes(n)
-    vals = det_g(nodes)
-    scale = float(np.abs(vals).max())
-    if scale == 0.0:
-        return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
-    starts = np.argsort(vals)[:5]
-    x, f = nodes[starts], vals[starts] / scale
-    h = np.full(len(x), 0.05)  # about the node spacing
-    steps = np.concatenate([np.eye(n), -np.eye(n)])
-    rows = np.arange(len(x))
-    for _ in range(400):
-        live = h >= 1e-12  # a start whose step fell below this has stopped
-        if not live.any():
-            break
-        # every start polls its 2n points x ± h·e_i, pulled back onto the sphere
-        trial = x[:, None, :] + h[:, None, None] * steps
-        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
-        tv = det_g(trial.reshape(-1, n)).reshape(len(x), 2 * n) / scale
-        pick = tv.argmin(axis=1)
-        moved = live & (tv[rows, pick] < f)
-        x[moved], f[moved] = trial[rows, pick][moved], tv[rows, pick][moved]
-        h[~moved] /= 2
-    best, best_x = float(f.min()), x[int(np.argmin(f))]
-    # try to certify an exact zero near the minimizer
-    if best <= ELLIPTIC_MIN_THRESHOLD:
-        for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
-            cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
-            # ±ξ and every multiple of ξ share ker A: report the primitive point
-            if any(cand) and (kern := a.kernel_at(cand)) is not None:
-                return EllipticityVerdict(
-                    "no", witness_xi=primitive(cand), kernel_vector=kern, witness_exact=True
-                )
-        return EllipticityVerdict(
-            "inconclusive",
-            min_normalized=best,
-            note="normalized sphere minimum of det G below threshold but no "
-            "exact rational zero certified",
-        )
-    return EllipticityVerdict("numerically_positive", min_normalized=best)
 
 
 # -- subspace computations -----------------------------------------------------
@@ -328,48 +273,82 @@ def _cc(i_a, k_c):
 
 @dataclass
 class WeakCancellationResult:
+    """|M e| over a basis, exact (method "isotropic") or from converged quadrature
+    ("quadrature"), which alone has the scale, error, levels and tolerance fields."""
+
     holds: bool
     vacuous: bool
     moments: list  # (basis vector, |M e|)
-    scale: float
-    error_estimate: float
-    levels: tuple
-    tolerance: float
+    method: str
+    scale: float | None = None
+    error_estimate: float | None = None
+    levels: tuple | None = None
+    tolerance: float | None = None
 
     def to_json(self):
-        return {
+        d = {
             "holds": self.holds,
             "vacuous": self.vacuous,
-            "moments": [
-                {"e": [str(x) for x in e], "norm": float(nrm)}
-                for e, nrm in self.moments
-            ],
-            "integrand_scale": self.scale,
-            "error_estimate": self.error_estimate,
-            "levels": list(self.levels),
-            "tolerance": self.tolerance,
+            "method": self.method,
+            "moments": [{"e": [str(x) for x in e], "norm": float(nrm)} for e, nrm in self.moments],
         }
+        if self.method == "quadrature":
+            d.update(integrand_scale=self.scale, error_estimate=self.error_estimate,
+                     levels=list(self.levels), tolerance=self.tolerance)
+        return d
 
 
 def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL):
     """Vanishing of M_A on the given subspace (I_A, or I_A ∩ K_C for CWC).
 
-    The zero test is |M e| <= tol * (sphere area) * max-node integrand norm,
-    required after two quadrature refinements agree.
+    Exact for an isotropic operator (`isotropic_moments`). Otherwise the zero
+    test is |M e| <= tol * (sphere area) * max-node integrand norm, required
+    after two quadrature refinements agree.
     """
-    k = a.order
-    n = a.space_dim
+    k, n = a.order, a.space_dim
     if k < n:
         raise OrderTooLowError(f"weak cancellation needs k >= n (k={k}, n={n})")
+    if a.isotropic and not a.degenerate:
+        moments = [(e, isotropic_moments(a, e)[1]) for e in subspace.basis]
+        holds = not any(nrm for _, nrm in moments)
+        return WeakCancellationResult(holds, subspace.is_zero(), moments, "isotropic")
     if subspace.is_zero():
-        return WeakCancellationResult(True, True, [], 0.0, 0.0, (0, 0), tol)
+        return WeakCancellationResult(True, True, [], "quadrature", 0.0, 0.0, (0, 0), tol)
+    from .quadrature import converged_moments, surface_area  # the numeric layer (numpy)
+
     vectors = [list(map(float, row)) for row in subspace.basis]
     vals, scales, err, rules = converged_moments(a, vectors, rel_tol=tol)
     levels = tuple(r.level for r in rules)
     area = surface_area(n)
-    moments = [(row, float(np.linalg.norm(vec))) for row, vec in zip(subspace.basis, vals)]
+    # √(v·v) is np.linalg.norm(v) to the bit
+    moments = [(row, math.sqrt(vec.dot(vec))) for row, vec in zip(subspace.basis, vals)]
     holds = not any(nrm > tol * area * max(scl, 1e-300) for (_, nrm), scl in zip(moments, scales))
-    return WeakCancellationResult(holds, False, moments, float(scales.max()), err, levels, tol)
+    return WeakCancellationResult(holds, False, moments, "quadrature", float(scales.max()), err,
+                                  levels, tol)
+
+
+def isotropic_moments(a, e):
+    """M e / π^(n/2) as exact rationals, one V-vector per γ of `monomials_of_degree(n, k − n)`
+    (the unweighted tensor components), and |M e| as a float. On the sphere
+    A†(ω) = G(e₁)⁻¹A(ω)ᵀ, so M e = G(e₁)⁻¹ Σ_α C_αᵀe ∫ω^(α+γ) dσ, and for |β| = 2k − n
+    ∫ω^β dσ = 2π^(n/2)/(k−1)!·∏(β_i − 1)!!/2^(β_i/2) when every β_i is even, else 0
+    (Folland, Amer. Math. Monthly 108 (2001))."""
+    n, k = a.space_dim, a.order
+    a1 = a.coeffs[(k,) + (0,) * (n - 1)]  # A(e₁), injective
+    g1_inv = inverse(mat_mul(transpose(a1), a1))
+    scale = Fraction(2, math.factorial(k - 1) * 2 ** (k - n // 2))  # 2^(|β|/2) for even n
+
+    def sphere(alpha, gamma):  # ∫ω^(α+γ) dσ / π^(n/2)
+        beta = [x + y for x, y in zip(alpha, gamma)]
+        if any(b % 2 for b in beta):
+            return 0
+        return scale * math.prod(math.prod(range(b - 1, 0, -2)) for b in beta)
+
+    cte = transpose([mat_vec(transpose(c), e) for c in a.coeffs.values()])  # columns C_αᵀe
+    gammas = monomials_of_degree(n, k - n)
+    rows = [mat_vec(g1_inv, mat_vec(cte, [sphere(al, g) for al in a.coeffs])) for g in gammas]
+    sq = sum(multinomial(k - n, g) * sum(x * x for x in r) for g, r in zip(gammas, rows))
+    return rows, math.sqrt(sq) * math.pi ** (n / 2)
 
 
 # -- left inverses and potentials ----------------------------------------------

@@ -21,6 +21,7 @@ expressions, so rows stay linear in the components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from .errors import (
 )
 from .operators import OperatorSpec, SystemSpec
 from .poly import Polynomial
+
+MAX_EXPANSION_BITS = 2**17  # terms × coefficient bits of a power of a group, at most
 
 _PUNCT = {
     "{": "LBRACE",
@@ -142,7 +145,17 @@ class _RowValue:
             raise DslSyntaxError(
                 "cannot raise a component expression to a power", tok.line, tok.col
             )
-        return _RowValue(self.nvars, self.scalar**k)
+        # p^k has at most C(t + k − 1, k) terms and at most the monomials of degree
+        # ≤ k·deg p; a coefficient has about log2 (t·H)^k bits, H the largest of p's
+        p, t = self.scalar, max(len(self.scalar.terms), 1)
+        terms = min(math.comb(t + k - 1, k), math.comb(k * (p.degree() or 0) + self.nvars, self.nvars))
+        big = max((max(abs(c.numerator), c.denominator) for c in p.terms.values()), default=1)
+        bits = k * (t * big).bit_length()
+        if terms * bits > MAX_EXPANSION_BITS:
+            raise DslSyntaxError(
+                f"power {k} of a group of {t} terms may expand to {terms} terms of about {bits} bits "
+                f"each, over the budget of {MAX_EXPANSION_BITS} bits", tok.line, tok.col)
+        return _RowValue(self.nvars, p**k)
 
 
 class _Parser:

@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .conditions import is_elliptic
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
-from .poly import MatrixPolynomial, Polynomial, monomial_table, monomials_of_degree
-from .ratlinalg import nullspace, primitive
+from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from .ratlinalg import nullspace, primitive, transpose
 
 MultiIndex = tuple
-SYMBOL_BLOCK = 4096  # points per monomial table in symbol_values; bounds the temporaries
 
 
 def _freeze_matrix(mat):
@@ -107,24 +104,6 @@ class OperatorSpec:
                         )
         return MatrixPolynomial(entries)
 
-    def symbol_values(self, points):
-        """A(ξ) at each row of `points` (real or complex), shape (len(points),
-        target, source): the `monomial_table` of the ξ^α times the stacked
-        coefficient matrices C_α, SYMBOL_BLOCK points at a time."""
-        exps, stack = self._float_coeffs
-        out = np.empty((len(points), stack.shape[1]), dtype=np.result_type(points, float))
-        for s in range(0, len(points), SYMBOL_BLOCK):
-            block = slice(s, s + SYMBOL_BLOCK)
-            np.matmul(monomial_table(points[block], exps), stack, out=out[block])
-        return out.reshape(len(points), self.target_dim, self.source_dim)
-
-    @cached_property
-    def _float_coeffs(self):
-        alphas = sorted(self.coeffs, reverse=True)
-        exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), self.space_dim)
-        stack = np.array([self.coeffs[a] for a in alphas], dtype=float)
-        return exps, stack.reshape(len(alphas), self.target_dim * self.source_dim)
-
     @cached_property
     def gram(self):
         """G(ξ) = A*(ξ) A(ξ): square, symmetric, homogeneous of degree 2k."""
@@ -184,6 +163,23 @@ class OperatorSpec:
         (Cauchy–Binet), so it vanishes identically iff A(α) is singular at
         every α ∈ Λ_D."""
         return all(self.kernel_at(alpha) is not None for alpha in self.lattice())
+
+    @cached_property
+    def isotropic(self):
+        """G(ξ) = |ξ|^2k·G(e₁), exactly, with G = (c·A)ᵀ(c·A) from `value_at`. Both
+        sides are forms of degree 2k, so agreement on Λ_2k suffices (as in
+        `lattice`). The points with the most nonzero coordinates come first, and
+        the walk stops at the first point that differs."""
+        def gram(xi):
+            cols = transpose(self.value_at(xi))
+            return [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+
+        k, n = self.order, self.space_dim
+        g1 = gram((1,) + (0,) * (n - 1))
+        return all(
+            gram(alpha) == [[sum(x * x for x in alpha) ** k * g for g in row] for row in g1]
+            for alpha in sorted(monomials_of_degree(n, 2 * k), key=lambda al: -sum(map(bool, al)))
+        )
 
     @cached_property
     def ellipticity(self):

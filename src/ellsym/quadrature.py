@@ -1,4 +1,5 @@
-"""Quadrature on the unit sphere S^{n-1} and the moment map of a symbol.
+"""The numeric layer: the float symbol, sampled ellipticity, quadrature on the
+unit sphere S^{n-1} and the moment map of a symbol.
 
 Rules are antithetic: the sphere nodes come in ± pairs with equal weights,
 and a rule stores one node of each pair. Moment integrands are rational
@@ -12,20 +13,58 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .conditions import EllipticityVerdict
 from .errors import (
     InvalidArgumentError,
     NearSingularSymbolError,
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
-from .poly import monomial_table, monomials_of_degree, multinomial
+from .poly import monomials_of_degree, multinomial
+from .ratlinalg import primitive
 
 DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
 MAX_RULE_NODES = 2**21  # sphere nodes per rule: S² through level 10
 SAMPLE_NODES = 2**15  # sphere nodes of the sampler and of a refinement's first rule, at most
+SYMBOL_BLOCK = 4096  # points per monomial table in float_symbol; bounds the temporaries
+ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
+
+
+def monomial_table(points, exps):
+    """ξ^α for each row ξ of `points` (real or complex) and row α of `exps`: the powers
+    x_i^0 … x_i^max by repeated multiplication (x^e errs by ≤ (e − 1)·u, Higham 2002,
+    §3.1), the columns x_i^(α_i) multiplied in coordinate order."""
+    dtype = np.result_type(points, float)
+    table = np.ones((len(points), len(exps)), dtype=dtype)
+    for i in range(exps.shape[1]):
+        powers = np.ones((len(points), int(exps[:, i].max(initial=0)) + 1), dtype=dtype)
+        for e in range(1, powers.shape[1]):
+            np.multiply(powers[:, e - 1], points[:, i], out=powers[:, e])
+        table *= powers[:, exps[:, i]]
+    return table
+
+
+def float_symbol(a):
+    """points ↦ A(ξ) at each row of `points` (real or complex), shape (len(points),
+    target, source): the `monomial_table` of the ξ^α times the coefficient matrices
+    C_α, stacked once here, SYMBOL_BLOCK points at a time."""
+    alphas = sorted(a.coeffs, reverse=True)
+    exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), a.space_dim)
+    stack = np.array([a.coeffs[x] for x in alphas], dtype=float)
+    stack = stack.reshape(len(alphas), a.target_dim * a.source_dim)
+
+    def values(points):
+        out = np.empty((len(points), stack.shape[1]), dtype=np.result_type(points, float))
+        for s in range(0, len(points), SYMBOL_BLOCK):
+            block = slice(s, s + SYMBOL_BLOCK)
+            np.matmul(monomial_table(points[block], exps), stack, out=out[block])
+        return out.reshape(len(points), a.target_dim, a.source_dim)
+
+    return values
 
 
 def surface_area(n):
@@ -95,6 +134,65 @@ def sample_nodes(n):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def numeric_kernel(a, xi_float):
+    """The last right singular vector of A(ξ), rounded to denominators of at most 10⁶."""
+    _, _, vt = np.linalg.svd(float_symbol(a)(np.array([xi_float]))[0])
+    return tuple(Fraction(float(x)).limit_denominator(10**6) for x in vt[-1])
+
+
+def sampled_ellipticity(a):
+    """n >= 3: sampling on `sample_nodes`, then a batched compass search
+    (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003)) from the five lowest pair
+    representatives. det G is even, so the mirrored nodes add nothing: the
+    five are the ten lowest sphere nodes less their mirrors."""
+    n = a.space_dim
+    symbol = float_symbol(a)
+
+    def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
+        sym = symbol(points)
+        return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
+
+    nodes = sample_nodes(n)
+    vals = det_g(nodes)
+    scale = float(np.abs(vals).max())
+    if scale == 0.0:
+        return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
+    starts = np.argsort(vals)[:5]
+    x, f = nodes[starts], vals[starts] / scale
+    h = np.full(len(x), 0.05)  # about the node spacing
+    steps = np.concatenate([np.eye(n), -np.eye(n)])
+    rows = np.arange(len(x))
+    for _ in range(400):
+        live = h >= 1e-12  # a start whose step fell below this has stopped
+        if not live.any():
+            break
+        # every start polls its 2n points x ± h·e_i, pulled back onto the sphere
+        trial = x[:, None, :] + h[:, None, None] * steps
+        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        tv = det_g(trial.reshape(-1, n)).reshape(len(x), 2 * n) / scale
+        pick = tv.argmin(axis=1)
+        moved = live & (tv[rows, pick] < f)
+        x[moved], f[moved] = trial[rows, pick][moved], tv[rows, pick][moved]
+        h[~moved] /= 2
+    best, best_x = float(f.min()), x[int(np.argmin(f))]
+    # try to certify an exact zero near the minimizer
+    if best <= ELLIPTIC_MIN_THRESHOLD:
+        for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
+            cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
+            # ±ξ and every multiple of ξ share ker A: report the primitive point
+            if any(cand) and (kern := a.kernel_at(cand)) is not None:
+                return EllipticityVerdict(
+                    "no", witness_xi=primitive(cand), kernel_vector=kern, witness_exact=True
+                )
+        return EllipticityVerdict(
+            "inconclusive",
+            min_normalized=best,
+            note="normalized sphere minimum of det G below threshold but no "
+            "exact rational zero certified",
+        )
+    return EllipticityVerdict("numerically_positive", min_normalized=best)
+
+
 def _sphere(n, m, half=False):
     """Product rule on S^{n-1} ∋ (√(1-t²)·ω', t), dσ = (1-t²)^((n-3)/2) dt dσ':
     m Gauss–Gegenbauer nodes t times the rule on S^{n-2}, down to a circle of
@@ -150,7 +248,7 @@ def _pseudoinverse_at(a, nodes):
     A(-ξ) = (-1)^k A(ξ), so the values at -ξ need no evaluation. The
     near-singular test compares det G(ξ) with its largest value over the nodes.
     """
-    sym = a.symbol_values(nodes)
+    sym = float_symbol(a)(nodes)
     sym_t = sym.transpose(0, 2, 1)
     gram = sym_t @ sym
     det = np.abs(np.linalg.det(gram))
@@ -166,7 +264,7 @@ def _pseudoinverse_at(a, nodes):
 def moments_for_vectors(a, vectors, rule):
     """Moment integrals ∫ A†(ξ) e ⊗^{k-n} ξ for each vector e.
 
-    The ξ^γ come from the `monomial_table` that `symbol_values` also uses.
+    The ξ^γ come from the `monomial_table` that `float_symbol` also uses.
     Returns (values, scales): values has one row per input vector holding the
     weighted components of the symmetric tensor; scales holds per-vector
     maxima of the integrand norm over the nodes (the zero-test reference).

@@ -24,6 +24,7 @@ import numpy as np
 from .conditions import kernel_intersection
 from .errors import EpsilonTooSmallError, InvalidArgumentError, ResidualTooLargeError
 from .poly import monomials_of_degree, multinomial
+from .quadrature import float_symbol
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_GROWTH_FACTOR = 2.0
@@ -82,7 +83,7 @@ class Grid:
 def symbol_on_modes(op, k):
     """Real A(k) = Σ C_α k^α at the frequencies k of a Spectrum, shape k2 + (target, source)."""
     points = np.stack(np.broadcast_arrays(*k), axis=-1)
-    values = op.symbol_values(points.reshape(-1, len(k)))
+    values = float_symbol(op)(points.reshape(-1, len(k)))
     return values.reshape(points.shape[:-1] + (op.target_dim, op.source_dim))
 
 

@@ -16,6 +16,7 @@ from ellsym.conditions import (
     NONELLIPTIC_CONSTRAINT_DIAGNOSTIC,
     check_weak_cancellation,
     image_intersection,
+    isotropic_moments,
     kernel_intersection,
     run_full_check,
 )
@@ -82,7 +83,12 @@ def test_criterion_03_weak_cancellation_failure_2pi():
     i_a = image_intersection(laplacian_operator(2))
     res = check_weak_cancellation(laplacian_operator(2), i_a)
     assert not res.holds
-    _ok(3, "moment map of the 2-d Laplacian equals 2π·Id within 1e-8 relative")
+    # the isotropic certificate: M e = 2π·e in rationals times π, |M e| = 2π to the bit
+    assert res.method == "isotropic"
+    for e, nrm in res.moments:
+        assert isotropic_moments(laplacian_operator(2), e)[0] == [tuple(2 * x for x in e)]
+        assert nrm == 2 * math.pi
+    _ok(3, "moment map of the 2-d Laplacian equals 2π·Id within 1e-8 relative, and exactly")
 
 
 def test_criterion_04_odd_dimension_parity_bitwise():

@@ -276,3 +276,46 @@ def test_witness_constrained_out_of_range_indeterminate(capsys):
     assert all(r["residual"] > 0.5 for r in result["rows"])
     assert len(result["diagnostics"]) == 2
     assert all("no ratio recorded" in d for d in result["diagnostics"])
+
+
+# one child process per list: each command through `runpy` of ellsym.cli, then
+# whether numpy is loaded, one JSON line per command
+NUMPY_PROBE = """
+import contextlib, io, json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["ellsym", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("ellsym.cli", run_name="__main__")
+        except SystemExit:
+            pass
+    print(json.dumps([argv, "numpy" in sys.modules]))
+"""
+EXACT_COMMANDS = [["--version"]] + [
+    ["check", f"systems/{name}.sys", "--json"]
+    for name in ("divcurl_r3", "gradient_r2", "laplacian_r2", "laplacian_div_r2", "quartic_r4", "biharmonic_div_r4")
+] + [["annihilator", "systems/gradient_r2.sys"], ["homogenize", "systems/divcurl_r3.sys"]]
+
+
+@pytest.mark.parametrize(
+    "commands, loaded",
+    [
+        ([], [False]),  # `import ellsym` alone
+        (EXACT_COMMANDS, [False] * len(EXACT_COMMANDS)),
+        ([["moment", "systems/laplacian_r2.sys", "--json"]], [True]),
+        ([["witness", "systems/laplacian_r2.sys", "--e", "1,0", "--eps", "0.8,0.4", "--grid", "32"]], [True]),
+    ],
+    ids=["import", "exact_commands", "moment", "witness"],
+)
+def test_numpy_is_loaded_by_the_numeric_commands_only(commands, loaded):
+    import subprocess
+    import sys
+
+    code = "import ellsym, sys\nprint(json.dumps([[], 'numpy' in sys.modules]))\n" if not commands else NUMPY_PROBE
+    out = subprocess.run(
+        [sys.executable, "-c", "import json\n" + code, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    results = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [argv for argv, _ in results] == (commands or [[]])
+    assert [flag for _, flag in results] == loaded

@@ -11,6 +11,7 @@ from ellsym.conditions import (
     check_weak_cancellation,
     image_intersection,
     is_elliptic,
+    isotropic_moments,
     kernel_intersection,
     left_inverse_family,
     potential_field,
@@ -33,6 +34,7 @@ from genops import (
     divergence_operator,
     gradient_operator,
     laplacian_operator,
+    random_elliptic_operator,
     random_invertible_matrix,
     random_operator,
     random_rational_point,
@@ -237,10 +239,12 @@ def test_moment_map_after_check_evaluates_nothing_exact(monkeypatch, name):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_is_elliptic_evaluates_each_sign_pair_once(monkeypatch, n):
-    a = laplacian_operator(n)
-    # the lattice test runs first, outside the count; it stops at its first
-    # point, (2, 0, …, 0), whose line is e1's, so e1 is not evaluated again
-    assert not a.degenerate
+    # Σ j·ξ_j², positive and not isotropic, so the candidates are evaluated
+    a = parse_operator("rows: " + " + ".join(f"{j} d{j}^2 u1" for j in range(1, n + 1)), n)
+    # the lattice and isotropy tests run first, outside the count; the lattice
+    # test stops at its first point, (2, 0, …, 0), whose line is e1's, so e1 is
+    # not evaluated again
+    assert not a.degenerate and not a.isotropic
     calls = []
     orig = OperatorSpec.value_at
 
@@ -249,28 +253,36 @@ def test_is_elliptic_evaluates_each_sign_pair_once(monkeypatch, n):
         return orig(self, xi)
 
     monkeypatch.setattr(OperatorSpec, "value_at", counted)
-    assert is_elliptic(a).status == "numerically_positive"
+    v = is_elliptic(a)
+    assert (v.status, v.decided_by) == ("numerically_positive", "sampled")
     assert len(calls) == len(set(calls)) == (3**n - 1) // 2 - 1
     assert (1,) + (0,) * (n - 1) not in calls
     assert all(next(x for x in xi if x) > 0 for xi in calls)
 
 
 def test_cwc_reuses_weak_when_the_subspaces_agree(monkeypatch):
-    from ellsym import conditions
+    import importlib
 
-    calls = []
-    orig = conditions.converged_moments
+    cases = [
+        # isotropic: one exact moment per basis vector of I_A = E
+        ("d1^2 u1 + d2^2 u1; d1^2 u2 + d2^2 u2", "conditions", "isotropic_moments", 2),
+        # not isotropic: one converged quadrature for the whole basis
+        ("d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2", "quadrature", "converged_moments", 1),
+    ]
+    for rows, module, name, count in cases:
+        mod = importlib.import_module(f"ellsym.{module}")
+        calls = []
+        orig = getattr(mod, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
+        def counted(*args, _orig=orig, _calls=calls, **kwargs):
+            _calls.append(args)
+            return _orig(*args, **kwargs)
 
-    monkeypatch.setattr(conditions, "converged_moments", counted)
-    with open("systems/laplacian_r2.sys") as fh:
-        report = run_full_check(parse_system(fh.read()))
-    assert report.image_basis.intersect(report.kernel_basis) == report.image_basis
-    assert len(calls) == 1
-    assert report.cwc.to_json() == report.weak.to_json()
+        monkeypatch.setattr(mod, name, counted)
+        report = run_full_check(SystemSpec(parse_operator(f"from 2 to 2\nrows: {rows}", 2), None, 2))
+        assert report.image_basis.intersect(report.kernel_basis) == report.image_basis
+        assert len(calls) == count
+        assert report.cwc.to_json() == report.weak.to_json()
 
 
 @pytest.mark.parametrize("case", ["divcurl_r3", "genops_333"])
@@ -351,8 +363,7 @@ def test_elliptic_quartic_r4_no_with_pinned_witness():
 
 def test_elliptic_numeric_positive_n3():
     v = is_elliptic(laplacian_operator(3))
-    assert v.status == "numerically_positive"
-    assert v.min_normalized > 1e-9
+    assert (v.status, v.decided_by, v.min_normalized) == ("yes", "isotropic", None)
 
 
 def test_elliptic_n1():
@@ -375,9 +386,8 @@ def test_elliptic_order_zero(n):
     invertible = parse_operator("from 2 to 2\nrows: u1 + u2; u2", n)
     singular = parse_operator("from 2 to 2\nrows: u1 + 2 u2; 2 u1 + 4 u2", n)
     assert invertible.lattice() == singular.lattice() == [(0,) * n]
-    status = "yes" if n <= 2 else "numerically_positive"  # n ≥ 3 is decided by sampling
-    report = run_full_check(SystemSpec(invertible, None, n))
-    assert report.elliptic.status == status and report.image_basis.is_full()
+    report = run_full_check(SystemSpec(invertible, None, n))  # G(ξ) = CᵀC: isotropic
+    assert report.elliptic.status == "yes" and report.image_basis.is_full()
     v = is_elliptic(singular)
     assert (v.status, v.note) == ("no", "det(A*A) vanishes identically")
     assert v.witness_xi == (1,) + (0,) * (n - 1) and v.kernel_vector == (2, -1)
@@ -442,7 +452,7 @@ def test_check_gradient_r22_gets_a_verdict():
     # the coarsest product rule on S^21 has 2^22 nodes, over the rule budget
     n = 22
     report = run_full_check(SystemSpec(gradient_operator(n), None, n))
-    assert report.elliptic.status == "numerically_positive"
+    assert report.elliptic.status == "yes"  # G(ξ) = |ξ|², isotropic
     assert report.exit_status() == 0
 
 
@@ -451,10 +461,10 @@ def _nelder_mead_minimum(a):
     five lowest pair representatives: the reference for the compass search."""
     from scipy.optimize import minimize
 
-    from ellsym.quadrature import sample_nodes
+    from ellsym.quadrature import float_symbol, sample_nodes
 
     def det_g(points):
-        sym = a.symbol_values(points)
+        sym = float_symbol(a)(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     n = a.space_dim
@@ -748,7 +758,8 @@ def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
         monkeypatch.setattr(MatrixPolynomial, name, counted)
     report = run_full_check(parse_system(texts[case]))
     assert report.weak is not None and report.cwc is not None
-    assert calls == {"det": 1, "adjugate": 0}
+    # an isotropic Gram (the two square cases) needs no Sturm sequence either
+    assert calls == {"det": int(case == "nonscalar_gram"), "adjugate": 0}
 
 
 # -- exact zero tests by the rank of A(ξ) ------------------------------------------
@@ -810,7 +821,7 @@ def test_run_full_check_expands_no_det_for_n_ge_3(monkeypatch, name):
     monkeypatch.setattr(MatrixPolynomial, "det", counted)
     with open(f"systems/{name}.sys") as fh:
         report = run_full_check(parse_system(fh.read()))
-    assert report.elliptic.status == "numerically_positive"
+    assert (report.elliptic.status, report.elliptic.decided_by) == ("yes", "isotropic")
     assert calls == []
 
 
@@ -854,3 +865,113 @@ def test_moments_build_no_adjugate_for_scalar_gram(monkeypatch):
     assert report.weak is not None and report.cwc is not None  # both quadratures ran
     quadrature.moment_map(system.a, quadrature.build_rule(2, 4))
     assert calls == []
+
+
+# -- the isotropic certificate: G(ξ) = |ξ|^2k·G(e₁) ------------------------------------
+
+
+def _random_isotropic_operator(rng, n, k, m):
+    """B·(−Δ)^(k/2)·Id_m with a random injective (m + 1) × m matrix B for even k;
+    for odd k the rows of (−Δ)^((k−1)/2)∇ ⊗ Id_m times a random invertible B on the
+    source side. Either way G(ξ) = |ξ|^2k·G(e₁)."""
+    if k % 2:
+        return compose_right(random_elliptic_operator(rng, n, k, dim_v=m, extra_rows=0),
+                             random_invertible_matrix(rng, m))
+    b = random_invertible_matrix(rng, m) + [[F(rng.randint(-3, 3)) for _ in range(m)]]
+    return compose_left(laplacian_operator(n, k // 2, dim=m), b)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 6)])
+def test_isotropic_moments_match_converged_quadrature(n, k):
+    from ellsym.quadrature import converged_moments, tensor_basis
+
+    rng = random.Random(1000 * n + k)
+    a = _random_isotropic_operator(rng, n, k, m=2)
+    assert a.isotropic and is_elliptic(a).decided_by == "isotropic"
+    basis = [tuple(F(int(i == j)) for j in range(a.target_dim)) for i in range(a.target_dim)]
+    vals, _, _, _ = converged_moments(a, [list(map(float, e)) for e in basis])
+    _, weights = tensor_basis(n, k - n)
+    for e, got in zip(basis, vals):
+        rows, norm = isotropic_moments(a, e)
+        # the quadrature stores M e as (V, γ) with the weights √(multinomial)
+        exact = np.array(rows, dtype=float).T * weights[None, :] * math.pi ** (n / 2)
+        if n % 2:  # |α + γ| = 2k − n is odd: every integral is 0, in both
+            assert all(x == 0 for r in rows for x in r) and norm == 0.0 and not got.any()
+            continue
+        gap = np.abs(exact.ravel() - got).max()
+        assert gap <= 1e-12 * np.abs(got).max()
+        assert abs(norm - np.linalg.norm(got)) <= 1e-12 * norm
+
+
+def _value_at_calls(monkeypatch, a):
+    calls = []
+    orig = OperatorSpec.value_at
+
+    def counted(self, xi):
+        calls.append(xi)
+        return orig(self, xi)
+
+    monkeypatch.setattr(OperatorSpec, "value_at", counted)
+    isotropic = a.isotropic
+    monkeypatch.setattr(OperatorSpec, "value_at", orig)
+    return isotropic, len(calls)
+
+
+def _non_isotropic_operators(monkeypatch):
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import ladder
+
+    ops = [parse_operator("rows: d1^4 u1 + d2^4 u1 + d3^4 u1 + d4^4 u1", 4)]
+    for seed in (1, 2):
+        ops += [parse_system(r.text).a for r in ladder.build_ladder(seed) if not r.square]
+    rng = random.Random(20240811)
+    for n, k, m in [(2, 2, 1), (2, 3, 2), (3, 2, 2), (3, 3, 1), (4, 2, 1), (4, 4, 2)]:
+        ops.append(random_elliptic_operator(rng, n, k, dim_v=m))
+    return ops
+
+
+def test_non_isotropic_operators_exit_the_test_at_the_second_point(monkeypatch):
+    for a in _non_isotropic_operators(monkeypatch):
+        assert _value_at_calls(monkeypatch, a) == (False, 2)
+        assert is_elliptic(a).decided_by != "isotropic"
+
+
+def test_isotropic_verdicts_are_exact_and_float_free(monkeypatch):
+    # no float enters: the numeric layer is never reached
+    from ellsym import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric layer was reached")
+
+    for name in ("float_symbol", "sampled_ellipticity", "converged_moments"):
+        monkeypatch.setattr(quadrature, name, refuse)
+    with open("systems/biharmonic_div_r4.sys") as fh:
+        report = run_full_check(parse_system(fh.read())).to_json()
+    assert report["elliptic"] == {"status": "yes", "decided_by": "isotropic"}
+    for key in ("weak", "CWC"):
+        assert report[key]["method"] == "isotropic"
+        assert not {"levels", "error_estimate", "integrand_scale", "tolerance"} & report[key].keys()
+    # M e = 2π²·e exactly: |M e| is |S³|
+    assert report["weak"]["moments"][0]["norm"] == 2 * math.pi**2
+    # (−Δ)² on R³: every moment is 0, not merely below a tolerance
+    res = check_weak_cancellation(laplacian_operator(3, power=2), Subspace.full(3))
+    assert res.holds and res.method == "isotropic" and all(nrm == 0.0 for _, nrm in res.moments)
+
+
+@pytest.mark.parametrize(
+    "n, rows, decided_by",
+    [
+        (2, "from 2 to 1\nrows: d1 u1 + d2 u2", "source_exceeds_target"),
+        (2, "from 2 to 2\nrows: d1 u1 + d2 u2; 2 d1 u1 + 2 d2 u2", "identically_zero"),
+        (1, "rows: d1^3 u1", "isotropic"),
+        (3, "rows: d1^2 u1 + d2^2 u1", "axis_candidate"),
+        (2, "rows: d1^2 u1 + 2 d2^2 u1", "sturm"),
+        (2, "rows: d1^2 u1 - 2 d2^2 u1", "sturm"),
+        (3, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1", "sampled"),
+    ],
+)
+def test_every_ellipticity_verdict_names_its_method(n, rows, decided_by):
+    v = is_elliptic(parse_operator(rows, n))
+    assert v.decided_by == decided_by and v.to_json()["decided_by"] == decided_by

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -224,29 +225,46 @@ def test_parse_system_raises_only_ellsym_errors_on_arbitrary_text(pieces):
     _parse_or_typed_error("".join(pieces))
 
 
-# a file with no parenthesized power: a mutated exponent on a group of terms
-# expands without bound, which no budget in the parser caps yet
-DIVCURL_TEXT = (Path(__file__).parents[1] / "systems" / "divcurl_r3.sys").read_text()
+# every bundled file; a mutated exponent on a group of terms meets the
+# parser's expansion budget
+SYSTEM_TEXTS = sorted(p.read_text() for p in (Path(__file__).parents[1] / "systems").glob("*.sys"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
+    st.sampled_from(SYSTEM_TEXTS),
     st.lists(
         st.tuples(
-            st.integers(0, len(DIVCURL_TEXT)),
+            st.floats(0, 1),
             st.sampled_from(["insert", "replace", "delete"]),
             st.sampled_from(DSL_ALPHABET),
         ),
         min_size=1,
         max_size=3,
-    )
+    ),
 )
-def test_parse_system_raises_only_ellsym_errors_on_mutated_system(edits):
-    text = list(DIVCURL_TEXT)
-    for pos, kind, ch in edits:
-        pos = min(pos, len(text))
+def test_parse_system_raises_only_ellsym_errors_on_mutated_system(source, edits):
+    text = list(source)
+    for where, kind, ch in edits:
+        pos = min(int(where * len(source)), len(text))
         if kind == "insert":
             text.insert(pos, ch)
         elif pos < len(text):
             text[pos : pos + 1] = [ch] if kind == "replace" else []
     _parse_or_typed_error("".join(text))
+
+
+def test_power_of_a_group_over_the_expansion_budget_is_refused_at_once():
+    # one mutated digit of biharmonic_div_r4.sys: 43,680 terms, once past 60 s of expansion
+    text = (Path(__file__).parents[1] / "systems" / "biharmonic_div_r4.sys").read_text()
+    mutated = text.replace("d4^2)^2 u2", "d4^2)^62 u2")
+    assert mutated != text
+    start = time.perf_counter()
+    with pytest.raises(DslSyntaxError, match="over the budget") as err:
+        parse_system(mutated)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.line == 8
+    # (d1 + d2)^255 is within the budget, (d1 + d2)^256 is not
+    assert len(parse_operator("rows: (d1 + d2)^255 u1", 2).coeffs) == 256
+    with pytest.raises(DslSyntaxError, match="over the budget"):
+        parse_operator("rows: (d1 + d2)^256 u1", 2)

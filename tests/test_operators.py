@@ -6,8 +6,9 @@ import pytest
 
 from ellsym.dsl import parse_operator
 from ellsym.errors import NotEllipticError, NotHomogeneousError
-from ellsym.operators import SYMBOL_BLOCK, OperatorSpec, annihilator, homogenize
+from ellsym.operators import OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from ellsym.quadrature import SYMBOL_BLOCK, float_symbol
 from ellsym.ratlinalg import mat_vec, nullspace, rank
 from genops import (
     add,
@@ -248,7 +249,7 @@ def test_symbol_values_match_exact_eval(n, k, count):
     entries = a.symbol().entries
     assert any(p.is_zero() for row in entries for p in row)
     points = np.random.default_rng(n).normal(size=(count, n))
-    vals = a.symbol_values(points)
+    vals = float_symbol(a)(points)
     assert vals.shape == (count, a.target_dim, a.source_dim)
     for mat, x in zip(vals, points):
         exact_point = [F(float(c)) for c in x]  # the float point, exactly
@@ -264,13 +265,13 @@ def test_symbol_values_across_blocks():
     # more points than one monomial table holds: every row lands in its place
     a = random_elliptic_operator(random.Random(7), 3, 2, dim_v=2)
     points = np.random.default_rng(7).normal(size=(2 * SYMBOL_BLOCK + 5, 3))
-    vals = a.symbol_values(points)
+    vals = float_symbol(a)(points)
     for i in (0, SYMBOL_BLOCK - 1, SYMBOL_BLOCK, 2 * SYMBOL_BLOCK + 4):
-        assert np.allclose(vals[i], a.symbol_values(points[i:i + 1])[0], rtol=1e-14, atol=0)
+        assert np.allclose(vals[i], float_symbol(a)(points[i:i + 1])[0], rtol=1e-14, atol=0)
 
 
 def test_symbol_values_zero_operator():
-    vals = OperatorSpec(3, 2, 2, {}).symbol_values(np.ones((5, 3)))
+    vals = float_symbol(OperatorSpec(3, 2, 2, {}))(np.ones((5, 3)))
     assert vals.shape == (5, 2, 2) and not vals.any()
 
 

@@ -8,10 +8,10 @@ import pytest
 from ellsym.poly import (
     MatrixPolynomial,
     Polynomial,
-    monomial_table,
     monomials_of_degree,
     multinomial,
 )
+from ellsym.quadrature import monomial_table
 
 F = Fraction
 

@@ -9,13 +9,14 @@ import pytest
 from ellsym.cli import main
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import NearSingularSymbolError, NotEllipticError, OrderTooLowError
-from ellsym.poly import monomial_table, monomials_of_degree
+from ellsym.poly import monomials_of_degree
 from ellsym.quadrature import (
     SAMPLE_NODES,
     _pseudoinverse_at,
     build_rule,
     converged_moments,
     moment_map,
+    monomial_table,
     moments_for_vectors,
     sample_nodes,
     surface_area,
@@ -209,17 +210,20 @@ def test_tensor_basis_weights():
 
 
 def test_import_leaves_scipy_unloaded():
-    # importing, and the n >= 4 paths (sampled ellipticity, Gauss–Gegenbauer
-    # product rules, whose nodes come from numpy's eigh)
+    # importing, and the n >= 4 paths (the isotropic certificate, sampled
+    # ellipticity of a non-isotropic operator, Gauss–Gegenbauer product rules,
+    # whose nodes come from numpy's eigh)
     import subprocess
     import sys
 
     report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     n4_work = (
-        "from ellsym import build_rule, moment_map, parse_system, run_full_check\n"
+        "from ellsym import build_rule, is_elliptic, moment_map, parse_operator, parse_system, run_full_check\n"
         "system = parse_system(open('systems/biharmonic_div_r4.sys').read())\n"
-        "assert run_full_check(system).elliptic.status == 'numerically_positive'\n"
+        "assert run_full_check(system).elliptic.status == 'yes'\n"
         "moment_map(system.a, build_rule(4, 3))\n"
+        "rows = 'rows: d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1 + 4 d4^2 u1'\n"
+        "assert is_elliptic(parse_operator(rows, 4)).status == 'numerically_positive'\n"
     )
     for body in ("", n4_work):
         code = "import sys, ellsym\n" + body + report

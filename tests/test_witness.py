@@ -7,7 +7,7 @@ import pytest
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import EpsilonTooSmallError, ResidualTooLargeError
 from ellsym.operators import SystemSpec
-from ellsym.poly import monomial_table
+from ellsym.quadrature import float_symbol, monomial_table
 from ellsym.witness import (
     CONSTRAINED_DECAY_POWER,
     Grid,
@@ -41,7 +41,7 @@ def grid_symbol(op, k):
     ik = np.zeros(shape + (len(k),), dtype=complex)
     for i, kd in enumerate(k):
         ik[..., i].imag = kd
-    return op.symbol_values(ik.reshape(-1, len(k))).reshape(shape + (op.target_dim, op.source_dim))
+    return float_symbol(op)(ik.reshape(-1, len(k))).reshape(shape + (op.target_dim, op.source_dim))
 
 
 def apply_operator(op, fhat, spectrum):

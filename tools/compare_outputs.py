@@ -36,8 +36,10 @@ run the same list of operations:
   Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
   (I_A = E), constrained systems whose CC fails, the inconclusive n = 3
   operator of ELLIPTIC_CASES, whose report carries the diagnostics of an
-  inconclusive ellipticity verdict, and the quartic Σ ∂_i⁴ on R⁴, whose
-  weak verdict needs the n = 4 moment quadrature to converge.
+  inconclusive ellipticity verdict, the quartic Σ ∂_i⁴ on R⁴, whose
+  weak verdict needs the n = 4 moment quadrature to converge, (−Δ)²·B on R³,
+  an isotropic k > n system whose exact moments are bitwise 0, and a
+  non-isotropic square n = 2 system, whose moments still come from quadrature.
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -151,6 +153,12 @@ CHECK_CASES = (
     ("sheared laplacian, CC fails", "dim 2\n" + SHEARED_LAPLACIAN + "constraint C {\n  from 2 to 1\n  rows: d1 f1\n}\n"),
     ("n3 inconclusive", "dim 3\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1\n}\n"),
     ("R4 quartic", "dim 4\noperator A {\n  from 1 to 1\n  rows: d1^4 u1 + d2^4 u1 + d3^4 u1 + d4^4 u1\n}\n"),
+    (
+        "R3 bilaplacian times B",
+        "dim 3\noperator A {\n  from 2 to 2\n  rows:\n"
+        "    (d1^2 + d2^2 + d3^2)^2 u1 + (d1^2 + d2^2 + d3^2)^2 u2; (d1^2 + d2^2 + d3^2)^2 u2\n}\n",
+    ),
+    ("R2 anisotropic square", "dim 2\noperator A {\n  from 2 to 2\n  rows: d1^2 u1 + 2 d2^2 u1 + d1 d2 u2; d1^2 u2 + d2^2 u2\n}\n"),
 )
 
 CHECK_SCRIPT = """
