@@ -194,11 +194,7 @@ def cmd_witness(args):
             "witness",
             digest,
             args.seed,
-            {
-                "growth_factor": config.growth_factor,
-                "flatness": config.flatness,
-                "residual_tol": config.residual_tol,
-            },
+            {key: result.config[key] for key in ("growth_factor", "flatness", "residual_tol")},
             result.to_json(),
         )
         _emit(_json_dumps(env), args.out)

@@ -273,8 +273,9 @@ def _cc(i_a, k_c):
 
 @dataclass
 class WeakCancellationResult:
-    """|M e| over a basis, exact (method "isotropic") or from converged quadrature
-    ("quadrature"), which alone has the scale, error, levels and tolerance fields."""
+    """|M e| over a basis: none for the zero subspace (method "vacuous"), exact
+    ("isotropic") or from converged quadrature ("quadrature"), which alone has the
+    scale, error, levels and tolerance fields."""
 
     holds: bool
     vacuous: bool
@@ -301,19 +302,20 @@ class WeakCancellationResult:
 def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL):
     """Vanishing of M_A on the given subspace (I_A, or I_A ∩ K_C for CWC).
 
-    Exact for an isotropic operator (`isotropic_moments`). Otherwise the zero
-    test is |M e| <= tol * (sphere area) * max-node integrand norm, required
-    after two quadrature refinements agree.
+    Vacuous on the zero subspace, with no moment computed. Exact for an isotropic
+    operator (`isotropic_moments`). Otherwise the zero test is
+    |M e| <= tol * (sphere area) * max-node integrand norm, required after two
+    quadrature refinements agree.
     """
     k, n = a.order, a.space_dim
     if k < n:
         raise OrderTooLowError(f"weak cancellation needs k >= n (k={k}, n={n})")
+    if subspace.is_zero():
+        return WeakCancellationResult(True, True, [], "vacuous")
     if a.isotropic and not a.degenerate:
         moments = [(e, isotropic_moments(a, e)[1]) for e in subspace.basis]
         holds = not any(nrm for _, nrm in moments)
-        return WeakCancellationResult(holds, subspace.is_zero(), moments, "isotropic")
-    if subspace.is_zero():
-        return WeakCancellationResult(True, True, [], "quadrature", 0.0, 0.0, (0, 0), tol)
+        return WeakCancellationResult(holds, False, moments, "isotropic")
     from .quadrature import converged_moments, surface_area  # the numeric layer (numpy)
 
     vectors = [list(map(float, row)) for row in subspace.basis]

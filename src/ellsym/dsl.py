@@ -35,7 +35,7 @@ from .errors import (
 from .operators import OperatorSpec, SystemSpec
 from .poly import Polynomial
 
-MAX_EXPANSION_BITS = 2**17  # terms × coefficient bits of a power of a group, at most
+MAX_EXPANSION_BITS = 2**17  # terms × coefficient bits of a power or product of groups, at most
 
 _PUNCT = {
     "{": "LBRACE",
@@ -105,6 +105,19 @@ def _tokenize(text):
     return tokens
 
 
+def _height(p):
+    """The largest numerator or denominator of p's coefficients (1 for p = 0)."""
+    return max((max(abs(c.numerator), c.denominator) for c in p.terms.values()), default=1)
+
+
+def _check_expansion(terms, bits, what, tok):
+    """DslSyntaxError unless `terms` coefficients of `bits` bits fit MAX_EXPANSION_BITS."""
+    if terms * bits > MAX_EXPANSION_BITS:
+        raise DslSyntaxError(
+            f"{what} may expand to {terms} terms of about {bits} bits each, over the "
+            f"budget of {MAX_EXPANSION_BITS} bits", tok.line, tok.col)
+
+
 class _RowValue:
     """scalar polynomial + linear part Σ comps[i]·component_i."""
 
@@ -131,7 +144,18 @@ class _RowValue:
             )
         if other.comps:
             return other.mul(self, tok)
-        # other is scalar
+        # other is scalar. p·q has at most t₁t₂ terms and at most the monomials of
+        # degree ≤ deg p + deg q; a coefficient is at most min(t₁, t₂)·H_p·H_q. A
+        # monomial factor adds no term, and its coefficient is a number of the text.
+        q = other.scalar
+        for p in (self.scalar, *self.comps.values()):
+            t1, t2 = len(p.terms), len(q.terms)
+            if min(t1, t2) <= 1:
+                continue
+            degree = (p.degree() or 0) + (q.degree() or 0)
+            terms = min(t1 * t2, math.comb(degree + self.nvars, self.nvars))
+            bits = (min(t1, t2) * _height(p) * _height(q)).bit_length()
+            _check_expansion(terms, bits, f"a product of factors of {t1} and {t2} terms", tok)
         return _RowValue(
             self.nvars,
             self.scalar * other.scalar,
@@ -149,18 +173,14 @@ class _RowValue:
         # ≤ k·deg p; a coefficient has about log2 (t·H)^k bits, H the largest of p's
         p, t = self.scalar, max(len(self.scalar.terms), 1)
         terms = min(math.comb(t + k - 1, k), math.comb(k * (p.degree() or 0) + self.nvars, self.nvars))
-        big = max((max(abs(c.numerator), c.denominator) for c in p.terms.values()), default=1)
-        bits = k * (t * big).bit_length()
-        if terms * bits > MAX_EXPANSION_BITS:
-            raise DslSyntaxError(
-                f"power {k} of a group of {t} terms may expand to {terms} terms of about {bits} bits "
-                f"each, over the budget of {MAX_EXPANSION_BITS} bits", tok.line, tok.col)
+        bits = k * (t * _height(p)).bit_length()
+        _check_expansion(terms, bits, f"power {k} of a group of {t} terms", tok)
         return _RowValue(self.nvars, p**k)
 
 
 class _Parser:
-    def __init__(self, text, nvars):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens, nvars):
+        self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
 
@@ -367,7 +387,7 @@ def parse_operator(text, n):
     """Parse a bare operator description: optional 'from a to b', then rows."""
     if not isinstance(text, str):
         text = text.read()
-    parser = _Parser(text, n)
+    parser = _Parser(_tokenize(text), n)
     sig = None
     if parser.at_ident("from"):
         sig = parser.parse_sig()
@@ -382,15 +402,12 @@ def parse_system(text):
     """Parse a full system file: dim declaration, operator block, optional constraint."""
     if not isinstance(text, str):
         text = text.read()
-    # first pass for the dimension so polynomials know their variable count
-    pre = _Parser(text, 1)
+    tokens = _tokenize(text)
+    # the dimension first, so polynomials know their variable count
+    words = [tok for tok in tokens if tok.kind != "NEWLINE"]
     dim = None
-    while True:
-        tok = pre.next()
-        if tok.kind == "EOF":
-            break
+    for tok, num in zip(words, words[1:]):
         if tok.kind == "IDENT" and tok.value == "dim":
-            num = pre.next()
             if num.kind != "NUMBER":
                 raise DslSyntaxError("expected a number after 'dim'", num.line, num.col)
             if dim is not None:
@@ -401,7 +418,7 @@ def parse_system(text):
     if dim < 1:
         raise DslSyntaxError("dimension must be >= 1")
 
-    parser = _Parser(text, dim)
+    parser = _Parser(tokens, dim)
     op = None
     constraint = None
     while True:

@@ -71,7 +71,3 @@ class HypothesisFailedError(EllsymError):
 
 class EpsilonTooSmallError(EllsymError):
     """Mollification width too small for the grid resolution."""
-
-
-class ResidualTooLargeError(EllsymError):
-    """Spectral solve residual exceeds tolerance in strict mode."""

@@ -49,8 +49,9 @@ class OperatorSpec:
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
     def row_degrees(self):
-        """Degree of each row; None for an identically zero row.
+        """Degree of each row, a tuple; None for an identically zero row.
 
         Raises NonHomogeneousRow-style ValueError if some row mixes degrees;
         parsing enforces this, so reaching it means a construction bug.
@@ -64,16 +65,16 @@ class OperatorSpec:
                         degs[j] = d
                     elif degs[j] != d:
                         raise ValueError(f"row {j + 1} mixes degrees {degs[j]} and {d}")
-        return degs
+        return tuple(degs)
 
     def is_homogeneous(self):
-        degs = {d for d in self.row_degrees() if d is not None}
+        degs = {d for d in self.row_degrees if d is not None}
         return len(degs) <= 1
 
     @property
     def order(self):
         """The single common order; NotHomogeneous if rows differ."""
-        degs = {d for d in self.row_degrees() if d is not None}
+        degs = {d for d in self.row_degrees if d is not None}
         if not degs:
             return 0
         if len(degs) > 1:
@@ -154,7 +155,7 @@ class OperatorSpec:
         A (and, for one order, each (dim V + 1)-minor of [A(ξ) | v]) times
         (Σξ_i)^(D − its degree) is a degree-D form, and Λ_D is unisolvent for
         those (Nicolaides, SIAM J. Numer. Anal. 9 (1972)): zero on Λ_D means ≡ 0."""
-        k = max((d for d in self.row_degrees() if d is not None), default=0)
+        k = max((d for d in self.row_degrees if d is not None), default=0)
         return monomials_of_degree(self.space_dim, self.source_dim * k)
 
     @cached_property
@@ -270,7 +271,7 @@ def homogenize(c, target_degree=None):
     by original row, γ in descending lex order, so an already-homogeneous
     operator comes back structurally equal.
     """
-    degs = c.row_degrees()
+    degs = c.row_degrees
     l = max((d for d in degs if d is not None), default=0)
     if target_degree is not None:
         if target_degree < l:

@@ -6,9 +6,10 @@ blow-up phenomenon under study is local. The zero mode is not in the range of
 a homogeneous symbol, so the data mean is removed and its size reported.
 
 Derivatives follow the grid convention A(ik) = Σ C_α (ik)^α. Data and
-solutions are real, so every solve runs on the rfftn half spectrum (last
-axis 0..N/2) in real arithmetic: A(ik) = i^k·A(k) for one order k, and only
-norms of fields enter the reported ratios.
+solutions are real, so every spectrum is the rfftn half spectrum (last axis
+0..N/2), and every solve and projection runs on it in real arithmetic:
+A(ik) = i^k·A(k) for one order k, and only norms of fields enter the reported
+ratios.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .conditions import kernel_intersection
-from .errors import EpsilonTooSmallError, InvalidArgumentError, ResidualTooLargeError
+from .errors import EpsilonTooSmallError, InvalidArgumentError
 from .poly import monomials_of_degree, multinomial
 from .quadrature import float_symbol
 
+# fixed thresholds of every experiment, echoed in its config; not settings
 DEFAULT_RESIDUAL_TOL = 1e-6
 DEFAULT_GROWTH_FACTOR = 2.0
 DEFAULT_FLATNESS = 0.10
@@ -33,8 +35,9 @@ MIN_EPS_SPACING_FACTOR = 2.0  # required eps / grid-spacing ratio
 CONSTRAINED_DECAY_POWER = 2.0  # spectral decay |k|^-p of the fixed random base
 ZERO_DATA_RTOL = 1e-12  # a projected spectrum this far below the unprojected one is rounding noise
 
-# lattice frequencies k (sparse: one broadcastable float array per axis), |k|²
-# and the mask of modes with a Nyquist index (N/2 on some axis)
+# the rfftn half spectrum (last axis 0..N/2): lattice frequencies k (sparse: one
+# broadcastable float array per axis), |k|² and the mask of modes with a Nyquist
+# index (N/2 on some axis)
 Spectrum = namedtuple("Spectrum", "k k2 nyquist")
 
 
@@ -69,13 +72,10 @@ class Grid:
     def cell_volume(self):
         return self.spacing**self.n
 
-    # the Spectrum of every fftn mode, and of the rfftn half (last axis 0..N/2)
-    full = cached_property(lambda self: self._spectrum(self.npts))
-    half = cached_property(lambda self: self._spectrum(self.npts // 2 + 1))
-
-    def _spectrum(self, last):
+    @cached_property
+    def half(self):
         k1 = np.rint(np.fft.fftfreq(self.npts) * self.npts)
-        k = np.meshgrid(*([k1] * (self.n - 1) + [k1[:last]]), indexing="ij", sparse=True)
+        k = np.meshgrid(*([k1] * (self.n - 1) + [k1[: self.npts // 2 + 1]]), indexing="ij", sparse=True)
         nyquist = sum(np.abs(kd) == self.npts // 2 for kd in k) > 0
         return Spectrum(k, sum(kd**2 for kd in k), nyquist)
 
@@ -87,13 +87,14 @@ def symbol_on_modes(op, k):
     return values.reshape(points.shape[:-1] + (op.target_dim, op.source_dim))
 
 
-def _check_width(grid, eps, min_factor):
-    """Raise unless eps is a finite width of at least min_factor grid spacings
-    and at most π/2, where the Gaussian tails stay inside the period."""
-    if not math.isfinite(eps) or eps < min_factor * grid.spacing:
+def _check_width(grid, eps):
+    """Raise unless eps is a finite width of at least MIN_EPS_SPACING_FACTOR grid
+    spacings and at most π/2, where the Gaussian tails stay inside the period."""
+    factor = MIN_EPS_SPACING_FACTOR
+    if not math.isfinite(eps) or eps < factor * grid.spacing:
         raise EpsilonTooSmallError(
-            f"eps={eps} is not a finite width of at least {min_factor} grid "
-            f"spacings ({min_factor * grid.spacing:.4g})"
+            f"eps={eps} is not a finite width of at least {factor} grid "
+            f"spacings ({factor * grid.spacing:.4g})"
         )
     if eps > math.pi / 2:
         raise EpsilonTooSmallError(
@@ -101,7 +102,7 @@ def _check_width(grid, eps, min_factor):
         )
 
 
-def mollified_dirac(grid, eps, e, center=None, min_factor=MIN_EPS_SPACING_FACTOR):
+def mollified_dirac(grid, eps, e):
     """Unit-mass periodized Gaussian of width eps in the direction e.
 
     Returns (field, fhat) where fhat holds the Fourier-series coefficients on
@@ -109,20 +110,17 @@ def mollified_dirac(grid, eps, e, center=None, min_factor=MIN_EPS_SPACING_FACTOR
     coefficient is a scalar times e, so any constraint matrix annihilating e
     annihilates the field identically.
     """
-    _check_width(grid, eps, min_factor)
-    spec = grid.half
-    coeff = np.exp(-0.5 * eps * eps * spec.k2) / (2.0 * math.pi) ** grid.n
-    if center is not None:
-        coeff = coeff * np.exp(-1j * sum(kd * x0 for kd, x0 in zip(spec.k, center)))
+    _check_width(grid, eps)
+    coeff = np.exp(-0.5 * eps * eps * grid.half.k2) / (2.0 * math.pi) ** grid.n
     evec = np.array([float(x) for x in e])
     f = np.fft.irfftn(coeff * grid.npts**grid.n, s=grid.shape, axes=range(grid.n))
     return f[..., None] * evec, coeff[..., None] * evec
 
 
-def constrain_field(fhat, c_op, grid):
-    """Project every nonzero mode of the full spectrum fhat onto ker C(ik) = ker C(k)
-    (homogeneous rows), with the real projector I − C(k)⁺C(k)."""
-    sym = symbol_on_modes(c_op, grid.full.k).reshape(-1, c_op.target_dim, c_op.source_dim)
+def constrain_field(fhat, c_op, k):
+    """Project every nonzero mode of fhat, at the frequencies k of its spectrum, onto
+    ker C(ik) = ker C(k) (homogeneous rows), with the real projector I − C(k)⁺C(k)."""
+    sym = symbol_on_modes(c_op, k).reshape(-1, c_op.target_dim, c_op.source_dim)
     proj = np.eye(c_op.source_dim) - np.linalg.pinv(sym) @ sym
     flat = fhat.reshape(-1, c_op.source_dim)
     parts = proj @ np.stack([flat.real, flat.imag], axis=-1)
@@ -149,7 +147,7 @@ def solve_modes(a_op, fhat, grid):
     live = ~spec.nyquist
     live.flat[0] = False
     data = np.where(live[..., None], fhat, 0.0).reshape(-1, t)
-    degs = a_op.row_degrees()  # None for a zero row, which takes any phase
+    degs = a_op.row_degrees  # None for a zero row, which takes any phase
     k = max((d for d in degs if d is not None), default=0)
     if any(d not in (None, k) for d in degs):
         data = data * np.array([1 if d is None else 1j ** (k - d) for d in degs])
@@ -176,20 +174,15 @@ def solve_modes(a_op, fhat, grid):
                 singular=singular.reshape(shape))
 
 
-def solve_system(a_op, f, grid, strict=False, residual_tol=DEFAULT_RESIDUAL_TOL):
+def solve_system(a_op, f, grid):
     """Least-squares spectral solve of A u = f for real f, mean removed: rfftn,
     solve_modes, irfftn. Returns (u, info); info holds solve_modes' half-spectrum
     entries, removed_mean and the residual ‖A u − (f − mean)‖₂ / ‖f − mean‖₂,
-    small iff f̂ lies in im A(ik) at every mode. strict=True raises
-    ResidualTooLarge beyond tol."""
+    small iff f̂ lies in im A(ik) at every mode."""
     fhat = np.fft.rfftn(f, axes=range(grid.n))
     mean = fhat.reshape(-1, a_op.target_dim)[0] / grid.npts**grid.n
     info = solve_modes(a_op, fhat, grid)
-    info["residual"] = residual = _residual(info["resid_sq"], info["data_sq"], 1.0)
-    if strict and residual > residual_tol:
-        raise ResidualTooLargeError(
-            f"modewise solve residual {residual:.3e} exceeds {residual_tol:.1e}"
-        )
+    info["residual"] = _residual(info["resid_sq"], info["data_sq"], 1.0)
     info["removed_mean"] = float(np.linalg.norm(mean)) * (2.0 * math.pi) ** grid.n
     return np.fft.irfftn(info["uhat"], s=grid.shape, axes=range(grid.n)), info
 
@@ -235,10 +228,6 @@ class WitnessConfig:
     grid_n: int = 128
     seed: int = 0
     mode: str = "dirac"  # "dirac" | "constrained"
-    growth_factor: float = DEFAULT_GROWTH_FACTOR
-    flatness: float = DEFAULT_FLATNESS
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
-    min_eps_factor: float = MIN_EPS_SPACING_FACTOR
 
     def echo(self):
         return {
@@ -248,10 +237,10 @@ class WitnessConfig:
             "j": "inf" if self.j is None else int(self.j),
             "grid_n": self.grid_n,
             "seed": self.seed,
-            "growth_factor": self.growth_factor,
-            "flatness": self.flatness,
-            "residual_tol": self.residual_tol,
-            "min_eps_factor": self.min_eps_factor,
+            "growth_factor": DEFAULT_GROWTH_FACTOR,
+            "flatness": DEFAULT_FLATNESS,
+            "residual_tol": DEFAULT_RESIDUAL_TOL,
+            "min_eps_factor": MIN_EPS_SPACING_FACTOR,
         }
 
 
@@ -287,15 +276,15 @@ class WitnessResult:
         return "\n".join(lines) + "\n"
 
 
-def _classify(ratios, growth_factor, flatness):
+def _classify(ratios):
     if any(r is None for r in ratios) or len(ratios) < 2:
         return "INDETERMINATE"
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    if increasing and ratios[-1] / ratios[0] >= growth_factor:
+    if increasing and ratios[-1] / ratios[0] >= DEFAULT_GROWTH_FACTOR:
         return "GROWING"
     mean = sum(ratios) / len(ratios)
     tv = sum(abs(b - a) for a, b in zip(ratios, ratios[1:]))
-    if tv < flatness * mean:
+    if tv < DEFAULT_FLATNESS * mean:
         return "BOUNDED"
     return "INDETERMINATE"
 
@@ -384,35 +373,32 @@ def blowup_experiment(config):
         hhat = evec / (2.0 * math.pi) ** n * grid.npts**n  # the grid Dirac: ĥ = e·N^n/(2π)^n
 
         def data(eps):
-            return mollified_dirac(grid, eps, evec, min_factor=config.min_eps_factor)[0]
+            return mollified_dirac(grid, eps, evec)[0]
 
     elif config.mode == "constrained":
-        k2 = grid.full.k2
+        spec = grid.half
         rng = np.random.default_rng(config.seed)
         base = rng.standard_normal(grid.shape + (a.target_dim,))
-        decay = np.where(k2 > 0, k2, 1.0) ** (-CONSTRAINED_DECAY_POWER / 2.0)
-        full = np.fft.fftn(base, axes=range(n)) * decay[..., None]
-        full.reshape(-1, a.target_dim)[0] = 0.0
+        decay = np.where(spec.k2 > 0, spec.k2, 1.0) ** (-CONSTRAINED_DECAY_POWER / 2.0)
+        hhat = np.fft.rfftn(base, axes=range(n)) * decay[..., None]
+        hhat.reshape(-1, a.target_dim)[0] = 0.0
         if system.c is not None:
-            projected = constrain_field(full, system.c, grid)
-            if np.abs(projected).max() <= ZERO_DATA_RTOL * np.abs(full).max():
+            projected = constrain_field(hhat, system.c, spec.k)
+            if np.abs(projected).max() <= ZERO_DATA_RTOL * np.abs(hhat).max():
                 projected[...] = 0.0  # ker C(k) = {0} on every mode: no data
-            full = projected
-        hhat = full[..., : grid.npts // 2 + 1, :]
+            hhat = projected
         out_of_range = "the constrained field is not in the symbol range"
         no_data = "the constraint admits no nonzero data"
 
         def data(eps):
-            # mixed Nyquist modes of the projected spectrum have no conjugate
-            # partner, so f is the real part of the full inverse transform
-            g = np.exp(-0.5 * eps**2 * k2)
-            return np.fft.ifftn(full * g[..., None], axes=range(n)).real
+            g = np.exp(-0.5 * eps**2 * spec.k2)
+            return np.fft.irfftn(hhat * g[..., None], s=grid.shape, axes=range(n))
 
     else:
         raise InvalidArgumentError(f"unknown mode {config.mode!r}")
 
     for eps in config.epsilons:
-        _check_width(grid, float(eps), config.min_eps_factor)
+        _check_width(grid, float(eps))
     info = solve_modes(a, hhat, grid)
     for eps in config.epsilons:
         eps = float(eps)
@@ -424,7 +410,7 @@ def blowup_experiment(config):
         if l1 == 0.0:
             diagnostics.append(f"eps={eps}: {no_data} — no ratio recorded")
             continue
-        if residual > config.residual_tol:
+        if residual > DEFAULT_RESIDUAL_TOL:
             diagnostics.append(
                 f"eps={eps}: solve residual {residual:.3e} exceeds "
                 f"tolerance; {out_of_range} — no ratio recorded"
@@ -438,7 +424,7 @@ def blowup_experiment(config):
             row["center_ratio"] = float(mag[(0,) * n]) / l1
 
     ratios = [r["ratio"] for r in rows]
-    classification = _classify(ratios, config.growth_factor, config.flatness)
+    classification = _classify(ratios)
     slope = intercept = r2 = None
     if j is None and all(r is not None for r in ratios) and len(ratios) >= 2:
         slope, intercept, r2 = _fit_log([r["epsilon"] for r in rows], ratios)

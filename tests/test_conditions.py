@@ -512,6 +512,26 @@ def test_weak_cancellation_vacuous_with_divergence():
     assert res.holds and res.vacuous
 
 
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (2, "from 2 to 2\nrows: d1^2 u1 + d2^2 u1; d1^2 u2 + d2^2 u2"),
+        (2, "from 2 to 2\nrows: d1^2 u1 + 2 d2^2 u1 + d1 d2 u2; d1^2 u2 + d2^2 u2"),
+    ],
+    ids=["isotropic", "not isotropic"],
+)
+def test_weak_cancellation_on_the_zero_subspace_is_vacuous_for_every_operator(n, rows, monkeypatch):
+    # no rule is built and no moment computed: the report has no quadrature fields
+    from ellsym import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric layer was reached")
+
+    monkeypatch.setattr(quadrature, "converged_moments", refuse)
+    res = check_weak_cancellation(parse_operator(rows, n), Subspace.zero(2))
+    assert res.to_json() == {"holds": True, "vacuous": True, "method": "vacuous", "moments": []}
+
+
 def test_weak_cancellation_order_too_low():
     with pytest.raises(OrderTooLowError):
         check_weak_cancellation(laplacian_operator(3), Subspace.full(3))
@@ -950,8 +970,9 @@ def test_isotropic_verdicts_are_exact_and_float_free(monkeypatch):
     with open("systems/biharmonic_div_r4.sys") as fh:
         report = run_full_check(parse_system(fh.read())).to_json()
     assert report["elliptic"] == {"status": "yes", "decided_by": "isotropic"}
+    # I_A ∩ K_C = {0}, so the CWC verdict is vacuous and computes no moment
+    assert (report["weak"]["method"], report["CWC"]["method"]) == ("isotropic", "vacuous")
     for key in ("weak", "CWC"):
-        assert report[key]["method"] == "isotropic"
         assert not {"levels", "error_estimate", "integrand_scale", "tolerance"} & report[key].keys()
     # M e = 2π²·e exactly: |M e| is |S³|
     assert report["weak"]["moments"][0]["norm"] == 2 * math.pi**2

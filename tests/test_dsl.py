@@ -40,7 +40,7 @@ def test_parse_identity_row_zeroth_order():
 def test_parse_quartic_rows_with_group():
     op = parse_operator("rows: (d1^4 + d2^4) u1; d3^4 u2; d4^4 u2", 4)
     assert (op.source_dim, op.target_dim) == (2, 3)
-    assert op.row_degrees() == [4, 4, 4]
+    assert op.row_degrees == (4, 4, 4)
     assert op.coeffs[(4, 0, 0, 0)][0] == (F(1), F(0))
     assert op.coeffs[(0, 4, 0, 0)][0] == (F(1), F(0))
     assert op.coeffs[(0, 0, 4, 0)][1] == (F(0), F(1))
@@ -52,7 +52,7 @@ def test_parse_rational_coefficients_and_signs():
     assert op.coeffs[(2, 0)][0] == (F(2, 3), F(0), F(0))
     assert op.coeffs[(0, 2)][0] == (F(0), F(-1), F(0))
     assert op.coeffs[(0, 0)][1] == (F(0), F(0), F(4))
-    assert op.row_degrees() == [2, 0]
+    assert op.row_degrees == (2, 0)
 
 
 def test_nonhomogeneous_row_rejected():
@@ -268,3 +268,26 @@ def test_power_of_a_group_over_the_expansion_budget_is_refused_at_once():
     assert len(parse_operator("rows: (d1 + d2)^255 u1", 2).coeffs) == 256
     with pytest.raises(DslSyntaxError, match="over the budget"):
         parse_operator("rows: (d1 + d2)^256 u1", 2)
+
+
+def test_product_of_groups_over_the_expansion_budget_is_refused_at_once():
+    # expanded with no estimate, 40 factors took seconds and the cost grew like m⁴
+    start = time.perf_counter()
+    with pytest.raises(DslSyntaxError, match="over the budget") as err:
+        parse_operator("rows: " + "(d1 + d2 + d3 + d4) " * 40 + "u1", 4)
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.line, err.value.col) == (1, 7)
+    # the same budget when the component comes first
+    with pytest.raises(DslSyntaxError, match="over the budget"):
+        parse_operator("rows: u1" + " (d1 + d2 + d3 + d4)" * 40, 4)
+    assert len(parse_operator("rows: " + "(d1 + d2 + d3 + d4) " * 10 + "u1", 4).coeffs) == 286
+
+
+def test_parse_system_tokenizes_the_text_once(monkeypatch):
+    from ellsym import dsl
+
+    calls = []
+    tokenize = dsl._tokenize
+    monkeypatch.setattr(dsl, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+    parse_system((Path(__file__).parents[1] / "systems" / "divcurl_r3.sys").read_text())
+    assert len(calls) == 1

@@ -297,3 +297,11 @@ def test_kernel_at_evaluates_each_line_once(monkeypatch):
     assert all(type(x) is int for row in orig(a, (1, 2)) for x in row)
     assert a.kernel_at((1, 0)) is None and a.kernel_at((-3, 0)) is None
     assert calls == [(1, 2), (1, 0)]
+
+
+def test_row_degrees_are_computed_once_per_operator():
+    a = parse_operator("from 2 to 3\nrows: d1^2 u1 + d2^2 u2; d1 d2 u1; 0 u1", 2)
+    degrees = a.row_degrees
+    assert degrees == (2, 2, None)
+    assert (a.order, a.is_homogeneous(), len(a.lattice())) == (2, True, 5)
+    assert a.row_degrees is degrees

@@ -8,13 +8,15 @@ run the same list of operations:
 - `check --json`, `annihilator --json` and `moment --json` on every file in
   `systems/` (`moment` on `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in
   an error, whose message and exit code are compared too);
-- seven `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, the
+- eight `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, the
   same with e = (3, 1) (beyond unit size, so `blowup_experiment` scales it
   by a power of two), a constrained `laplacian_div_r2`, a dirac
   `divcurl_r3` with j = 1, an out-of-range `gradient_r2` direction, whose
   rows carry the residual diagnostic instead of a ratio, an n = 4 dirac `biharmonic_div_r4` with
-  j = ∞ (a 4x4 symbol, order 4), and a constrained `divcurl_r3` (odd order,
-  complex data, out of range; widths of at least two spacings of grid 32);
+  j = ∞ (a 4x4 symbol, order 4), a constrained `divcurl_r3` (odd order,
+  complex data, out of range; widths of at least two spacings of grid 32),
+  and a constrained Laplacian whose constraint `d1 f1; d2 f1` admits no data
+  (INLINE_SYSTEMS, written to a temporary file that both roots read);
 - the report of `run_full_check` and, when k >= n, the level-3 `moment_map`
   matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
@@ -56,6 +58,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 SYSTEMS = (
     "biharmonic_div_r4",
@@ -86,7 +89,19 @@ WITNESS_CASES = (
         "divcurl_r3",
         ["--mode", "constrained", "--j", "1", "--eps", "0.8,0.6,0.4", "--grid", "32"],
     ),
+    (
+        "laplacian_grad_r2 constrained, no data",
+        "laplacian_grad_r2",
+        ["--mode", "constrained", "--j", "1", "--eps", "0.8,0.4", "--grid", "32"],
+    ),
 )
+# systems of WITNESS_CASES that no file in systems/ holds
+INLINE_SYSTEMS = {
+    "laplacian_grad_r2": (
+        "dim 2\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 + d2^2 u1\n}\n"
+        "constraint C {\n  from 1 to 2\n  rows: d1 f1; d2 f1\n}\n"
+    ),
+}
 LADDER_SEEDS = (1, 2)
 MAX_SHOWN = 10  # non-float differences printed per operation
 
@@ -197,16 +212,16 @@ print(json.dumps(out, sort_keys=True))
 """ % (GUARD_CASES,)
 
 
-def operations():
-    """(label, argv after the interpreter) for every operation."""
+def operations(inline_dir):
+    """(label, argv after the interpreter) for every operation; the files of
+    INLINE_SYSTEMS are in inline_dir."""
     ops = []
     for name in SYSTEMS:
         for cmd in ("check", "annihilator", "moment"):
             ops.append((f"{cmd} {name}", ["-m", "ellsym.cli", cmd, f"systems/{name}.sys", "--json"]))
     for label, name, options in WITNESS_CASES:
-        ops.append(
-            (f"witness {label}", ["-m", "ellsym.cli", "witness", f"systems/{name}.sys", *options, "--json"])
-        )
+        path = os.path.join(inline_dir, f"{name}.sys") if name in INLINE_SYSTEMS else f"systems/{name}.sys"
+        ops.append((f"witness {label}", ["-m", "ellsym.cli", "witness", path, *options, "--json"]))
     for seed in LADDER_SEEDS:
         ops.append((f"ladder seed {seed}", ["-c", LADDER_SCRIPT % seed]))
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
@@ -260,34 +275,42 @@ def compare(old, new, path, floats, problems):
         problems.append(f"{where}: {old!r} != {new!r}")
 
 
+def compare_operation(label, argv, old_root, new_root):
+    """Run one operation in both roots and print how the outputs differ;
+    True when a non-float difference was found."""
+    old_raw, old = run(old_root, argv)
+    new_raw, new = run(new_root, argv)
+    if old_raw == new_raw:
+        print(f"{label}: byte-equal")
+        return False
+    floats, problems = {}, []
+    compare(old, new, [], floats, problems)
+    if problems:
+        print(f"{label}: NON-FLOAT DIFFERENCE")
+        for line in problems[:MAX_SHOWN]:
+            print(f"  {line}")
+        if len(problems) > MAX_SHOWN:
+            print(f"  ... and {len(problems) - MAX_SHOWN} more")
+    else:
+        print(f"{label}: float leaves differ")
+    for key, (dev_abs, dev_rel) in sorted(floats.items()):
+        if dev_abs:
+            print(f"  {key}: max abs {dev_abs:.3g}, max rel {dev_rel:.3g}")
+    return bool(problems)
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     old_root, new_root = (os.path.abspath(r) for r in args)
-    failed = False
-    for label, argv in operations():
-        old_raw, old = run(old_root, argv)
-        new_raw, new = run(new_root, argv)
-        if old_raw == new_raw:
-            print(f"{label}: byte-equal")
-            continue
-        floats, problems = {}, []
-        compare(old, new, [], floats, problems)
-        if problems:
-            failed = True
-            print(f"{label}: NON-FLOAT DIFFERENCE")
-            for line in problems[:MAX_SHOWN]:
-                print(f"  {line}")
-            if len(problems) > MAX_SHOWN:
-                print(f"  ... and {len(problems) - MAX_SHOWN} more")
-        else:
-            print(f"{label}: float leaves differ")
-        for key, (dev_abs, dev_rel) in sorted(floats.items()):
-            if dev_abs:
-                print(f"  {key}: max abs {dev_abs:.3g}, max rel {dev_rel:.3g}")
-    return 1 if failed else 0
+    with tempfile.TemporaryDirectory() as inline_dir:
+        for name, text in INLINE_SYSTEMS.items():
+            with open(os.path.join(inline_dir, f"{name}.sys"), "w") as fh:
+                fh.write(text)
+        failed = [compare_operation(label, op, old_root, new_root) for label, op in operations(inline_dir)]
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":
