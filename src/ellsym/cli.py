@@ -166,19 +166,25 @@ def cmd_homogenize(args):
     return 0
 
 
+def _convert(flag, text, convert, what):
+    """convert(text), or an InvalidArgumentError that names the flag."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(f"{flag} {text!r}: expected {what}") from None
+
+
 def cmd_witness(args):
     from .witness import WitnessConfig, blowup_experiment  # the numeric layer (numpy)
 
     text, digest = _read_input(args.path)
     system = parse_system(text)
-    e = None
-    if args.e:
-        try:
-            e = tuple(Fraction(part) for part in args.e.split(","))
-        except ZeroDivisionError:
-            raise InvalidArgumentError(f"direction e={args.e} has a zero denominator") from None
-    epsilons = [float(x) for x in args.eps.split(",")]
-    j = None if args.j == "inf" else int(args.j)
+    e = _convert("--e", args.e, lambda v: tuple(map(Fraction, v.split(","))),
+                 "comma-separated rationals") if args.e else None
+    epsilons = _convert("--eps", args.eps, lambda v: [float(x) for x in v.split(",")], "comma-separated widths")
+    j = None if args.j == "inf" else _convert("--j", args.j, int, "an integer or 'inf'")
+    if args.mode == "constrained" and args.seed < 0:
+        raise InvalidArgumentError(f"--seed {args.seed}: expected a non-negative integer for --mode constrained")
     config = WitnessConfig(
         system=system,
         epsilons=epsilons,

@@ -167,20 +167,30 @@ class OperatorSpec:
 
     @cached_property
     def isotropic(self):
-        """G(ξ) = |ξ|^2k·G(e₁), exactly, with G = (c·A)ᵀ(c·A) from `value_at`. Both
-        sides are forms of degree 2k, so agreement on Λ_2k suffices (as in
-        `lattice`). The points with the most nonzero coordinates come first, and
-        the walk stops at the first point that differs."""
+        """G(ξ) = |ξ|^2k·G(e₁), exactly, with G = (c·A)ᵀ(c·A) from `value_at`; False
+        for mixed row degrees. Both sides are forms of degree 2k, so agreement on Λ_2k
+        suffices (as in `lattice`). The points with the most nonzero coordinates come
+        first, and the walk stops at the first point that differs."""
         def gram(xi):
             cols = transpose(self.value_at(xi))
             return [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
 
+        if not self.is_homogeneous():
+            return False
         k, n = self.order, self.space_dim
         g1 = gram((1,) + (0,) * (n - 1))
         return all(
             gram(alpha) == [[sum(x * x for x in alpha) ** k * g for g in row] for row in g1]
             for alpha in sorted(monomials_of_degree(n, 2 * k), key=lambda al: -sum(map(bool, al)))
         )
+
+    @cached_property
+    def rows_isotropic(self):
+        """A(ξ)A(ξ)ᵀ = |ξ|^2k·A(e₁)A(e₁)ᵀ, exactly: `isotropic` of the transpose Aᵀ,
+        whose entries share the one order k of the rows of A."""
+        return self.is_homogeneous() and OperatorSpec(
+            self.space_dim, self.target_dim, self.source_dim,
+            {alpha: transpose(m) for alpha, m in self.coeffs.items()}).isotropic
 
     @cached_property
     def ellipticity(self):

@@ -119,11 +119,18 @@ def mollified_dirac(grid, eps, e):
 
 def constrain_field(fhat, c_op, k):
     """Project every nonzero mode of fhat, at the frequencies k of its spectrum, onto
-    ker C(ik) = ker C(k) (homogeneous rows), with the real projector I − C(k)⁺C(k)."""
+    ker C(ik) = ker C(k) (homogeneous rows), with the real projector I − C(k)⁺C(k).
+    C⁺ = Cᵀ(CCᵀ)⁺ for every C, so where CCᵀ = |k|^2m·H₀ (`rows_isotropic`) it is
+    I − C(k)ᵀH₀⁺C(k)/|k|^2m, H₀ = C(e₁)C(e₁)ᵀ; any other C takes a pinv per mode."""
     sym = symbol_on_modes(c_op, k).reshape(-1, c_op.target_dim, c_op.source_dim)
-    proj = np.eye(c_op.source_dim) - np.linalg.pinv(sym) @ sym
     flat = fhat.reshape(-1, c_op.source_dim)
-    parts = proj @ np.stack([flat.real, flat.imag], axis=-1)
+    parts = np.stack([flat.real, flat.imag], axis=-1)
+    if c_op.rows_isotropic:
+        c1 = float_symbol(c_op)(np.eye(1, len(k)))[0]
+        corr = sym.transpose(0, 2, 1) @ (np.linalg.pinv(c1 @ c1.T) @ (sym @ parts))
+        parts -= corr / (np.maximum(sum(kd**2 for kd in k), 1.0) ** c_op.order).reshape(-1, 1, 1)
+    else:
+        parts = (np.eye(c_op.source_dim) - np.linalg.pinv(sym) @ sym) @ parts
     out = parts.view(complex).reshape(fhat.shape)
     out.reshape(-1, c_op.source_dim)[0] = flat[0]
     return out
@@ -137,7 +144,9 @@ def solve_modes(a_op, fhat, grid):
     G = A(k)ᵀA(k) real; the real and imaginary parts of D f̂ are two real
     right-hand sides (one if D f̂ is real). The zero mode and the Nyquist modes
     (no conjugate partner) get no data. A mode with det G ≤ 1e-12·∏ diag G
-    (scale-free: the ratio lies in [0, 1]) is singular and gets û = 0.
+    (scale-free: the ratio lies in [0, 1]) is singular and gets û = 0. Where
+    G = |k|^2k·G₀, G₀ = G(e₁) (`a_op.isotropic`), the test is decided on G₀ and
+    X = |k|^-2k·G₀⁻¹A(k)ᵀ(D f̂); any other A takes det G and a solve per mode.
     Returns {uhat, resid_sq, data_sq, singular} on the half spectrum; the
     squares ‖A(ik)û − f̂‖² and ‖f̂‖² count twice off the last axis's zero
     plane, for the conjugate −k, so their sums are the full-grid sums.
@@ -155,13 +164,18 @@ def solve_modes(a_op, fhat, grid):
 
     sym = symbol_on_modes(a_op, spec.k).reshape(-1, t, s)
     sym_t = sym.transpose(0, 2, 1)
-    gram = sym_t @ sym
-    gram[0] = np.eye(s)  # k=0: û(0) := 0
-    diag = np.einsum("mii->mi", gram).prod(axis=-1)
-    singular = np.abs(np.linalg.det(gram)) <= 1e-12 * diag
+    a1 = float_symbol(a_op)(np.eye(1, grid.n)) if a_op.isotropic else sym
+    gram = a1.transpose(0, 2, 1) @ a1
+    singular = np.abs(np.linalg.det(gram)) <= 1e-12 * np.einsum("mii->mi", gram).prod(axis=-1)
     gram[singular] = np.eye(s)
-    x = np.linalg.solve(gram, sym_t @ cols)
+    if a_op.isotropic:
+        singular = np.repeat(singular, len(sym))
+        x = np.linalg.inv(gram[0]) @ (sym_t @ cols)
+        x /= np.maximum(spec.k2, 1.0).reshape(-1, 1, 1) ** k  # |k|² ≥ 1 off the zero mode
+    else:
+        x = np.linalg.solve(gram, sym_t @ cols)
     x[singular] = 0.0
+    singular[0] = False  # k=0: û(0) := 0
     x[0] = 0.0
 
     shape = spec.k2.shape

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ellsym.cli import main
+from ellsym.cli import build_parser, main
+from ellsym.errors import InvalidArgumentError
 
 
 def run(capsys, *argv):
@@ -262,6 +263,32 @@ def test_invalid_argument_exit_code(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "options, flag",
+    [
+        (["--e", "1,0", "--eps", ",,"], "--eps"),
+        (["--e", "1,0", "--j", "x"], "--j"),
+        (["--mode", "constrained", "--j", "1", "--seed", "-1"], "--seed"),
+    ],
+    ids=["eps-empty", "j-not-an-integer", "constrained-seed-negative"],
+)
+def test_witness_argument_errors_are_typed_and_name_the_flag(capsys, options, flag):
+    argv = ["witness", "systems/laplacian_div_r2.sys", "--grid", "32", *options]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(InvalidArgumentError, match=f"^{flag} "):
+        args.func(args)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_witness_dirac_mode_ignores_the_seed(capsys):
+    argv = ["witness", "systems/laplacian_r2.sys", "--e", "1,0", "--grid", "32", "--eps", "0.8,0.4"]
+    outputs = [run(capsys, *argv, "--seed", seed) for seed in ("0", "-1")]
+    assert outputs[0] == outputs[1] and outputs[0][0] != 1
 
 
 def test_witness_constrained_out_of_range_indeterminate(capsys):

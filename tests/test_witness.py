@@ -144,6 +144,30 @@ def test_constrain_field_divergence_free():
         assert np.abs(again - projected).max() < 1e-12 * max(scale, 1.0)
 
 
+@pytest.mark.parametrize(
+    "rows", ["d1 f1 + d2 f2", "d1 f1 + d2 f2; d1 f1 + d2 f2"], ids=["divergence", "duplicate rows"]
+)
+def test_constrain_field_isotropic_rows_match_the_per_mode_pinv(rows, monkeypatch):
+    # C(k)C(k)ᵀ = |k|²·H₀ with H₀ = [[1]] and the singular [[1, 1], [1, 1]]
+    c = parse_operator(f"from 2 to {rows.count(';') + 1}\nrows: {rows}", 2)
+    assert c.rows_isotropic
+    grid = Grid(2, 64)
+    f = np.random.default_rng(11).standard_normal(grid.shape + (2,))
+    pinv = np.linalg.pinv
+    for spec in (full_spectrum(grid), grid.half):
+        fhat = transform(f, grid, spec)
+        shapes = []
+        monkeypatch.setattr(np.linalg, "pinv", lambda m: shapes.append(m.shape) or pinv(m))
+        projected = constrain_field(fhat, c, spec.k).reshape(-1, 2)
+        monkeypatch.undo()
+        assert shapes == [(c.target_dim, c.target_dim)]  # one pinv, of H₀
+        sym = symbol_on_modes(c, spec.k).reshape(-1, c.target_dim, 2)
+        proj = np.eye(2) - pinv(sym) @ sym
+        expected = np.einsum("mij,mj->mi", proj, fhat.reshape(-1, 2))
+        expected[0] = fhat.reshape(-1, 2)[0]
+        assert np.abs(projected - expected).max() <= 1e-14 * np.abs(fhat).max()
+
+
 def test_constrain_field_trivial_kernel_zeroes_modes():
     grid = Grid(2, 32)
     c = parse_operator("from 1 to 1\nrows: f1", 2)  # C(ξ) = 1: kernel {0}
@@ -339,12 +363,19 @@ ELLIPTIC_SOLVE_CASES = (
         )
     ]
     + [
-        # non-scalar Gram matrices: det G / ∏ diag G is 1/2 for both
+        # non-scalar Gram matrices: det G / ∏ diag G is 1/2 for both; isotropic
+        # all the same, G(ξ) = |ξ|^2k·MᵀM for the shear M
         pytest.param(
             compose_right(laplacian_operator(2, dim=2), [[1, 1], [0, 1]]), 64, id="sheared laplacian"
         ),
         pytest.param(
             compose_right(div_curl_operator(), [[1, 1, 0], [0, 1, 0], [0, 0, 2]]), 32, id="sheared divcurl"
+        ),
+        # elliptic and not isotropic: G(ξ) is no multiple of a constant matrix
+        pytest.param(
+            parse_operator("from 2 to 2\nrows: d1^2 u1 + 2 d2^2 u1 + d1 d2 u2; d1^2 u2 + d2^2 u2", 2),
+            64,
+            id="anisotropic square",
         ),
     ]
 )
@@ -395,25 +426,49 @@ def assert_matches_reference(a, f, grid):
     assert np.array_equal(info["singular"], ref_singular[..., : grid.npts // 2 + 1])
 
 
-@pytest.mark.parametrize(
-    "a, npts",
-    ELLIPTIC_SOLVE_CASES
-    + [
-        pytest.param(
-            parse_operator("from 2 to 2\nrows: d1 u1 + d2 u2; 3 d1 u1 + 3 d2 u2", 2), 32, id="rank one"
-        ),
-        # rows of degree 1 and 2: the data take the row phases i^(k - d_r)
-        pytest.param(
-            parse_operator("from 2 to 3\nrows: d1 u1 + d2 u2; d1 d2 u1 - d2^2 u2; d1^2 u2", 2),
-            32,
-            id="mixed degrees",
-        ),
-    ],
-)
+SOLVE_REFERENCE_CASES = ELLIPTIC_SOLVE_CASES + [
+    pytest.param(parse_operator("from 2 to 2\nrows: d1 u1 + d2 u2; 3 d1 u1 + 3 d2 u2", 2), 32, id="rank one"),
+    # G(ξ) = diag(|ξ|², 0): isotropic, and singular at every mode
+    pytest.param(parse_operator("from 2 to 2\nrows: d1 u1; d2 u1", 2), 32, id="rank one, isotropic"),
+    # rows of degree 1 and 2: the data take the row phases i^(k - d_r)
+    pytest.param(
+        parse_operator("from 2 to 3\nrows: d1 u1 + d2 u2; d1 d2 u1 - d2^2 u2; d1^2 u2", 2),
+        32,
+        id="mixed degrees",
+    ),
+]
+PER_MODE_SOLVE_CASES = {"anisotropic square", "rank one", "mixed degrees"}
+
+
+@pytest.mark.parametrize("a, npts", SOLVE_REFERENCE_CASES)
 def test_solve_matches_the_complex_full_grid_reference(a, npts):
     grid = Grid(len(next(iter(a.coeffs))), npts)
     f = np.random.default_rng(17).standard_normal(grid.shape + (a.target_dim,))
     assert_matches_reference(a, f, grid)
+
+
+@pytest.mark.parametrize(
+    "a, npts, per_mode",
+    [pytest.param(*case.values, case.id in PER_MODE_SOLVE_CASES, id=case.id) for case in SOLVE_REFERENCE_CASES],
+)
+def test_solve_factors_per_mode_only_a_non_isotropic_gram(a, npts, per_mode, monkeypatch):
+    # an isotropic G = |k|^2k·G₀ takes one det and no solve; any other G one
+    # det and one solve over the stack of all half-spectrum modes
+    dets, solves = [], []
+    det, solve = np.linalg.det, np.linalg.solve
+    monkeypatch.setattr(np.linalg, "det", lambda g: dets.append(len(g)) or det(g))
+    monkeypatch.setattr(np.linalg, "solve", lambda g, b: solves.append(len(g)) or solve(g, b))
+    grid = Grid(len(next(iter(a.coeffs))), npts)
+    info = solve_modes(a, np.ones(a.target_dim), grid)
+    modes = grid.half.k2.size
+    assert a.isotropic is not per_mode
+    assert (dets, solves) == (([modes], [modes]) if per_mode else ([1], []))
+    assert not info["singular"].flat[0]
+
+
+def test_isotropy_is_false_for_mixed_row_degrees():
+    a = parse_operator("from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1", 2)
+    assert (a.isotropic, a.rows_isotropic) == (False, False)
 
 
 def test_solve_matches_the_reference_on_constrained_odd_order_data():
