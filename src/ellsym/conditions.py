@@ -72,13 +72,6 @@ class EllipticityVerdict:
     def definitely_not(self):
         return self.status == "no"
 
-    def all_witnesses(self):
-        out = []
-        if self.witness_xi is not None:
-            out.append((self.witness_xi, self.kernel_vector))
-        out.extend(self.extra_witnesses)
-        return out
-
     def to_json(self):
         d = {"status": self.status}
         if self.decided_by:

@@ -188,9 +188,6 @@ class Subspace:
     def is_zero(self):
         return not self.basis
 
-    def is_full(self):
-        return self.dim == self.ambient_dim
-
     def contains(self, v):
         v = as_fraction_vector(v)
         if all(x == 0 for x in v):
@@ -219,13 +216,6 @@ class Subspace:
         if not stacked:
             return Subspace.full(self.ambient_dim)
         return Subspace.from_vectors(self.ambient_dim, nullspace(stacked))
-
-    def transform(self, m):
-        """Image of the subspace under the linear map with matrix m."""
-        out_dim = len(m)
-        return Subspace.from_vectors(
-            out_dim, [mat_vec(m, row) for row in self.basis]
-        )
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.basis]

@@ -102,6 +102,14 @@ def _check_width(grid, eps):
         )
 
 
+def _dirac_profile(grid, eps):
+    """The scalar unit-mass periodized Gaussian g_ε of width eps, and its
+    Fourier-series coefficients on the rfftn half spectrum."""
+    _check_width(grid, eps)
+    coeff = np.exp(-0.5 * eps * eps * grid.half.k2) / (2.0 * math.pi) ** grid.n
+    return np.fft.irfftn(coeff * grid.npts**grid.n, s=grid.shape, axes=range(grid.n)), coeff
+
+
 def mollified_dirac(grid, eps, e):
     """Unit-mass periodized Gaussian of width eps in the direction e.
 
@@ -110,10 +118,8 @@ def mollified_dirac(grid, eps, e):
     coefficient is a scalar times e, so any constraint matrix annihilating e
     annihilates the field identically.
     """
-    _check_width(grid, eps)
-    coeff = np.exp(-0.5 * eps * eps * grid.half.k2) / (2.0 * math.pi) ** grid.n
+    f, coeff = _dirac_profile(grid, eps)
     evec = np.array([float(x) for x in e])
-    f = np.fft.irfftn(coeff * grid.npts**grid.n, s=grid.shape, axes=range(grid.n))
     return f[..., None] * evec, coeff[..., None] * evec
 
 
@@ -208,20 +214,23 @@ def _residual(resid_sq, data_sq, g):
     return math.sqrt(float((g2 * resid_sq).sum()) / fnorm2) if fnorm2 > 0 else 0.0
 
 
-def l1_norm(f, grid):
-    return float(np.linalg.norm(f, axis=-1).sum() * grid.cell_volume)
+def _derivative_monomials(spec, order):
+    """(multinomial(order, β), k^β with the Nyquist modes dropped) for every |β| = order;
+    the derivative ∂^β takes (ik)^β = i^order·k^β."""
+    for beta in monomials_of_degree(len(spec.k), order):
+        mono = math.prod(kd**b for kd, b in zip(spec.k, beta))
+        yield multinomial(order, beta), np.where(spec.nyquist, 0.0, mono)
 
 
 def derivative_magnitude(uhat, grid, order):
     """Pointwise Frobenius norm of the full order-th derivative tensor of u, from
-    its rfftn half spectrum uhat with the Nyquist modes dropped."""
-    spec = grid.half
+    its rfftn half spectrum uhat with the Nyquist modes dropped. The components
+    go first, so each irfftn runs on contiguous planes."""
+    uhat = np.ascontiguousarray(np.moveaxis(uhat, -1, 0))
     acc = np.zeros(grid.shape)
-    for beta in monomials_of_degree(grid.n, order):
-        mono = math.prod(kd**b for kd, b in zip(spec.k, beta))
-        mult = np.where(spec.nyquist, 0.0, (1j ** (order % 4)) * mono)
-        du = np.fft.irfftn(mult[..., None] * uhat, s=grid.shape, axes=range(grid.n))
-        acc += multinomial(order, beta) * (du**2).sum(axis=-1)
+    for weight, mono in _derivative_monomials(grid.half, order):
+        du = np.fft.irfftn(1j ** (order % 4) * mono * uhat, s=grid.shape, axes=range(1, grid.n + 1))
+        acc += weight * (du**2).sum(axis=0)
     return np.sqrt(acc)
 
 
@@ -336,6 +345,7 @@ def blowup_experiment(config):
     a = system.a
     n = system.n
     grid = Grid(n, config.grid_n)
+    spec = grid.half
     k = a.order
     j = config.j
     if j is None:
@@ -386,11 +396,10 @@ def blowup_experiment(config):
             evec = np.ldexp(evec, -math.frexp(top)[1])
         hhat = evec / (2.0 * math.pi) ** n * grid.npts**n  # the grid Dirac: ĥ = e·N^n/(2π)^n
 
-        def data(eps):
-            return mollified_dirac(grid, eps, evec)[0]
+        def data_l1(eps):  # the field is g_ε·e, so ‖f‖_{L¹} = ‖e‖·Σ|g_ε|·hⁿ
+            return float(np.linalg.norm(evec)) * lp_norm_of_field(_dirac_profile(grid, eps)[0], grid, 1)
 
     elif config.mode == "constrained":
-        spec = grid.half
         rng = np.random.default_rng(config.seed)
         base = rng.standard_normal(grid.shape + (a.target_dim,))
         decay = np.where(spec.k2 > 0, spec.k2, 1.0) ** (-CONSTRAINED_DECAY_POWER / 2.0)
@@ -403,10 +412,12 @@ def blowup_experiment(config):
             hhat = projected
         out_of_range = "the constrained field is not in the symbol range"
         no_data = "the constraint admits no nonzero data"
+        hhat_first = np.ascontiguousarray(np.moveaxis(hhat, -1, 0))  # components first
 
-        def data(eps):
+        def data_l1(eps):
             g = np.exp(-0.5 * eps**2 * spec.k2)
-            return np.fft.irfftn(hhat * g[..., None], s=grid.shape, axes=range(n))
+            f = np.fft.irfftn(hhat_first * g, s=grid.shape, axes=range(1, n + 1))
+            return lp_norm_of_field(np.sqrt((f**2).sum(axis=0)), grid, 1)
 
     else:
         raise InvalidArgumentError(f"unknown mode {config.mode!r}")
@@ -414,10 +425,19 @@ def blowup_experiment(config):
     for eps in config.epsilons:
         _check_width(grid, float(eps))
     info = solve_modes(a, hhat, grid)
+    uhat = np.ascontiguousarray(np.moveaxis(info.pop("uhat"), -1, 0))  # components first
+    if p == 2:
+        # Parseval on the half spectrum: a mode off the last axis's zero plane
+        # stands for its conjugate too, and a Nyquist mode carries no solution
+        half = np.where(spec.nyquist, 0.0, 2.0)
+        half[..., 0] /= 2.0
+        # Σ_β multinomial(m, β)·k^2β = |k|^2m sums the derivative tensor
+        power = half * spec.k2**deriv_order * (uhat.real**2 + uhat.imag**2).sum(axis=0)
+        phased = (1j ** (deriv_order % 4) * uhat).real  # Re((ik)^β û) = k^β·Re(i^m û)
     for eps in config.epsilons:
         eps = float(eps)
-        g = np.exp(-0.5 * eps**2 * grid.half.k2)
-        l1 = l1_norm(data(eps), grid)
+        g = np.exp(-0.5 * eps**2 * spec.k2)
+        l1 = data_l1(eps)
         residual = _residual(info["resid_sq"], info["data_sq"], g)
         row = {"epsilon": eps, "ratio": None, "residual": residual}
         rows.append(row)
@@ -430,12 +450,22 @@ def blowup_experiment(config):
                 f"tolerance; {out_of_range} — no ratio recorded"
             )
             continue
-        mag = derivative_magnitude(g[..., None] * info["uhat"], grid, deriv_order)
-        row["ratio"] = lp_norm_of_field(mag, grid, p) / l1
+        if p == 2:  # ‖D^m u‖²_{L²} = hⁿ·N⁻ⁿ·Σ half·|k|^2m·|ĝû|², with no synthesis
+            row["ratio"] = math.sqrt(float((g * g * power).sum()) * grid.cell_volume / grid.npts**n) / l1
+        else:
+            mag = derivative_magnitude(np.moveaxis(g * uhat, 0, -1), grid, deriv_order)
+            row["ratio"] = lp_norm_of_field(mag, grid, p) / l1
         if config.mode == "dirac":
             # magnitude at the Dirac center: the log term of the inverse
             # kernel lives exactly there, so this column isolates it
-            row["center_ratio"] = float(mag[(0,) * n]) / l1
+            if p == 2:  # a field's value at x = 0 is N⁻ⁿ·Σ half·Re(its coefficients)
+                center = math.sqrt(sum(
+                    weight * (np.tensordot(phased, half * g * mono, n) ** 2).sum()
+                    for weight, mono in _derivative_monomials(spec, deriv_order)
+                )) / grid.npts**n
+            else:
+                center = mag[(0,) * n]
+            row["center_ratio"] = float(center) / l1
 
     ratios = [r["ratio"] for r in rows]
     classification = _classify(ratios)

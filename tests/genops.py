@@ -1,12 +1,16 @@
-"""Seeded generators of operators used across the test modules."""
+"""Seeded generators of operators used across the test modules, and the helpers
+that only the tests use."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from ellsym.operators import OperatorSpec
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from ellsym.ratlinalg import as_fraction_matrix, mat_mul
+from ellsym.ratlinalg import Subspace, as_fraction_matrix, mat_mul, mat_vec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 NONZERO_COEFFS = [
     Fraction(1),
@@ -199,3 +203,35 @@ def sampled_kernel_dimension(c, points):
     ker_dim = sum(1 for x in s if x <= tol) + max(0, arr.shape[1] - len(s))
     basis = vt[arr.shape[1] - ker_dim:] if ker_dim else np.zeros((0, arr.shape[1]))
     return ker_dim, basis
+
+
+# -- test-only helpers ----------------------------------------------------------------
+
+
+def read_repo_file(path):
+    """The text of a file of the repository, by its path from the repository root."""
+    with open(ROOT / path) as fh:
+        return fh.read()
+
+
+def all_witnesses(verdict):
+    """The (ξ, kernel vector) pairs of an EllipticityVerdict, the primary one first."""
+    out = []
+    if verdict.witness_xi is not None:
+        out.append((verdict.witness_xi, verdict.kernel_vector))
+    out.extend(verdict.extra_witnesses)
+    return out
+
+
+def is_full(subspace):
+    return subspace.dim == subspace.ambient_dim
+
+
+def image_of(subspace, m):
+    """Image of the subspace under the linear map with matrix m."""
+    return Subspace.from_vectors(len(m), [mat_vec(m, row) for row in subspace.basis])
+
+
+def l1_norm(f, grid):
+    """‖f‖_{L¹} of a grid field whose components lie on the last axis."""
+    return float(np.linalg.norm(f, axis=-1).sum() * grid.cell_volume)

@@ -27,6 +27,7 @@ from ellsym.quadrature import build_rule, moment_map, moments_for_vectors
 from ellsym.ratlinalg import identity, mat_vec, rank, solve
 from ellsym.witness import WitnessConfig, blowup_experiment
 from genops import (
+    all_witnesses,
     div_curl_operator,
     divergence_operator,
     gradient_operator,
@@ -34,6 +35,7 @@ from genops import (
     random_elliptic_operator,
     random_operator,
     random_rational_point,
+    read_repo_file,
     sampled_kernel_dimension,
 )
 
@@ -46,7 +48,7 @@ def _ok(num, text):
 
 
 def _load(path):
-    return parse_system(open(path).read())
+    return parse_system(read_repo_file(path))
 
 
 def test_criterion_01_divcurl_regression():
@@ -242,7 +244,7 @@ def test_criterion_08_witness_blowup_and_boundedness():
 def test_criterion_09_discrepancy_detection():
     report = run_full_check(_load("systems/quartic_r4.sys"))
     assert report.elliptic.status == "no"
-    witnesses = report.elliptic.all_witnesses()
+    witnesses = all_witnesses(report.elliptic)
     target = ((F(0), F(0), F(1), F(0)), (F(1), F(0)))
     assert target in witnesses
     assert NONELLIPTIC_CONSTRAINT_DIAGNOSTIC in report.diagnostics

@@ -4,6 +4,7 @@ import pytest
 
 from ellsym.cli import build_parser, main
 from ellsym.errors import InvalidArgumentError
+from genops import read_repo_file
 
 
 def run(capsys, *argv):
@@ -72,7 +73,7 @@ def test_annihilator_gradient_roundtrip(capsys):
     from ellsym import parse_system
 
     reparsed = parse_operator(out, 2)
-    direct = ann_fn(parse_system(open("systems/gradient_r2.sys").read()).a)
+    direct = ann_fn(parse_system(read_repo_file("systems/gradient_r2.sys")).a)
     assert reparsed == direct
 
 

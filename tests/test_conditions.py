@@ -28,16 +28,20 @@ from ellsym.operators import OperatorSpec, SystemSpec, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import Subspace, identity, mat_vec, nullspace, solve, transpose
 from genops import (
+    all_witnesses,
     compose_left,
     compose_right,
     div_curl_operator,
     divergence_operator,
     gradient_operator,
+    image_of,
+    is_full,
     laplacian_operator,
     random_elliptic_operator,
     random_invertible_matrix,
     random_operator,
     random_rational_point,
+    read_repo_file,
     sampled_kernel_dimension,
     scale,
 )
@@ -73,7 +77,7 @@ def test_image_intersection_gradient_canceling():
 def test_image_intersection_vector_laplacian_full():
     for n in (2, 3):
         i_a = image_intersection(laplacian_operator(n))
-        assert i_a.is_full()
+        assert is_full(i_a)
 
 
 def test_image_intersection_divcurl():
@@ -163,8 +167,7 @@ def test_image_intersection_matches_annihilator_route_mixed_blocks():
     "name", ["biharmonic_div_r4", "divcurl_r3", "gradient_r2", "laplacian_div_r2", "laplacian_r2"]
 )
 def test_image_intersection_matches_annihilator_route_bundled(name):
-    with open(f"systems/{name}.sys") as fh:
-        a = parse_system(fh.read()).a
+    a = parse_system(read_repo_file(f"systems/{name}.sys")).a
     assert image_intersection(a) == _annihilator_route(a)
 
 
@@ -179,8 +182,8 @@ def test_image_intersection_partial_nonscalar_gram():
 def test_image_intersection_square_nonscalar_gram():
     a = compose_right(laplacian_operator(2), [[1, 1], [0, 1]])
     assert not _scalar_gram(a)
-    assert image_intersection(a).is_full()
-    assert _annihilator_route(a).is_full()
+    assert is_full(image_intersection(a))
+    assert is_full(_annihilator_route(a))
 
 
 def test_image_intersection_witness_at_first_singular_lattice_point():
@@ -213,8 +216,7 @@ def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypa
     monkeypatch.setattr(MatrixPolynomial, "adjugate", refuse)
     systems = []
     for name in ["biharmonic_div_r4", "divcurl_r3", "gradient_r2", "laplacian_div_r2", "laplacian_r2", "quartic_r4"]:
-        with open(f"systems/{name}.sys") as fh:
-            systems.append(parse_system(fh.read()))
+        systems.append(parse_system(read_repo_file(f"systems/{name}.sys")))
     reports = [run_full_check(system) for system in systems + _ladder_systems(1)]
     assert sum(r.image_basis is not None for r in reports) == len(reports) - 1  # all but quartic_r4
 
@@ -223,8 +225,7 @@ def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypa
 def test_moment_map_after_check_evaluates_nothing_exact(monkeypatch, name):
     from ellsym import conditions, operators, quadrature
 
-    with open(f"systems/{name}.sys") as fh:
-        system = parse_system(fh.read())
+    system = parse_system(read_repo_file(f"systems/{name}.sys"))
     run_full_check(system)
 
     def refuse(*args):
@@ -301,8 +302,7 @@ def test_run_full_check_builds_no_annihilator(monkeypatch, case):
         if getattr(module, "annihilator", None) is orig:
             monkeypatch.setattr(module, "annihilator", counted)
     if case == "divcurl_r3":
-        with open("systems/divcurl_r3.sys") as fh:
-            system = parse_system(fh.read())
+        system = parse_system(read_repo_file("systems/divcurl_r3.sys"))
     else:
         a = random_elliptic_operator(random.Random(333), 3, 3, dim_v=3, extra_rows=2)
         system = SystemSpec(a, None, 3)
@@ -356,7 +356,7 @@ def test_elliptic_quartic_r4_no_with_pinned_witness():
     a = parse_operator("rows: (d1^4 + d2^4) u1; d3^4 u2; d4^4 u2", 4)
     v = is_elliptic(a)
     assert v.status == "no"
-    witnesses = v.all_witnesses()
+    witnesses = all_witnesses(v)
     target = ((F(0), F(0), F(1), F(0)), (F(1), F(0)))
     assert target in witnesses
 
@@ -387,7 +387,7 @@ def test_elliptic_order_zero(n):
     singular = parse_operator("from 2 to 2\nrows: u1 + 2 u2; 2 u1 + 4 u2", n)
     assert invertible.lattice() == singular.lattice() == [(0,) * n]
     report = run_full_check(SystemSpec(invertible, None, n))  # G(ξ) = CᵀC: isotropic
-    assert report.elliptic.status == "yes" and report.image_basis.is_full()
+    assert report.elliptic.status == "yes" and is_full(report.image_basis)
     v = is_elliptic(singular)
     assert (v.status, v.note) == ("no", "det(A*A) vanishes identically")
     assert v.witness_xi == (1,) + (0,) * (n - 1) and v.kernel_vector == (2, -1)
@@ -541,7 +541,7 @@ def test_weak_cancellation_odd_dimension_holds():
     # (-Δ)² on R³ vector fields: odd n forces the moment map to vanish
     a = laplacian_operator(3, power=2)
     i_a = image_intersection(a)
-    assert i_a.is_full()
+    assert is_full(i_a)
     res = check_weak_cancellation(a, i_a)
     assert res.holds
     for _e, nrm in res.moments:
@@ -576,8 +576,8 @@ def test_basis_change_invariance():
         c2 = compose_right(c, inverse(g_e))
         res = check_cc(SystemSpec(a2, c2, 3))
         assert res.holds == base.holds
-        assert res.image_intersection == base.image_intersection.transform(g_e)
-        assert res.kernel_intersection == base.kernel_intersection.transform(g_e)
+        assert res.image_intersection == image_of(base.image_intersection, g_e)
+        assert res.kernel_intersection == image_of(base.kernel_intersection, g_e)
         assert (res.image_intersection.is_zero()) == (base.image_intersection.is_zero())
         assert (res.kernel_intersection.is_zero()) == (base.kernel_intersection.is_zero())
 
@@ -695,7 +695,7 @@ def test_potential_field_zero_family():
 
 
 def test_run_full_check_divcurl():
-    spec = parse_system(open("systems/divcurl_r3.sys").read())
+    spec = parse_system(read_repo_file("systems/divcurl_r3.sys"))
     report = run_full_check(spec)
     assert report.cc.holds
     assert report.canceling is False
@@ -705,7 +705,7 @@ def test_run_full_check_divcurl():
 
 
 def test_run_full_check_laplacian_div():
-    spec = parse_system(open("systems/laplacian_div_r2.sys").read())
+    spec = parse_system(read_repo_file("systems/laplacian_div_r2.sys"))
     report = run_full_check(spec)
     assert report.cocanceling is True
     assert report.cc.holds
@@ -714,7 +714,7 @@ def test_run_full_check_laplacian_div():
 
 
 def test_run_full_check_quartic_diagnostic():
-    spec = parse_system(open("systems/quartic_r4.sys").read())
+    spec = parse_system(read_repo_file("systems/quartic_r4.sys"))
     report = run_full_check(spec)
     assert report.elliptic.status == "no"
     from ellsym.conditions import NONELLIPTIC_CONSTRAINT_DIAGNOSTIC
@@ -763,12 +763,11 @@ def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
     # square operator has I_A = E
     from ellsym.poly import MatrixPolynomial
 
-    with open("systems/laplacian_r2.sys") as fh:
-        texts = {
-            "laplacian_r2": fh.read(),
-            "nonscalar_gram": NONSCALAR_GRAM_SYSTEM,
-            "square_nonscalar_gram": SQUARE_NONSCALAR_GRAM_SYSTEM,
-        }
+    texts = {
+        "laplacian_r2": read_repo_file("systems/laplacian_r2.sys"),
+        "nonscalar_gram": NONSCALAR_GRAM_SYSTEM,
+        "square_nonscalar_gram": SQUARE_NONSCALAR_GRAM_SYSTEM,
+    }
     calls = {"det": 0, "adjugate": 0}
     for name in calls:
         def counted(self, _name=name, _orig=getattr(MatrixPolynomial, name)):
@@ -839,8 +838,7 @@ def test_run_full_check_expands_no_det_for_n_ge_3(monkeypatch, name):
         return orig(self)
 
     monkeypatch.setattr(MatrixPolynomial, "det", counted)
-    with open(f"systems/{name}.sys") as fh:
-        report = run_full_check(parse_system(fh.read()))
+    report = run_full_check(parse_system(read_repo_file(f"systems/{name}.sys")))
     assert (report.elliptic.status, report.elliptic.decided_by) == ("yes", "isotropic")
     assert calls == []
 
@@ -879,8 +877,7 @@ def test_moments_build_no_adjugate_for_scalar_gram(monkeypatch):
         return orig(self)
 
     monkeypatch.setattr(MatrixPolynomial, "adjugate", counted)
-    with open("systems/laplacian_div_r2.sys") as fh:
-        system = parse_system(fh.read())
+    system = parse_system(read_repo_file("systems/laplacian_div_r2.sys"))
     report = run_full_check(system)
     assert report.weak is not None and report.cwc is not None  # both quadratures ran
     quadrature.moment_map(system.a, quadrature.build_rule(2, 4))
@@ -967,8 +964,7 @@ def test_isotropic_verdicts_are_exact_and_float_free(monkeypatch):
 
     for name in ("float_symbol", "sampled_ellipticity", "converged_moments"):
         monkeypatch.setattr(quadrature, name, refuse)
-    with open("systems/biharmonic_div_r4.sys") as fh:
-        report = run_full_check(parse_system(fh.read())).to_json()
+    report = run_full_check(parse_system(read_repo_file("systems/biharmonic_div_r4.sys"))).to_json()
     assert report["elliptic"] == {"status": "yes", "decided_by": "isotropic"}
     # I_A ∩ K_C = {0}, so the CWC verdict is vacuous and computes no moment
     assert (report["weak"]["method"], report["CWC"]["method"]) == ("isotropic", "vacuous")

@@ -17,7 +17,7 @@ from ellsym.errors import (
     UnknownComponentError,
 )
 from ellsym.operators import SystemSpec
-from genops import random_operator
+from genops import random_operator, read_repo_file
 
 F = Fraction
 
@@ -100,7 +100,7 @@ rows:   # trailing comment
 
 
 def test_parse_system_divcurl():
-    text = open("systems/divcurl_r3.sys").read()
+    text = read_repo_file("systems/divcurl_r3.sys")
     spec = parse_system(text)
     assert spec.n == 3
     assert (spec.a.source_dim, spec.a.target_dim) == (3, 4)

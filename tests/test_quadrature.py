@@ -26,6 +26,7 @@ from genops import (
     divergence_operator,
     laplacian_operator,
     random_elliptic_operator,
+    read_repo_file,
 )
 
 
@@ -219,7 +220,7 @@ def test_import_leaves_scipy_unloaded():
     report = "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     n4_work = (
         "from ellsym import build_rule, is_elliptic, moment_map, parse_operator, parse_system, run_full_check\n"
-        "system = parse_system(open('systems/biharmonic_div_r4.sys').read())\n"
+        f"system = parse_system({read_repo_file('systems/biharmonic_div_r4.sys')!r})\n"
         "assert run_full_check(system).elliptic.status == 'yes'\n"
         "moment_map(system.a, build_rule(4, 3))\n"
         "rows = 'rows: d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1 + 4 d4^2 u1'\n"

@@ -8,6 +8,7 @@ from ellsym import witness
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import EpsilonTooSmallError
 from ellsym.operators import SystemSpec
+from ellsym.poly import monomials_of_degree, multinomial
 from ellsym.quadrature import float_symbol, monomial_table
 from ellsym.witness import (
     CONSTRAINED_DECAY_POWER,
@@ -20,7 +21,6 @@ from ellsym.witness import (
     blowup_experiment,
     constrain_field,
     derivative_magnitude,
-    l1_norm,
     lp_norm_of_field,
     mollified_dirac,
     solve_modes,
@@ -32,7 +32,9 @@ from genops import (
     div_curl_operator,
     divergence_operator,
     gradient_operator,
+    l1_norm,
     laplacian_operator,
+    read_repo_file,
 )
 
 F = Fraction
@@ -264,7 +266,7 @@ def test_ratio_stability_under_grid_doubling():
 
 
 def test_blowup_divcurl_bad_direction_records_diagnostics():
-    spec = parse_system(open("systems/divcurl_r3.sys").read())
+    spec = parse_system(read_repo_file("systems/divcurl_r3.sys"))
     cfg = WitnessConfig(
         system=spec,
         epsilons=[0.8, 0.6],
@@ -280,7 +282,7 @@ def test_blowup_divcurl_bad_direction_records_diagnostics():
 
 
 def test_blowup_constraint_violation_reported():
-    spec = parse_system(open("systems/laplacian_div_r2.sys").read())
+    spec = parse_system(read_repo_file("systems/laplacian_div_r2.sys"))
     cfg = WitnessConfig(
         system=spec,
         epsilons=[0.5],
@@ -326,8 +328,7 @@ def test_parity_hook_odd_dimension_flat_slope(monkeypatch):
 
 
 def load_system(name):
-    with open(f"systems/{name}.sys") as fh:
-        return parse_system(fh.read())
+    return parse_system(read_repo_file(f"systems/{name}.sys"))
 
 
 def live_modes(grid):
@@ -566,6 +567,10 @@ EQUIVALENCE_CASES = {
         system="laplacian_div_r2", epsilons=[0.4, 0.2, 0.1], j=1, grid_n=128, seed=20240811,
         mode="constrained",
     ),
+    # p = 2: the L² norm by Parseval, the center by a half-spectrum sum
+    "laplacian_r2 dirac j=1": dict(
+        system="laplacian_r2", epsilons=[0.8, 0.4, 0.2], e=(F(1), F(0)), j=1, grid_n=64
+    ),
 }
 
 
@@ -597,6 +602,73 @@ def test_blowup_matches_the_per_width_pipeline(label):
     out = [f"solve residual {r['residual']:.3e} exceeds" for r, ok in zip(ref, in_range) if not ok]
     got = [d for d in res.diagnostics if "no ratio recorded" in d]
     assert len(got) == len(out) and all(w in g for g, w in zip(got, out))
+
+
+def component_last_magnitude(uhat, grid, order):
+    """derivative_magnitude with the components on the last axis: strided irfftn calls."""
+    spec = grid.half
+    acc = np.zeros(grid.shape)
+    for beta in monomials_of_degree(grid.n, order):
+        mono = math.prod(kd**b for kd, b in zip(spec.k, beta))
+        mult = np.where(spec.nyquist, 0.0, (1j ** (order % 4)) * mono)
+        du = np.fft.irfftn(mult[..., None] * uhat, s=grid.shape, axes=range(grid.n))
+        acc += multinomial(order, beta) * (du**2).sum(axis=-1)
+    return np.sqrt(acc)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name, npts", [("laplacian_r2", 64), ("laplacian_div_r2", 64), ("divcurl_r3", 32)])
+def test_derivative_magnitude_matches_the_component_last_loop(name, npts, order):
+    system = load_system(name)
+    grid = Grid(system.n, npts)
+    f = np.random.default_rng(29).standard_normal(grid.shape + (system.a.target_dim,))
+    _, info = solve_system(system.a, f, grid)
+    got = derivative_magnitude(info["uhat"], grid, order)
+    assert np.array_equal(got, component_last_magnitude(info["uhat"], grid, order))
+
+
+@pytest.mark.parametrize(
+    "e, rel", [((F(1), F(0)), 0.0), ((F(3, 5), F(4, 5)), 1e-15), ((F(3), F(1)), 1e-15)],
+    ids=["e1", "(3/5,4/5)", "(3,1)"],
+)
+def test_dirac_l1_from_the_scalar_field(e, rel):
+    # ‖f‖_{L¹} = ‖e‖·Σ|g_ε|·hⁿ from the scalar Gaussian; the sup norm of u is the
+    # same bits on both sides, so the ratio carries the whole L¹ difference
+    system = load_system("laplacian_r2")
+    grid = Grid(2, 64)
+    config = WitnessConfig(system=system, epsilons=[0.8, 0.4, 0.2], e=e, j=None, grid_n=64)
+    rows = blowup_experiment(config).rows
+    evec = np.array([float(x) for x in e])
+    top = np.abs(evec).max()
+    evec = np.ldexp(evec, -math.frexp(top)[1]) if top > 1.0 else evec  # as blowup_experiment scales it
+    info = solve_modes(system.a, evec / (2.0 * math.pi) ** 2 * grid.npts**2, grid)
+    for row, eps in zip(rows, config.epsilons):
+        g = np.exp(-0.5 * eps**2 * grid.half.k2)
+        sup = float(derivative_magnitude(g[..., None] * info["uhat"], grid, 0).max())
+        want = sup / l1_norm(mollified_dirac(grid, eps, evec)[0], grid)
+        assert abs(row["ratio"] - want) <= rel * want
+
+
+def test_parseval_center_matches_the_synthesized_center():
+    # n = 4, j = 2: p = 2, and D²u of the Dirac family is nonzero at the center
+    config = WitnessConfig(system=load_system("biharmonic_div_r4"), epsilons=[0.6],
+                           e=(F(1), F(0), F(0), F(0)), j=2, grid_n=32)
+    for row, want in zip(blowup_experiment(config).rows, per_width_reference(config)):
+        assert row["ratio"] == pytest.approx(want["ratio"], rel=1e-12)
+        assert row["center_ratio"] == pytest.approx(want["center_ratio"], rel=1e-12)
+
+
+@pytest.mark.parametrize("label", ["laplacian_r2 dirac j=1", "laplacian_div_r2 constrained j=1"])
+def test_p2_norms_synthesize_the_data_only(label, monkeypatch):
+    # one irfftn per width, for ‖f‖_{L¹}: Parseval and the center sum need none
+    kwargs = dict(EQUIVALENCE_CASES[label])
+    config = WitnessConfig(system=load_system(kwargs.pop("system")), **kwargs)
+    calls = []
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: calls.append(1) or irfftn(*args, **kw))
+    result = blowup_experiment(config)
+    assert all(r["ratio"] is not None for r in result.rows)
+    assert len(calls) == len(config.epsilons)
 
 
 # below 2 spacings of grid 64, above π/2, and not a width at all

@@ -8,9 +8,10 @@ run the same list of operations:
 - `check --json`, `annihilator --json` and `moment --json` on every file in
   `systems/` (`moment` on `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in
   an error, whose message and exit code are compared too);
-- eight `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, the
+- nine `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, the
   same with e = (3, 1) (beyond unit size, so `blowup_experiment` scales it
-  by a power of two), a constrained `laplacian_div_r2`, a dirac
+  by a power of two), the same with j = 1 (p = 2: the L² norm by Parseval
+  and the center value by a half-spectrum sum), a constrained `laplacian_div_r2`, a dirac
   `divcurl_r3` with j = 1, an out-of-range `gradient_r2` direction, whose
   rows carry the residual diagnostic instead of a ratio, an n = 4 dirac `biharmonic_div_r4` with
   j = ∞ (a 4x4 symbol, order 4), a constrained `divcurl_r3` (odd order,
@@ -76,6 +77,7 @@ SYSTEMS = (
 WITNESS_CASES = (
     ("laplacian_r2", "laplacian_r2", ["--e", "1,0", "--eps", "0.4,0.2,0.1", "--grid", "128"]),
     ("laplacian_r2 e=(3,1)", "laplacian_r2", ["--e", "3,1", "--eps", "0.4,0.2,0.1", "--grid", "128"]),
+    ("laplacian_r2 j=1", "laplacian_r2", ["--e", "1,0", "--j", "1", "--eps", "0.4,0.2,0.1", "--grid", "128"]),
     (
         "laplacian_div_r2 constrained",
         "laplacian_div_r2",
