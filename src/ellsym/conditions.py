@@ -161,11 +161,9 @@ def _is_elliptic_2d(a):
     p = [Fraction(0)] * (d + 1)
     for (a1, a2), c in detg.terms.items():
         p[a2] += c  # ξ1 = 1
-    p = sturm.trim(p)
-    nroots = sturm.count_real_roots(p)
-    if nroots == 0:
-        return EllipticityVerdict("yes")
     hit = sturm.isolate_a_root(p)
+    if hit is None:
+        return EllipticityVerdict("yes")
     if hit[0] == "exact":
         xi = primitive((1, hit[1]))
         return EllipticityVerdict(
@@ -296,36 +294,62 @@ def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL):
     """Vanishing of M_A on the given subspace (I_A, or I_A ∩ K_C for CWC).
 
     Vacuous on the zero subspace, with no moment computed. Exact for an isotropic
-    operator (`isotropic_moments`). Otherwise the zero test is
+    operator (`isotropic_moment_matrix`). Otherwise the zero test is
     |M e| <= tol * (sphere area) * max-node integrand norm, required after two
-    quadrature refinements agree.
+    quadrature refinements of M on E agree.
     """
+    _require_moments(a)
+    return _weak_verdicts(a, [subspace], tol)[0]
+
+
+def _require_moments(a):
+    """Raise unless k >= n; `require_elliptic` refuses det G ≡ 0."""
     k, n = a.order, a.space_dim
     if k < n:
-        raise OrderTooLowError(f"weak cancellation needs k >= n (k={k}, n={n})")
-    if subspace.is_zero():
-        return WeakCancellationResult(True, True, [], "vacuous")
-    if a.isotropic and not a.degenerate:
-        moments = [(e, isotropic_moments(a, e)[1]) for e in subspace.basis]
-        holds = not any(nrm for _, nrm in moments)
-        return WeakCancellationResult(holds, False, moments, "isotropic")
-    from .quadrature import converged_moments, surface_area  # the numeric layer (numpy)
-
-    vectors = [list(map(float, row)) for row in subspace.basis]
-    vals, scales, err, rules = converged_moments(a, vectors, rel_tol=tol)
-    levels = tuple(r.level for r in rules)
-    area = surface_area(n)
-    # √(v·v) is np.linalg.norm(v) to the bit
-    moments = [(row, math.sqrt(vec.dot(vec))) for row, vec in zip(subspace.basis, vals)]
-    holds = not any(nrm > tol * area * max(scl, 1e-300) for (_, nrm), scl in zip(moments, scales))
-    return WeakCancellationResult(holds, False, moments, "quadrature", float(scales.max()), err,
-                                  levels, tol)
+        raise OrderTooLowError(f"moment map needs order k >= n, got k={k}, n={n}")
 
 
-def isotropic_moments(a, e):
-    """M e / π^(n/2) as exact rationals, one V-vector per γ of `monomials_of_degree(n, k − n)`
-    (the unweighted tensor components), and |M e| as a float. On the sphere
-    A†(ω) = G(e₁)⁻¹A(ω)ᵀ, so M e = G(e₁)⁻¹ Σ_α C_αᵀe ∫ω^(α+γ) dσ, and for |β| = 2k − n
+def _weak_verdicts(a, subspaces, tol):
+    """The verdict on each subspace, every one read from one M on the standard basis
+    of E, built only when a subspace is nonzero: exact for an isotropic operator,
+    else by converged quadrature, whose `levels` and `error_estimate` describe all
+    of E."""
+    n, k = a.space_dim, a.order
+    if all(s.is_zero() for s in subspaces):
+        verdict = None
+    elif a.isotropic and not a.degenerate:
+        mats = isotropic_moment_matrix(a)
+        weights = [multinomial(k - n, g) for g in monomials_of_degree(n, k - n)]
+
+        def verdict(basis):  # |M e / π^(n/2)|² in rationals
+            sq = [sum(w * sum(x * x for x in mat_vec(m, e)) for w, m in zip(weights, mats))
+                  for e in basis]
+            moments = [(e, math.sqrt(s) * math.pi ** (n / 2)) for e, s in zip(basis, sq)]
+            return WeakCancellationResult(not any(sq), False, moments, "isotropic")
+    else:
+        from .quadrature import converged_moments, surface_area  # the numeric layer (numpy)
+
+        matrix, adag, err, rules = converged_moments(a, rel_tol=tol)
+        levels, bound = tuple(r.level for r in rules), tol * surface_area(n)
+
+        def verdict(basis):  # one column per basis vector e
+            vectors = transpose([[float(x) for x in e] for e in basis])
+            values, images = matrix @ vectors, adag @ vectors
+            norms = (values * values).sum(axis=0) ** 0.5
+            scales = (images * images).sum(axis=1).max(axis=0) ** 0.5  # max over ξ of |A†(ξ)e|
+            holds = not any(nrm > bound * max(scl, 1e-300) for nrm, scl in zip(norms, scales))
+            moments = list(zip(basis, map(float, norms)))
+            return WeakCancellationResult(holds, False, moments, "quadrature", float(scales.max()),
+                                          err, levels, tol)
+
+    return [WeakCancellationResult(True, True, [], "vacuous") if s.is_zero() else verdict(s.basis)
+            for s in subspaces]
+
+
+def isotropic_moment_matrix(a):
+    """M / π^(n/2) on the standard basis of E as exact rationals: one V × E matrix per γ
+    of `monomials_of_degree(n, k − n)` (the unweighted tensor components). On the sphere
+    A†(ω) = G(e₁)⁻¹A(ω)ᵀ, so M = G(e₁)⁻¹ Σ_α C_αᵀ ∫ω^(α+γ) dσ, and for |β| = 2k − n
     ∫ω^β dσ = 2π^(n/2)/(k−1)!·∏(β_i − 1)!!/2^(β_i/2) when every β_i is even, else 0
     (Folland, Amer. Math. Monthly 108 (2001))."""
     n, k = a.space_dim, a.order
@@ -339,11 +363,14 @@ def isotropic_moments(a, e):
             return 0
         return scale * math.prod(math.prod(range(b - 1, 0, -2)) for b in beta)
 
-    cte = transpose([mat_vec(transpose(c), e) for c in a.coeffs.values()])  # columns C_αᵀe
-    gammas = monomials_of_degree(n, k - n)
-    rows = [mat_vec(g1_inv, mat_vec(cte, [sphere(al, g) for al in a.coeffs])) for g in gammas]
-    sq = sum(multinomial(k - n, g) * sum(x * x for x in r) for g, r in zip(gammas, rows))
-    return rows, math.sqrt(sq) * math.pi ** (n / 2)
+    cts = [transpose(c) for c in a.coeffs.values()]  # C_αᵀ, V × E
+
+    def integrated(gamma):  # Σ_α C_αᵀ ∫ω^(α+γ) dσ / π^(n/2)
+        s = [sphere(al, gamma) for al in a.coeffs]
+        return [[sum(w * ct[i][j] for w, ct in zip(s, cts)) for j in range(a.target_dim)]
+                for i in range(a.source_dim)]
+
+    return [mat_mul(g1_inv, integrated(g)) for g in monomials_of_degree(n, k - n)]
 
 
 # -- left inverses and potentials ----------------------------------------------
@@ -591,9 +618,7 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
 
     if system.n >= 2 and order >= system.n:
         try:
-            weak = check_weak_cancellation(a, i_a, tol=tol)
-            cwc = weak if isect == i_a else check_weak_cancellation(a, isect, tol=tol)
-            report.weak, report.cwc = weak, cwc
+            report.weak, report.cwc = _weak_verdicts(a, [i_a, isect], tol)
         except (NearSingularSymbolError, QuadratureNotConvergedError) as exc:
             diagnostics.append(f"moment quadrature failed: {exc}")
     elif order < system.n:

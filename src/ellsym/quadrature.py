@@ -17,13 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import EllipticityVerdict
-from .errors import (
-    InvalidArgumentError,
-    NearSingularSymbolError,
-    OrderTooLowError,
-    QuadratureNotConvergedError,
-)
+from .conditions import EllipticityVerdict, _require_moments
+from .errors import InvalidArgumentError, NearSingularSymbolError, QuadratureNotConvergedError
 from .poly import monomials_of_degree, multinomial
 from .ratlinalg import primitive
 
@@ -221,15 +216,6 @@ def _gauss_gegenbauer(m, lam):
     return (t - t[::-1]) / 2, (w + w[::-1]) / 2
 
 
-def _require_moments(a):
-    """Raise unless k >= n; `require_elliptic` refuses det G ≡ 0."""
-    k = a.order
-    if k < a.space_dim:
-        raise OrderTooLowError(
-            f"moment map needs order k >= n, got k={k}, n={a.space_dim}"
-        )
-
-
 def tensor_basis(n, order):
     """Monomial basis of the symmetric tensor power, with multiplicity weights.
 
@@ -261,33 +247,25 @@ def _pseudoinverse_at(a, nodes):
     return np.linalg.solve(gram, sym_t)
 
 
-def moments_for_vectors(a, vectors, rule):
-    """Moment integrals ∫ A†(ξ) e ⊗^{k-n} ξ for each vector e.
-
-    The ξ^γ come from the `monomial_table` that `float_symbol` also uses.
-    Returns (values, scales): values has one row per input vector holding the
-    weighted components of the symmetric tensor; scales holds per-vector
-    maxima of the integrand norm over the nodes (the zero-test reference).
-    """
-    _require_moments(a)
+def moment_matrix(a, rule):
+    """M on the standard basis of E from one rule, shape (V·|γ|, dim E), the row of
+    (v, γ) holding the weighted tensor component, and A†(ξ) at the stored nodes. The
+    weighted ξ^γ have norm |ξ|^(k−n) = 1 on the sphere, so max_ξ |A†(ξ)e| is the
+    integrand scale of any e."""
     n = a.space_dim
     adag = _pseudoinverse_at(a, rule.nodes)
     gammas, tweights = tensor_basis(n, a.order - n)
-    xi_pow = monomial_table(rule.nodes, np.array(gammas))
     # A†(-ξ) = (-1)^k A†(ξ) and (-ξ)^γ = (-1)^(k-n) ξ^γ: odd n cancels bitwise
-    total_sign = -1 if n % 2 else 1
-    values = []
-    scales = []
-    for e in vectors:
-        evec = np.array([float(x) for x in e])
-        w = adag @ evec  # (m, V)
-        integrand = w[:, :, None] * xi_pow[:, None, :] * tweights[None, None, :]
-        pair = integrand * (1 + total_sign)  # F(ξ) + F(-ξ) on each pair
-        acc = np.tensordot(rule.weights, pair, axes=(0, 0))
-        values.append(acc.reshape(-1))
-        node_norms = np.sqrt((integrand**2).sum(axis=(1, 2)))
-        scales.append(float(node_norms.max()) if len(node_norms) else 0.0)
-    return np.array(values), np.array(scales)
+    pair = rule.weights[:, None] * tweights * (1 + (-1) ** n)  # F(ξ) + F(-ξ) on each pair
+    xi_pow = monomial_table(rule.nodes, np.array(gammas)) * pair
+    m, v, e = adag.shape
+    matrix = (xi_pow.T @ adag.reshape(m, v * e)).reshape(len(gammas), v, e)
+    return matrix.transpose(1, 0, 2).reshape(v * len(gammas), e), adag
+
+
+def _scale(adag):
+    """max over the nodes and the basis of E of the integrand norm |A†(ξ)e|."""
+    return math.sqrt(float((adag * adag).sum(axis=1).max()))
 
 
 @dataclass
@@ -297,10 +275,9 @@ class MomentMap:
     n: int
     k: int
     source_dim: int
-    v_dim: int
     gammas: list
     tensor_weights: np.ndarray
-    matrix: np.ndarray  # (v_dim * len(gammas)) x source_dim
+    matrix: np.ndarray  # (dim V * len(gammas)) x source_dim
     error_estimate: float
     integrand_scale: float
     levels: tuple
@@ -321,58 +298,55 @@ class MomentMap:
 
 
 def moment_map(a, rule):
-    """Assemble M on the standard basis of E from `rule` and the next level:
-    one step of the refinement in converged_moments, with no tolerance. Like
-    `annihilator`, it refuses an A that `check` reports as not elliptic."""
+    """M on the standard basis of E from `rule` and the next level: one step of
+    the refinement in converged_moments, with no tolerance. Like `annihilator`,
+    it refuses an A that `check` reports as not elliptic."""
     _require_moments(a)
     a.require_elliptic()
-    vals, scales, err, rules = _refine(
-        a, np.eye(a.target_dim), rule, rel_tol=math.inf, max_level=rule.level + 1
-    )
+    matrix, adag, err, rules = _refine(a, rule, rel_tol=math.inf, max_level=rule.level + 1)
     n, k = a.space_dim, a.order
     gammas, tweights = tensor_basis(n, k - n)
     return MomentMap(
         n=n,
         k=k,
         source_dim=a.target_dim,
-        v_dim=a.source_dim,
         gammas=gammas,
         tensor_weights=tweights,
-        matrix=vals.T,
+        matrix=matrix,
         error_estimate=err,
-        integrand_scale=float(scales.max()),
+        integrand_scale=_scale(adag),
         levels=tuple(r.level for r in rules),
         node_counts=tuple(r.count for r in rules),
     )
 
 
-def converged_moments(a, vectors, base_level=3, rel_tol=1e-8, max_level=9):
-    """Refine until two successive levels agree to rel_tol (relative to the
-    integrand scale times the sphere area); returns the finer values, their
-    per-vector scales, the error and the two rules compared. The first level is
-    base_level, or coarser where that rule has more than SAMPLE_NODES nodes
-    (n ≥ 6) or leaves no finer level within MAX_RULE_NODES (n ≥ 8)."""
+def converged_moments(a, rel_tol=1e-8):
+    """Refine M on E until two successive levels agree to rel_tol (relative to
+    the integrand scale times the sphere area); returns the finer matrix, A† at
+    its nodes, the error and the two rules compared. The first level is 3, or
+    coarser where that rule has more than SAMPLE_NODES nodes (n ≥ 6) or leaves no
+    finer level within MAX_RULE_NODES (n ≥ 8); the last is 9."""
     _require_moments(a)  # before any rule is built
     n = a.space_dim
     top = finest_level(n, MAX_RULE_NODES)
-    base = max(1, min(base_level, finest_level(n, SAMPLE_NODES), top - 1))
-    return _refine(a, vectors, build_rule(n, base), rel_tol, max_level)
+    base = max(1, min(3, finest_level(n, SAMPLE_NODES), top - 1))
+    return _refine(a, build_rule(n, base), rel_tol, max_level=9)
 
 
-def _refine(a, vectors, rule, rel_tol, max_level):
+def _refine(a, rule, rel_tol, max_level):
     """The level loop behind every moment: start at `rule`, stop at the first
     level that agrees with the one below it, or raise after max_level or at
     the last level within MAX_RULE_NODES."""
     area = surface_area(a.space_dim)
-    vals, _ = moments_for_vectors(a, vectors, rule)
+    matrix, _ = moment_matrix(a, rule)
     top = min(max_level, finest_level(rule.n, MAX_RULE_NODES))
     while rule.level < top:
         fine = build_rule(rule.n, rule.level + 1)
-        fine_vals, scales = moments_for_vectors(a, vectors, fine)
-        err = float(np.abs(fine_vals - vals).max())
-        if err <= rel_tol * max(area * float(scales.max()), 1e-300):
-            return fine_vals, scales, err, (rule, fine)
-        rule, vals = fine, fine_vals
+        fine_matrix, adag = moment_matrix(a, fine)
+        err = float(np.abs(fine_matrix - matrix).max())
+        if err <= rel_tol * max(area * _scale(adag), 1e-300):
+            return fine_matrix, adag, err, (rule, fine)
+        rule, matrix = fine, fine_matrix
     over = f", the finest within the budget of {MAX_RULE_NODES} nodes" if top < max_level else ""
     raise QuadratureNotConvergedError(
         f"moment quadrature did not converge by level {rule.level}{over}"

@@ -113,23 +113,19 @@ def root_bound(p):
 
 
 def isolate_a_root(p, width=Fraction(1, 10**14)):
-    """Shrink an interval around one real root of p.
+    """Shrink an interval around one real root of p, on one Sturm chain.
 
-    Returns ('exact', r) when a rational root is pinned down, otherwise
-    ('interval', lo, hi) with hi - lo <= width containing a root.
-    Requires p to have at least one real root.
+    Returns None when p has no real root, ('exact', r) when a rational root is
+    pinned down, otherwise ('interval', lo, hi) with hi - lo <= width
+    containing a root.
     """
     p = trim(p)
     chain = sturm_chain(p)
+    if variations_at_inf(chain, False) == variations_at_inf(chain, True):
+        return None
     bound = root_bound(p)
     lo, hi = -bound, bound
     v_lo = variations_at(chain, lo)
-
-    def count_in(a, va, b):
-        return va - variations_at(chain, b)
-
-    total = count_in(lo, v_lo, hi)
-    assert total > 0, "no real roots to isolate"
     while hi - lo > width:
         mid = (lo + hi) / 2
         if evaluate(p, mid) == 0:

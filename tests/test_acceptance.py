@@ -16,14 +16,14 @@ from ellsym.conditions import (
     NONELLIPTIC_CONSTRAINT_DIAGNOSTIC,
     check_weak_cancellation,
     image_intersection,
-    isotropic_moments,
+    isotropic_moment_matrix,
     kernel_intersection,
     run_full_check,
 )
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.operators import OperatorSpec, SystemSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial
-from ellsym.quadrature import build_rule, moment_map, moments_for_vectors
+from ellsym.quadrature import build_rule, moment_map, moment_matrix
 from ellsym.ratlinalg import identity, mat_vec, rank, solve
 from ellsym.witness import WitnessConfig, blowup_experiment
 from genops import (
@@ -85,10 +85,10 @@ def test_criterion_03_weak_cancellation_failure_2pi():
     i_a = image_intersection(laplacian_operator(2))
     res = check_weak_cancellation(laplacian_operator(2), i_a)
     assert not res.holds
-    # the isotropic certificate: M e = 2π·e in rationals times π, |M e| = 2π to the bit
+    # the isotropic certificate: M/π = 2·Id in rationals, |M e| = 2π to the bit
     assert res.method == "isotropic"
+    assert isotropic_moment_matrix(laplacian_operator(2)) == [[[2, 0], [0, 2]]]
     for e, nrm in res.moments:
-        assert isotropic_moments(laplacian_operator(2), e)[0] == [tuple(2 * x for x in e)]
         assert nrm == 2 * math.pi
     _ok(3, "moment map of the 2-d Laplacian equals 2π·Id within 1e-8 relative, and exactly")
 
@@ -274,7 +274,7 @@ def _battery():
     for i, k in enumerate(ks):
         dim_v = 1 if k == 5 else rng.choice((1, 2))
         a = random_elliptic_operator(rng, 3, k, dim_v=dim_v, extra_rows=2)
-        vals, _ = moments_for_vectors(a, np.eye(a.target_dim), build_rule(3, 3))
+        vals, _ = moment_matrix(a, build_rule(3, 3))
         out[f"parity:{i}"] = json.dumps(vals.tolist(), sort_keys=True)
     return out
 

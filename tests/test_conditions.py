@@ -11,7 +11,7 @@ from ellsym.conditions import (
     check_weak_cancellation,
     image_intersection,
     is_elliptic,
-    isotropic_moments,
+    isotropic_moment_matrix,
     kernel_intersection,
     left_inverse_family,
     potential_field,
@@ -265,9 +265,9 @@ def test_cwc_reuses_weak_when_the_subspaces_agree(monkeypatch):
     import importlib
 
     cases = [
-        # isotropic: one exact moment per basis vector of I_A = E
-        ("d1^2 u1 + d2^2 u1; d1^2 u2 + d2^2 u2", "conditions", "isotropic_moments", 2),
-        # not isotropic: one converged quadrature for the whole basis
+        # isotropic: one exact moment matrix on E
+        ("d1^2 u1 + d2^2 u1; d1^2 u2 + d2^2 u2", "conditions", "isotropic_moment_matrix", 1),
+        # not isotropic: one converged quadrature on E
         ("d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2", "quadrature", "converged_moments", 1),
     ]
     for rows, module, name, count in cases:
@@ -284,6 +284,33 @@ def test_cwc_reuses_weak_when_the_subspaces_agree(monkeypatch):
         assert report.image_basis.intersect(report.kernel_basis) == report.image_basis
         assert len(calls) == count
         assert report.cwc.to_json() == report.weak.to_json()
+
+
+def test_weak_and_cwc_on_proper_subspaces_share_one_level_loop(monkeypatch):
+    # I_A = span{(1,1,0), (0,0,1)} ≠ E and I_A ∩ K_C = span{(1,1,0)} ≠ I_A, not isotropic:
+    # both verdicts read one M on E, converged by one run of the level loop
+    from ellsym import quadrature
+
+    calls = []
+    orig = quadrature._refine
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    rows = "d1^2 u1 + 2 d2^2 u1; d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2"
+    a = parse_operator(f"from 2 to 3\nrows: {rows}", 2)
+    c = parse_operator("from 3 to 1\nrows: d1 f3", 2)
+    report = run_full_check(SystemSpec(a, c, 2))
+    assert len(calls) == 1
+    assert report.image_basis.basis == ((1, 1, 0), (0, 0, 1))
+    weak, cwc = report.weak, report.cwc
+    assert (weak.method, cwc.method) == ("quadrature", "quadrature")
+    assert [e for e, _ in cwc.moments] == [(1, 1, 0)]
+    assert cwc.moments[0] == weak.moments[0]  # the same column reads of the same M
+    assert (cwc.levels, cwc.error_estimate) == (weak.levels, weak.error_estimate)
+    assert not weak.holds and not cwc.holds
 
 
 @pytest.mark.parametrize("case", ["divcurl_r3", "genops_333"])
@@ -594,11 +621,16 @@ def test_scaling_invariance():
 
 
 def test_moment_linearity_in_e():
-    from ellsym.quadrature import build_rule, moments_for_vectors
+    # M e read from the matrix on E is the sphere integral of A†(ξ)e for each e (k = n: no ξ^γ)
+    from ellsym.quadrature import build_rule, moment_matrix
 
     a = laplacian_operator(2)
     rule = build_rule(2, 5)
-    vals, _ = moments_for_vectors(a, [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], rule)
+    matrix, adag = moment_matrix(a, rule)
+    vectors = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    vals = [matrix @ e for e in vectors]
+    for e, got in zip(vectors, vals):
+        assert np.abs(got - 2 * np.einsum("m,mv->v", rule.weights, adag @ e)).max() < 2e-8
     assert np.abs(vals[2] - vals[0] - vals[1]).max() < 2e-8
 
 
@@ -905,19 +937,20 @@ def test_isotropic_moments_match_converged_quadrature(n, k):
     rng = random.Random(1000 * n + k)
     a = _random_isotropic_operator(rng, n, k, m=2)
     assert a.isotropic and is_elliptic(a).decided_by == "isotropic"
-    basis = [tuple(F(int(i == j)) for j in range(a.target_dim)) for i in range(a.target_dim)]
-    vals, _, _, _ = converged_moments(a, [list(map(float, e)) for e in basis])
+    got, _, _, _ = converged_moments(a)
+    mats = isotropic_moment_matrix(a)  # one V × E matrix per γ
     _, weights = tensor_basis(n, k - n)
-    for e, got in zip(basis, vals):
-        rows, norm = isotropic_moments(a, e)
-        # the quadrature stores M e as (V, γ) with the weights √(multinomial)
-        exact = np.array(rows, dtype=float).T * weights[None, :] * math.pi ** (n / 2)
-        if n % 2:  # |α + γ| = 2k − n is odd: every integral is 0, in both
-            assert all(x == 0 for r in rows for x in r) and norm == 0.0 and not got.any()
-            continue
-        gap = np.abs(exact.ravel() - got).max()
-        assert gap <= 1e-12 * np.abs(got).max()
-        assert abs(norm - np.linalg.norm(got)) <= 1e-12 * norm
+    # the quadrature stores M as rows (v, γ) with the weights √(multinomial)
+    exact = np.array(mats, dtype=float).transpose(1, 0, 2) * weights[None, :, None] * math.pi ** (n / 2)
+    exact = exact.reshape(got.shape)
+    norms = [nrm for _, nrm in check_weak_cancellation(a, Subspace.full(a.target_dim)).moments]
+    if n % 2:  # |α + γ| = 2k − n is odd: every integral is 0, in both
+        assert all(x == 0 for m in mats for r in m for x in r) and not got.any()
+        assert norms == [0.0] * a.target_dim
+        return
+    assert np.abs(exact - got).max() <= 1e-12 * np.abs(got).max()
+    for nrm, column in zip(norms, got.T):
+        assert abs(nrm - np.linalg.norm(column)) <= 1e-12 * nrm
 
 
 def _value_at_calls(monkeypatch, a):

@@ -16,8 +16,8 @@ from ellsym.quadrature import (
     build_rule,
     converged_moments,
     moment_map,
+    moment_matrix,
     monomial_table,
-    moments_for_vectors,
     sample_nodes,
     surface_area,
     tensor_basis,
@@ -92,9 +92,10 @@ def test_moment_map_anisotropic_closed_form():
 
 def test_moment_map_zero_vector_is_zero():
     a = laplacian_operator(2)
-    vals, scales = moments_for_vectors(a, [(0.0, 0.0)], build_rule(2, 5))
-    assert np.all(vals == 0.0)
-    assert scales[0] == 0.0
+    matrix, adag = moment_matrix(a, build_rule(2, 5))
+    zero = np.zeros(2)
+    assert np.all(matrix @ zero == 0.0)
+    assert np.linalg.norm(adag @ zero, axis=1).max() == 0.0
 
 
 def test_moment_map_biharmonic_r3_parity_zero():
@@ -117,7 +118,7 @@ def test_near_singular_detection():
 
     a = parse_operator("rows: d1^2 u1", 2)  # det G = ξ1⁴, vanishes at (0, ±1)
     with pytest.raises(NearSingularSymbolError):
-        moments_for_vectors(a, [(1.0,)], build_rule(2, 6))
+        moment_matrix(a, build_rule(2, 6))
 
 
 def test_refinement_convergence_decreases():
@@ -127,22 +128,26 @@ def test_refinement_convergence_decreases():
     diffs = []
     prev = None
     for level in (3, 4, 5, 6):
-        vals, _ = moments_for_vectors(a, [(1.0, 0.0)], build_rule(2, level))
+        vals = moment_matrix(a, build_rule(2, level))[0][:, 0]  # M e₁
         if prev is not None:
             diffs.append(np.abs(vals - prev).max())
         prev = vals
     assert diffs[-1] <= diffs[0]
-    vals, scales, err, levels = converged_moments(a, [(1.0, 0.0)], base_level=3)
-    assert err <= 1e-8 * surface_area(2) * max(scales.max(), 1e-300)
+    _, adag, err, _ = converged_moments(a)
+    assert err <= 1e-8 * surface_area(2) * max(np.linalg.norm(adag, axis=1).max(), 1e-300)
 
 
 def test_converged_moments_raises_when_levels_exhausted():
     from ellsym.errors import QuadratureNotConvergedError
     from ellsym.dsl import parse_operator
 
+    from ellsym import quadrature
+
     a = parse_operator("rows: d1^2 u1 + 3 d2^2 u1; d1 d2 u1", 2)
-    with pytest.raises(QuadratureNotConvergedError):
-        converged_moments(a, [(1.0, 0.0)], base_level=3, max_level=3, rel_tol=0.0)
+    with pytest.raises(QuadratureNotConvergedError, match="did not converge by level 3$"):
+        quadrature._refine(a, build_rule(2, 3), rel_tol=0.0, max_level=3)
+    with pytest.raises(QuadratureNotConvergedError, match="did not converge by level 9$"):
+        converged_moments(a, rel_tol=0.0)
 
 
 def test_refine_stops_at_the_budget_without_building_past_it(monkeypatch):
@@ -156,7 +161,7 @@ def test_refine_stops_at_the_budget_without_building_past_it(monkeypatch):
     monkeypatch.setattr(quadrature, "build_rule", lambda n, level: built.append(level) or build_rule(n, level))
     message = "did not converge by level 6, the finest within the budget of 2097152 nodes"
     with pytest.raises(QuadratureNotConvergedError, match=message):
-        quadrature._refine(a, [(1.0,)], rule, rel_tol=0.0, max_level=9)
+        quadrature._refine(a, rule, rel_tol=0.0, max_level=9)
     assert built == []
 
 
@@ -176,7 +181,7 @@ def test_converged_moments_starts_within_the_sample_budget(n, levels):
     # within MAX_RULE_NODES. (−Δ)^(n/2) has the constant integrand 1, which
     # every level integrates exactly, so the first two levels agree
     a = laplacian_operator(n, power=n // 2, dim=1)
-    vals, _, _, rules = converged_moments(a, [(1.0,)])
+    vals, _, _, rules = converged_moments(a)
     assert tuple(r.level for r in rules) == levels
     assert abs(vals[0, 0] - surface_area(n)) <= 1e-13 * surface_area(n)
 
@@ -185,9 +190,7 @@ def test_random_elliptic_odd_dimension_bitwise_zero():
     rng = random.Random(4242)
     for k in (3, 4, 5):
         a = random_elliptic_operator(rng, 3, k, dim_v=1, extra_rows=2)
-        vals, _ = moments_for_vectors(
-            a, np.eye(a.target_dim), build_rule(3, 3)
-        )
+        vals, _ = moment_matrix(a, build_rule(3, 3))
         assert np.all(vals == 0.0)
 
 
@@ -313,8 +316,9 @@ def test_moment_tensor_monomials_match_exact(n, k, level):
                        for gamma in gammas] for node in rule.nodes])
     adag = _pseudoinverse_at(a, rule.nodes)
     vectors = np.eye(a.target_dim)
-    values, _ = moments_for_vectors(a, vectors, rule)
-    for got, e in zip(values, vectors):
+    values, nodes_adag = moment_matrix(a, rule)
+    assert np.array_equal(nodes_adag, adag)
+    for got, e in zip(values.T, vectors):
         ref = 2 * np.einsum("m,mv,mg->vg", rule.weights, adag @ e, omega * tweights).ravel()
         assert np.abs(ref).max() > 0
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -41,8 +41,12 @@ run the same list of operations:
   operator of ELLIPTIC_CASES, whose report carries the diagnostics of an
   inconclusive ellipticity verdict, the quartic Σ ∂_i⁴ on R⁴, whose
   weak verdict needs the n = 4 moment quadrature to converge, (−Δ)²·B on R³,
-  an isotropic k > n system whose exact moments are bitwise 0, and a
-  non-isotropic square n = 2 system, whose moments still come from quadrature.
+  an isotropic k > n system whose exact moments are bitwise 0, a
+  non-isotropic square n = 2 system, whose moments still come from quadrature,
+  and a non-isotropic n = 2 system from 2 to 3 (rows `d1^2 u1 + 2 d2^2 u1;
+  d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2`, constraint `d1 f3`), whose weak
+  verdict reads the quadrature M on a proper I_A = span{(1,1,0), (0,0,1)}
+  and whose CWC verdict reads it on span{(1,1,0)}.
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -183,6 +187,11 @@ CHECK_CASES = (
         "    (d1^2 + d2^2 + d3^2)^2 u1 + (d1^2 + d2^2 + d3^2)^2 u2; (d1^2 + d2^2 + d3^2)^2 u2\n}\n",
     ),
     ("R2 anisotropic square", "dim 2\noperator A {\n  from 2 to 2\n  rows: d1^2 u1 + 2 d2^2 u1 + d1 d2 u2; d1^2 u2 + d2^2 u2\n}\n"),
+    (
+        "R2 2 to 3, weak and CWC on proper subspaces",
+        "dim 2\noperator A {\n  from 2 to 3\n  rows: d1^2 u1 + 2 d2^2 u1; d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2\n}\n"
+        "constraint C {\n  from 3 to 1\n  rows: d1 f3\n}\n",
+    ),
 )
 
 CHECK_SCRIPT = """
