@@ -2,8 +2,8 @@
 
 Every JSON report embeds the tool version, the SHA-256 of the input file, the
 seed, and the tolerances in effect, and is serialized with sorted keys so a
-rerun with the same config is byte-identical. Exit codes: 0 decided, 1 error,
-2 inconclusive.
+rerun with the same config is byte-identical. Exit codes: 0 decided, 1 error
+(a usage error included), 2 inconclusive.
 """
 
 from __future__ import annotations
@@ -21,148 +21,115 @@ from .errors import EllsymError, InvalidArgumentError
 from .operators import annihilator, homogenize
 
 
-def _read_input(path):
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are InvalidArgumentError (exit 1)."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
+def _read_system(path):
+    """The parsed system file and the SHA-256 of its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    return parse_system(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(args, digest, tolerances, payload, text):
+    """Write `text`, or with --json the report envelope around `payload`, to
+    --out or standard output."""
+    if args.json:
+        envelope = {
+            "tool": "ellsym",
+            "version": __version__,
+            "command": args.command,
+            "input_sha256": digest,
+            "seed": args.seed,
+            "tolerances": tolerances,
+            "result": payload,
+        }
+        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _json_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _envelope(command, input_hash, seed, tolerances, payload):
-    return {
-        "tool": "ellsym",
-        "version": __version__,
-        "command": command,
-        "input_sha256": input_hash,
-        "seed": seed,
-        "tolerances": tolerances,
-        "result": payload,
-    }
+def _vector(v):
+    """The entries of v, comma-separated, as the text report prints a vector."""
+    return ",".join(map(str, v))
 
 
 def cmd_check(args):
-    text, digest = _read_input(args.path)
-    system = parse_system(text)
-    report = run_full_check(system, tol=args.tol)
-    if args.json:
-        env = _envelope(
-            "check", digest, args.seed, {"weak_zero_tol": args.tol}, report.to_json()
+    system, digest = _read_system(args.path)
+    report = run_full_check(system)
+    lines = [f"system: n={report.n}, order={report.order}, dims={report.dims}"]
+    lines.append(f"elliptic: {report.elliptic.status}")
+    if report.elliptic.witness_xi is not None:
+        kv = _vector(report.elliptic.kernel_vector) if report.elliptic.kernel_vector else "?"
+        lines.append(f"  witness xi=({_vector(report.elliptic.witness_xi)})  kernel vector=({kv})")
+    if report.image_basis is not None:
+        lines.append(f"I_A basis: {report.image_basis.to_json()}")
+        lines.append(f"canceling: {report.canceling}")
+    lines.append(f"K_C basis: {report.kernel_basis.to_json()}")
+    lines.append(f"cocanceling: {report.cocanceling}")
+    if report.cc is not None:
+        w = f" witness=({_vector(report.cc.witness)})" if report.cc.witness else ""
+        lines.append(f"CC: {'holds' if report.cc.holds else 'fails'}{w}")
+    if report.weak is not None:
+        lines.append(
+            f"weakly canceling: {report.weak.holds}"
+            + (" (vacuous)" if report.weak.vacuous else "")
         )
-        _emit(_json_dumps(env), args.out)
-    else:
-        lines = [f"system: n={report.n}, order={report.order}, dims={report.dims}"]
-        lines.append(f"elliptic: {report.elliptic.status}")
-        if report.elliptic.witness_xi is not None:
-            wx = ",".join(str(x) for x in report.elliptic.witness_xi)
-            kv = (
-                ",".join(str(x) for x in report.elliptic.kernel_vector)
-                if report.elliptic.kernel_vector
-                else "?"
-            )
-            lines.append(f"  witness xi=({wx})  kernel vector=({kv})")
-        if report.image_basis is not None:
-            lines.append(f"I_A basis: {report.image_basis.to_json()}")
-            lines.append(f"canceling: {report.canceling}")
-        lines.append(f"K_C basis: {report.kernel_basis.to_json()}")
-        lines.append(f"cocanceling: {report.cocanceling}")
-        if report.cc is not None:
-            w = (
-                " witness=(" + ",".join(str(x) for x in report.cc.witness) + ")"
-                if report.cc.witness
-                else ""
-            )
-            lines.append(f"CC: {'holds' if report.cc.holds else 'fails'}{w}")
-        if report.weak is not None:
-            lines.append(
-                f"weakly canceling: {report.weak.holds}"
-                + (" (vacuous)" if report.weak.vacuous else "")
-            )
-            for e, nrm in report.weak.moments:
-                lines.append(f"  |M e| = {nrm:.6e} for e=({','.join(str(x) for x in e)})")
-        if report.cwc is not None:
-            lines.append(
-                f"CWC: {'holds' if report.cwc.holds else 'fails'}"
-                + (" (vacuous)" if report.cwc.vacuous else "")
-            )
-        for d in report.diagnostics:
-            lines.append(f"note: {d}")
-        _emit("\n".join(lines) + "\n", args.out)
+        for e, nrm in report.weak.moments:
+            lines.append(f"  |M e| = {nrm:.6e} for e=({_vector(e)})")
+    if report.cwc is not None:
+        lines.append(
+            f"CWC: {'holds' if report.cwc.holds else 'fails'}"
+            + (" (vacuous)" if report.cwc.vacuous else "")
+        )
+    for d in report.diagnostics:
+        lines.append(f"note: {d}")
+    _emit(args, digest, {"weak_zero_tol": WEAK_ZERO_TOL}, report.to_json(), "\n".join(lines) + "\n")
     return report.exit_status()
 
 
 def cmd_annihilator(args):
-    text, digest = _read_input(args.path)
-    ann = annihilator(parse_system(text).a)
+    system, digest = _read_system(args.path)
+    ann = annihilator(system.a)
+    rows = format_operator(ann, letter="f")
     trivial = not ann.coeffs
-    if args.json:
-        payload = {
-            "annihilator_rows": format_operator(ann, letter="f").splitlines(),
-            "trivial": trivial,
-        }
-        env = _envelope("annihilator", digest, args.seed, {}, payload)
-        _emit(_json_dumps(env), args.out)
-    else:
-        note = "# not canceling: annihilator trivial\n" if trivial else ""
-        _emit(note + format_operator(ann, letter="f"), args.out)
+    note = "# not canceling: annihilator trivial\n" if trivial else ""
+    payload = {"annihilator_rows": rows.splitlines(), "trivial": trivial}
+    _emit(args, digest, {}, payload, note + rows)
     return 0
 
 
 def cmd_moment(args):
     from .quadrature import build_rule, moment_map  # the numeric layer (numpy)
 
-    text, digest = _read_input(args.path)
-    system = parse_system(text)
+    system, digest = _read_system(args.path)
     rule = build_rule(system.n, args.level)
     mm = moment_map(system.a, rule)
-    if args.json:
-        env = _envelope(
-            "moment",
-            digest,
-            args.seed,
-            {"quad_level": args.level},
-            mm.to_json(),
-        )
-        _emit(_json_dumps(env), args.out)
-    else:
-        lines = [
-            f"moment map: E=R^{mm.source_dim} -> V⊙^{mm.k - mm.n} "
-            f"(dim {mm.matrix.shape[0]}), levels {mm.levels}, "
-            f"error estimate {mm.error_estimate:.3e}"
-        ]
-        for row in mm.matrix:
-            lines.append("  " + "  ".join(f"{x: .9e}" for x in row))
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"moment map: E=R^{mm.source_dim} -> V⊙^{mm.k - mm.n} "
+        f"(dim {mm.matrix.shape[0]}), levels {mm.levels}, "
+        f"error estimate {mm.error_estimate:.3e}"
+    ]
+    for row in mm.matrix:
+        lines.append("  " + "  ".join(f"{x: .9e}" for x in row))
+    _emit(args, digest, {"quad_level": args.level}, mm.to_json(), "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_homogenize(args):
-    text, digest = _read_input(args.path)
-    system = parse_system(text)
+    system, digest = _read_system(args.path)
     target = system.c if system.c is not None else system.a
     hom = homogenize(target)
     letter = "f" if system.c is not None else "u"
-    if args.json:
-        env = _envelope(
-            "homogenize",
-            digest,
-            args.seed,
-            {},
-            {"rows": format_operator(hom, letter=letter).splitlines()},
-        )
-        _emit(_json_dumps(env), args.out)
-    else:
-        _emit(format_operator(hom, letter=letter), args.out)
+    rows = format_operator(hom, letter=letter)
+    _emit(args, digest, {}, {"rows": rows.splitlines()}, rows)
     return 0
 
 
@@ -177,8 +144,7 @@ def _convert(flag, text, convert, what):
 def cmd_witness(args):
     from .witness import WitnessConfig, blowup_experiment  # the numeric layer (numpy)
 
-    text, digest = _read_input(args.path)
-    system = parse_system(text)
+    system, digest = _read_system(args.path)
     e = _convert("--e", args.e, lambda v: tuple(map(Fraction, v.split(","))),
                  "comma-separated rationals") if args.e else None
     epsilons = _convert("--eps", args.eps, lambda v: [float(x) for x in v.split(",")], "comma-separated widths")
@@ -195,31 +161,22 @@ def cmd_witness(args):
         mode=args.mode,
     )
     result = blowup_experiment(config)
-    if args.json:
-        env = _envelope(
-            "witness",
-            digest,
-            args.seed,
-            {key: result.config[key] for key in ("growth_factor", "flatness", "residual_tol")},
-            result.to_json(),
+    body = result.to_csv()
+    body += f"# classification: {result.classification}\n"
+    if result.slope is not None:
+        body += (
+            f"# slope: {result.slope!r}  intercept: {result.intercept!r}"
+            f"  r_squared: {result.r_squared!r}\n"
         )
-        _emit(_json_dumps(env), args.out)
-    else:
-        body = result.to_csv()
-        body += f"# classification: {result.classification}\n"
-        if result.slope is not None:
-            body += (
-                f"# slope: {result.slope!r}  intercept: {result.intercept!r}"
-                f"  r_squared: {result.r_squared!r}\n"
-            )
-        for d in result.diagnostics:
-            body += f"# {d}\n"
-        _emit(body, args.out)
+    for d in result.diagnostics:
+        body += f"# {d}\n"
+    tolerances = {key: result.config[key] for key in ("growth_factor", "flatness", "residual_tol")}
+    _emit(args, digest, tolerances, result.to_json(), body)
     return {"GROWING": 0, "BOUNDED": 0}.get(result.classification, 2)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ellsym",
         description="Cancellation-condition analysis for constant-coefficient "
         "elliptic systems",
@@ -235,7 +192,6 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="full condition report")
     common(p_check)
-    p_check.add_argument("--tol", type=float, default=WEAK_ZERO_TOL)
     p_check.set_defaults(func=cmd_check)
 
     p_ann = sub.add_parser("annihilator", help="print the exact annihilator")
@@ -263,9 +219,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (EllsymError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

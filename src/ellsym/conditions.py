@@ -17,14 +17,13 @@ from itertools import product
 from . import sturm
 from .errors import (
     HypothesisFailedError,
-    InvalidArgumentError,
     NearSingularSymbolError,
     NotEllipticError,
     NotHomogeneousError,
     OrderTooLowError,
     QuadratureNotConvergedError,
 )
-from .poly import MatrixPolynomial, Polynomial, monomials_of_degree, multinomial
+from .poly import MatrixPolynomial, monomials_of_degree, multinomial
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
@@ -39,7 +38,7 @@ from .ratlinalg import (
     transpose,
 )
 
-WEAK_ZERO_TOL = 1e-8  # |M e| <= tol * area * max-node integrand magnitude
+WEAK_ZERO_TOL = 1e-8  # fixed: |M e| <= it * area * max-node integrand norm, after two levels agree to it
 
 NONELLIPTIC_CONSTRAINT_DIAGNOSTIC = (
     "operator is not elliptic although a constrained system in the k >= n "
@@ -67,10 +66,6 @@ class EllipticityVerdict:
     note: str = ""
     # identically_zero | source_exceeds_target | isotropic | axis_candidate | sturm | sampled
     decided_by: str | None = None
-
-    @property
-    def definitely_not(self):
-        return self.status == "no"
 
     def to_json(self):
         d = {"status": self.status}
@@ -228,10 +223,13 @@ def image_intersection(a):
 
 @dataclass
 class CCResult:
-    holds: bool
-    witness: tuple | None
+    witness: tuple | None  # the first basis vector of I_A ∩ K_C; None when it is {0}
     image_intersection: Subspace
     kernel_intersection: Subspace
+
+    @property
+    def holds(self):
+        return self.witness is None
 
     def to_json(self):
         d = {"holds": self.holds}
@@ -255,8 +253,7 @@ def _constraint_kernel(system):
 def _cc(i_a, k_c):
     """(CCResult, I_A ∩ K_C)."""
     isect = i_a.intersect(k_c)
-    witness = None if isect.is_zero() else isect.basis[0]
-    return CCResult(isect.is_zero(), witness, i_a, k_c), isect
+    return CCResult(None if isect.is_zero() else isect.basis[0], i_a, k_c), isect
 
 
 # -- weak cancellation ---------------------------------------------------------
@@ -266,16 +263,18 @@ def _cc(i_a, k_c):
 class WeakCancellationResult:
     """|M e| over a basis: none for the zero subspace (method "vacuous"), exact
     ("isotropic") or from converged quadrature ("quadrature"), which alone has the
-    scale, error, levels and tolerance fields."""
+    scale, error and levels fields and reports the tolerance WEAK_ZERO_TOL."""
 
     holds: bool
-    vacuous: bool
     moments: list  # (basis vector, |M e|)
     method: str
     scale: float | None = None
     error_estimate: float | None = None
     levels: tuple | None = None
-    tolerance: float | None = None
+
+    @property
+    def vacuous(self):
+        return self.method == "vacuous"
 
     def to_json(self):
         d = {
@@ -286,20 +285,20 @@ class WeakCancellationResult:
         }
         if self.method == "quadrature":
             d.update(integrand_scale=self.scale, error_estimate=self.error_estimate,
-                     levels=list(self.levels), tolerance=self.tolerance)
+                     levels=list(self.levels), tolerance=WEAK_ZERO_TOL)
         return d
 
 
-def check_weak_cancellation(a, subspace, tol=WEAK_ZERO_TOL):
+def check_weak_cancellation(a, subspace):
     """Vanishing of M_A on the given subspace (I_A, or I_A ∩ K_C for CWC).
 
     Vacuous on the zero subspace, with no moment computed. Exact for an isotropic
     operator (`isotropic_moment_matrix`). Otherwise the zero test is
-    |M e| <= tol * (sphere area) * max-node integrand norm, required after two
-    quadrature refinements of M on E agree.
+    |M e| <= WEAK_ZERO_TOL * (sphere area) * max-node integrand norm, required
+    after two quadrature refinements of M on E agree.
     """
     _require_moments(a)
-    return _weak_verdicts(a, [subspace], tol)[0]
+    return _weak_verdicts(a, [subspace])[0]
 
 
 def _require_moments(a):
@@ -309,7 +308,7 @@ def _require_moments(a):
         raise OrderTooLowError(f"moment map needs order k >= n, got k={k}, n={n}")
 
 
-def _weak_verdicts(a, subspaces, tol):
+def _weak_verdicts(a, subspaces):
     """The verdict on each subspace, every one read from one M on the standard basis
     of E, built only when a subspace is nonzero: exact for an isotropic operator,
     else by converged quadrature, whose `levels` and `error_estimate` describe all
@@ -325,12 +324,12 @@ def _weak_verdicts(a, subspaces, tol):
             sq = [sum(w * sum(x * x for x in mat_vec(m, e)) for w, m in zip(weights, mats))
                   for e in basis]
             moments = [(e, math.sqrt(s) * math.pi ** (n / 2)) for e, s in zip(basis, sq)]
-            return WeakCancellationResult(not any(sq), False, moments, "isotropic")
+            return WeakCancellationResult(not any(sq), moments, "isotropic")
     else:
         from .quadrature import converged_moments, surface_area  # the numeric layer (numpy)
 
-        matrix, adag, err, rules = converged_moments(a, rel_tol=tol)
-        levels, bound = tuple(r.level for r in rules), tol * surface_area(n)
+        matrix, adag, err, rules = converged_moments(a)
+        levels, bound = tuple(r.level for r in rules), WEAK_ZERO_TOL * surface_area(n)
 
         def verdict(basis):  # one column per basis vector e
             vectors = transpose([[float(x) for x in e] for e in basis])
@@ -339,10 +338,10 @@ def _weak_verdicts(a, subspaces, tol):
             scales = (images * images).sum(axis=1).max(axis=0) ** 0.5  # max over ξ of |A†(ξ)e|
             holds = not any(nrm > bound * max(scl, 1e-300) for nrm, scl in zip(norms, scales))
             moments = list(zip(basis, map(float, norms)))
-            return WeakCancellationResult(holds, False, moments, "quadrature", float(scales.max()),
-                                          err, levels, tol)
+            return WeakCancellationResult(holds, moments, "quadrature", float(scales.max()),
+                                          err, levels)
 
-    return [WeakCancellationResult(True, True, [], "vacuous") if s.is_zero() else verdict(s.basis)
+    return [WeakCancellationResult(True, [], "vacuous") if s.is_zero() else verdict(s.basis)
             for s in subspaces]
 
 
@@ -491,22 +490,14 @@ def potential_field(family):
     dim_e = len(family.projection)
     dim_f = max((len(b) for b in family.blocks.values()), default=0)
     nvars = len(family.betas[0]) if family.betas else 1
-    entries = [[Polynomial.zero(nvars) for _ in range(dim_e)] for _ in range(dim_f)]
-    for beta, k_beta in family.maps.items():
-        fact = Fraction(1)
-        for b in beta:
-            fact *= math.factorial(b)
-        coeff = Fraction(1) / fact
-        for i in range(dim_e):
-            for j in range(dim_f):
-                if k_beta[i][j] != 0:
-                    entries[j][i] = entries[j][i] + Polynomial.monomial(
-                        nvars, beta, k_beta[i][j] * coeff
-                    )
     if dim_f == 0:
         matrix = MatrixPolynomial.zero(1, dim_e, nvars)
         return PotentialField(matrix, family, True)
-    matrix = MatrixPolynomial(entries)
+    coeffs = {}  # β -> K_β*/β!
+    for beta, k_beta in family.maps.items():
+        fact = math.prod(map(math.factorial, beta))
+        coeffs[beta] = [[x / fact for x in row] for row in transpose(k_beta)]
+    matrix = MatrixPolynomial.from_coeffs(coeffs, dim_f, dim_e, nvars)
     field_obj = PotentialField(matrix, family, False)
     applied = field_obj.adjoint_applied()
     expected = MatrixPolynomial.from_rational(family.projection, nvars)
@@ -531,14 +522,21 @@ class ConditionReport:
     order: int | None
     dims: dict
     kernel_basis: Subspace
-    cocanceling: bool
     elliptic: EllipticityVerdict | None = None
     image_basis: Subspace | None = None
-    canceling: bool | None = None
     cc: CCResult | None = None
     weak: WeakCancellationResult | None = None
     cwc: WeakCancellationResult | None = None
     diagnostics: list = field(default_factory=list)
+
+    @property
+    def canceling(self):
+        """I_A = {0}; None when I_A was not computed."""
+        return None if self.image_basis is None else self.image_basis.is_zero()
+
+    @property
+    def cocanceling(self):
+        return self.kernel_basis.is_zero()
 
     def exit_status(self):
         if self.elliptic.status == "inconclusive":
@@ -562,10 +560,8 @@ class ConditionReport:
         }
 
 
-def run_full_check(system, tol=WEAK_ZERO_TOL):
+def run_full_check(system):
     """Assemble the full certified report for a system A u = f, C f = 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidArgumentError(f"tol must be a finite number >= 0, got {tol}")
     a = system.a
     diagnostics = []
     try:
@@ -582,16 +578,14 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
             "cancellation and (CWC) to weak cancellation"
         )
     k_c = _constraint_kernel(system)
-    report = ConditionReport(
-        system.n, order, _dims(system), k_c, k_c.is_zero(), diagnostics=diagnostics
-    )
+    report = ConditionReport(system.n, order, _dims(system), k_c, diagnostics=diagnostics)
 
     if order is None:
         report.elliptic = EllipticityVerdict("inconclusive", note="operator not homogeneous")
         return report
 
     elliptic = report.elliptic = a.ellipticity
-    if elliptic.definitely_not:
+    if elliptic.status == "no":
         if system.c is not None and order >= system.n:
             diagnostics.append(NONELLIPTIC_CONSTRAINT_DIAGNOSTIC)
         else:
@@ -613,12 +607,11 @@ def run_full_check(system, tol=WEAK_ZERO_TOL):
     except NotEllipticError as exc:
         diagnostics.append(f"I_A not computed: {exc}")
         return report
-    report.canceling = i_a.is_zero()
     report.cc, isect = _cc(i_a, k_c)
 
     if system.n >= 2 and order >= system.n:
         try:
-            report.weak, report.cwc = _weak_verdicts(a, [i_a, isect], tol)
+            report.weak, report.cwc = _weak_verdicts(a, [i_a, isect])
         except (NearSingularSymbolError, QuadratureNotConvergedError) as exc:
             diagnostics.append(f"moment quadrature failed: {exc}")
     elif order < system.n:

@@ -16,7 +16,8 @@ Grammar (comments run from '#' to end of line):
 Coefficients are rationals written as INT or INT/INT; derivative tokens are
 d1..dn; each row must be homogeneous (all terms share one total derivative
 order). Parenthesized groups may only contain scalar (component-free)
-expressions, so rows stay linear in the components.
+expressions, so rows stay linear in the components, and nest at most
+MAX_GROUP_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .operators import OperatorSpec, SystemSpec
 from .poly import Polynomial
 
 MAX_EXPANSION_BITS = 2**17  # terms × coefficient bits of a power or product of groups, at most
+MAX_GROUP_DEPTH = 100  # nested groups; three parser frames each, well inside Python's recursion limit
 
 _PUNCT = {
     "{": "LBRACE",
@@ -183,6 +185,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
+        self.depth = 0  # groups open at the current token
 
     def peek(self, skip_newlines=True):
         pos = self.pos
@@ -246,9 +249,14 @@ class _Parser:
         if tok.kind == "NUMBER":
             return _RowValue(self.nvars, Polynomial.constant(self.nvars, self.parse_rational()))
         if tok.kind == "LPAREN":
+            if self.depth == MAX_GROUP_DEPTH:
+                raise DslSyntaxError(
+                    f"groups nested deeper than {MAX_GROUP_DEPTH} levels", tok.line, tok.col)
             self.next()
+            self.depth += 1
             inner = self.parse_row_expr()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return self._maybe_power(inner)
         if tok.kind == "IDENT":
             self.next(skip_newlines=False)
@@ -358,7 +366,6 @@ def _build_operator(rows, nvars, sig, text_name="operator"):
         )
     if not rows:
         raise DslSyntaxError(f"{text_name} has no rows")
-    coeffs = {}
     for j, (comps, line) in enumerate(rows):
         degrees = set()
         for idx, p in comps.items():
@@ -374,13 +381,9 @@ def _build_operator(rows, nvars, sig, text_name="operator"):
             raise NonHomogeneousRowError(
                 f"row {j + 1} mixes derivative orders {sorted(degrees)}", line, None
             )
-        for idx, p in comps.items():
-            for alpha, c in p.terms.items():
-                mat = coeffs.setdefault(
-                    alpha, [[Fraction(0)] * source_dim for _ in range(target_dim)]
-                )
-                mat[j][idx] += c
-    return OperatorSpec(nvars, source_dim, target_dim, coeffs)
+    return OperatorSpec.from_terms(nvars, source_dim, target_dim, (
+        (alpha, j, idx, c) for j, (comps, _line) in enumerate(rows)
+        for idx, p in comps.items() for alpha, c in p.terms.items()))
 
 
 def parse_operator(text, n):
@@ -462,10 +465,6 @@ def parse_system(text):
 # -- pretty printing ---------------------------------------------------------
 
 
-def _format_coeff(c):
-    return str(c)
-
-
 def _format_term(alpha, coeff, comp_idx, letter):
     mono = " ".join(
         f"d{i + 1}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(alpha) if a
@@ -476,8 +475,8 @@ def _format_term(alpha, coeff, comp_idx, letter):
     if coeff == 1:
         return comp
     if mono:
-        return f"{_format_coeff(coeff)} {mono} {comp}"
-    return f"{_format_coeff(coeff)} {comp}"
+        return f"{coeff} {mono} {comp}"
+    return f"{coeff} {comp}"
 
 
 def format_rows(op, letter="u", indent="  "):

@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .conditions import is_elliptic
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
-from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
+from .poly import MatrixPolynomial, monomials_of_degree
 from .ratlinalg import nullspace, primitive, transpose
 
 MultiIndex = tuple
@@ -91,19 +92,7 @@ class OperatorSpec:
 
     @cached_property
     def _symbol(self):
-        n = self.space_dim
-        entries = [
-            [Polynomial.zero(n) for _ in range(self.source_dim)]
-            for _ in range(self.target_dim)
-        ]
-        for alpha, mat in self.coeffs.items():
-            for i in range(self.target_dim):
-                for j in range(self.source_dim):
-                    if mat[i][j] != 0:
-                        entries[i][j] = entries[i][j] + Polynomial.monomial(
-                            n, alpha, mat[i][j]
-                        )
-        return MatrixPolynomial(entries)
+        return MatrixPolynomial.from_coeffs(self.coeffs, self.target_dim, self.source_dim, self.space_dim)
 
     @cached_property
     def gram(self):
@@ -203,26 +192,31 @@ class OperatorSpec:
         if self.degenerate:
             raise NotEllipticError("det(A*A) vanishes identically")
         v = self.ellipticity
-        if v.definitely_not:
+        if v.status == "no":
             xi = tuple(str(x) for x in v.witness_xi)
             raise NotEllipticError(f"det(A*A) vanishes {'at' if v.witness_exact else 'near'} ξ = {xi}",
                                    witness_xi=v.witness_xi, kernel_vector=v.kernel_vector)
+
+    @classmethod
+    def from_terms(cls, space_dim, source_dim, target_dim, terms):
+        """The operator whose entry (i, j) is Σ c·ξ^α over the (α, i, j, c) of
+        `terms`; C_α is built at the first term of each α, and terms add up."""
+        coeffs = {}
+        for alpha, i, j, c in terms:
+            mat = coeffs.get(alpha)
+            if mat is None:
+                mat = coeffs[alpha] = [[0] * source_dim for _ in range(target_dim)]
+            mat[i][j] += c
+        return cls(space_dim, source_dim, target_dim, coeffs)
 
     @classmethod
     def from_symbol(cls, mp, space_dim=None):
         """Recover the coefficient map from a matrix polynomial."""
         n = space_dim if space_dim is not None else mp.nvars
         assert n == mp.nvars
-        coeffs = {}
-        for i in range(mp.rows):
-            for j in range(mp.cols):
-                for alpha, c in mp.entries[i][j].terms.items():
-                    mat = coeffs.setdefault(
-                        alpha,
-                        [[Fraction(0)] * mp.cols for _ in range(mp.rows)],
-                    )
-                    mat[i][j] += c
-        return cls(n, mp.cols, mp.rows, coeffs)
+        return cls.from_terms(n, mp.cols, mp.rows, (
+            (alpha, i, j, c) for i, row in enumerate(mp.entries) for j, p in enumerate(row)
+            for alpha, c in p.terms.items()))
 
 
 @dataclass
@@ -290,27 +284,12 @@ def homogenize(c, target_degree=None):
             )
         l = target_degree
     n = c.space_dim
-    row_gammas = []
-    for d in degs:
-        pad = 0 if d is None else l - d
-        row_gammas.append(monomials_of_degree(n, pad))
-    new_target = sum(len(g) for g in row_gammas)
-    row_offset = []
-    off = 0
-    for g in row_gammas:
-        row_offset.append(off)
-        off += len(g)
-    coeffs = {}
+    row_gammas = [monomials_of_degree(n, 0 if d is None else l - d) for d in degs]
+    row_offset = list(accumulate((len(g) for g in row_gammas), initial=0))
+    terms = []
     for alpha, mat in c.coeffs.items():
-        for j in range(c.target_dim):
-            if all(x == 0 for x in mat[j]):
-                continue
+        for j, row in enumerate(mat):
             for gi, gamma in enumerate(row_gammas[j]):
                 beta = tuple(x + y for x, y in zip(alpha, gamma))
-                out = coeffs.setdefault(
-                    beta, [[Fraction(0)] * c.source_dim for _ in range(new_target)]
-                )
-                target_row = row_offset[j] + gi
-                for i in range(c.source_dim):
-                    out[target_row][i] += mat[j][i]
-    return OperatorSpec(n, c.source_dim, new_target, coeffs)
+                terms += [(beta, row_offset[j] + gi, i, x) for i, x in enumerate(row) if x]
+    return OperatorSpec.from_terms(n, c.source_dim, row_offset[-1], terms)

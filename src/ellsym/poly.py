@@ -74,13 +74,6 @@ class Polynomial:
             return None
         return max(sum(a) for a in self.terms)
 
-    def homogeneous_degree(self):
-        """Common total degree of all terms, or None if mixed or zero."""
-        degrees = {sum(a) for a in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -223,10 +216,20 @@ class MatrixPolynomial:
         return cls([[p if i == j else z for j in range(m)] for i in range(m)])
 
     @classmethod
+    def from_coeffs(cls, coeffs, rows, cols, nvars):
+        """Σ_α x^α·C_α from a map α -> C_α (rows × cols); each entry lists its
+        terms in the order of the map."""
+        terms = [[{} for _ in range(cols)] for _ in range(rows)]
+        for alpha, mat in coeffs.items():
+            for entry_row, mat_row in zip(terms, mat):
+                for entry, c in zip(entry_row, mat_row):
+                    if c:
+                        entry[alpha] = c
+        return cls([[Polynomial(nvars, t) for t in row] for row in terms])
+
+    @classmethod
     def from_rational(cls, mat, nvars):
-        return cls(
-            [[Polynomial.constant(nvars, x) for x in row] for row in mat]
-        )
+        return cls.from_coeffs({(0,) * nvars: mat}, len(mat), len(mat[0]), nvars)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixPolynomial):
@@ -293,20 +296,6 @@ class MatrixPolynomial:
 
     def is_zero(self):
         return all(p.is_zero() for row in self.entries for p in row)
-
-    def homogeneous_degree(self):
-        """Common total degree of all nonzero entries, or None if mixed/zero."""
-        degrees = set()
-        for row in self.entries:
-            for p in row:
-                if not p.is_zero():
-                    d = p.homogeneous_degree()
-                    if d is None:
-                        return None
-                    degrees.add(d)
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
 
     def det(self):
         """Determinant by cofactor expansion along the sparsest row/column."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import EllipticityVerdict, _require_moments
+from .conditions import WEAK_ZERO_TOL, EllipticityVerdict, _require_moments
 from .errors import InvalidArgumentError, NearSingularSymbolError, QuadratureNotConvergedError
 from .poly import monomials_of_degree, multinomial
 from .ratlinalg import primitive
@@ -320,9 +320,9 @@ def moment_map(a, rule):
     )
 
 
-def converged_moments(a, rel_tol=1e-8):
-    """Refine M on E until two successive levels agree to rel_tol (relative to
-    the integrand scale times the sphere area); returns the finer matrix, A† at
+def converged_moments(a):
+    """Refine M on E until two successive levels agree to WEAK_ZERO_TOL (relative
+    to the integrand scale times the sphere area); returns the finer matrix, A† at
     its nodes, the error and the two rules compared. The first level is 3, or
     coarser where that rule has more than SAMPLE_NODES nodes (n ≥ 6) or leaves no
     finer level within MAX_RULE_NODES (n ≥ 8); the last is 9."""
@@ -330,7 +330,7 @@ def converged_moments(a, rel_tol=1e-8):
     n = a.space_dim
     top = finest_level(n, MAX_RULE_NODES)
     base = max(1, min(3, finest_level(n, SAMPLE_NODES), top - 1))
-    return _refine(a, build_rule(n, base), rel_tol, max_level=9)
+    return _refine(a, build_rule(n, base), WEAK_ZERO_TOL, max_level=9)
 
 
 def _refine(a, rule, rel_tol, max_level):

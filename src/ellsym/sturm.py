@@ -1,9 +1,9 @@
-"""Univariate real-root counting over exact rationals via Sturm chains.
+"""Univariate real-root isolation over exact rationals via Sturm chains.
 
 Polynomials are coefficient lists, lowest degree first, Fraction entries.
 The generalized Sturm theorem used here counts *distinct* real roots, which
 is what the ellipticity decision needs (det G >= 0 makes every real zero a
-multiple root).
+multiple root, with no sign change to bisect on).
 """
 
 from __future__ import annotations
@@ -92,17 +92,6 @@ def variations_at_inf(chain, positive):
             lead = -lead
         signs.append(lead)
     return _variations(signs)
-
-
-def count_real_roots(p, lo=None, hi=None):
-    """Number of distinct real roots in (lo, hi]; None bounds mean ±infinity."""
-    p = trim(p)
-    if degree(p) <= 0:
-        return 0
-    chain = sturm_chain(p)
-    va = variations_at(chain, lo) if lo is not None else variations_at_inf(chain, False)
-    vb = variations_at(chain, hi) if hi is not None else variations_at_inf(chain, True)
-    return va - vb
 
 
 def root_bound(p):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ellsym.cli import build_parser, main
+from ellsym.dsl import MAX_GROUP_DEPTH
 from ellsym.errors import InvalidArgumentError
 from genops import read_repo_file
 
@@ -234,6 +235,17 @@ def test_missing_file_exit_code(capsys):
     assert code == 1
 
 
+def test_deeply_nested_group_is_a_syntax_error(capsys, tmp_path):
+    depth = 1000  # far past MAX_GROUP_DEPTH and past what recursive descent survives
+    path = tmp_path / "deep.sys"
+    path.write_text("dim 2\noperator A {\n  from 1 to 1\n  rows: " + "(" * depth + "d1^2 + d2^2" + ")" * depth + " u1\n}\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == ""
+    col = len("  rows: ") + MAX_GROUP_DEPTH + 1  # the first group past the bound
+    assert err == f"error: line 4, col {col}: groups nested deeper than {MAX_GROUP_DEPTH} levels\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -243,19 +255,23 @@ def test_missing_file_exit_code(capsys):
         ("witness", "systems/laplacian_r2.sys", "--e", "1", "--grid", "32"),
         ("witness", "systems/laplacian_r2.sys", "--e", "1,0", "--grid", "15"),
         ("moment", "systems/laplacian_r2.sys", "--level", "40"),
-        ("check", "systems/laplacian_r2.sys", "--tol", "nan"),
-        ("check", "systems/laplacian_r2.sys", "--tol", "-1"),
         ("witness", "systems/laplacian_r2.sys", "--e", "0,0", "--grid", "32", "--eps", "0.8,0.4"),
         ("witness", "systems/laplacian_r2.sys", "--e", "1/0,0", "--grid", "32", "--eps", "0.8,0.4"),
         ("witness", "systems/laplacian_r2.sys", "--e", "1e400,0", "--grid", "32", "--eps", "0.8,0.4"),
         ("check", "{tmp}"),
         ("check", "systems/laplacian_r2.sys", "--out", "{tmp}"),
         ("moment", "{tmp}/line.sys"),
+        ("check", "systems/laplacian_r2.sys", "--bogus"),
+        ("check", "systems/laplacian_r2.sys", "--tol", "abc"),
+        ("check", "systems/laplacian_r2.sys", "--tol", "1e-6"),
+        ("witness", "systems/laplacian_r2.sys", "--grid", "x"),
+        (),
     ],
     ids=[
         "level-1", "level-0", "dirac-without-e", "e-too-short", "odd-grid",
-        "level-over-budget", "tol-nan", "tol-negative", "e-zero", "e-zero-denominator",
+        "level-over-budget", "e-zero", "e-zero-denominator",
         "e-beyond-float", "input-is-directory", "out-is-directory", "moment-dim-1",
+        "unknown-option", "tol-not-a-number", "tol-removed", "grid-not-an-integer", "no-command",
     ],
 )
 def test_invalid_argument_exit_code(capsys, tmp_path, argv):

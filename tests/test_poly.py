@@ -40,8 +40,8 @@ def test_ring_basics():
     assert prod == xi(2, 0) ** 2 - 4 * xi(2, 1) ** 2
     assert (p - p).is_zero()
     assert p**0 == Polynomial.constant(2, 1)
-    assert p.homogeneous_degree() == 1
-    assert (p * p + xi(2, 0)).homogeneous_degree() is None
+    assert p.degree() == 1
+    assert (p * p + xi(2, 0)).degree() == 2
 
 
 def test_eval_exact():
@@ -130,15 +130,6 @@ def test_det_adj_random_3x3_degree1():
         adj = g.adjugate()
         assert g * adj == MatrixPolynomial.scalar_identity(det, 3)
         assert adj * g == MatrixPolynomial.scalar_identity(det, 3)
-
-
-def test_homogeneous_degree_of_matrix():
-    n = 3
-    m = MatrixPolynomial(
-        [[xi(n, 0) * xi(n, 1), Polynomial.zero(n)], [xi(n, 2) ** 2, xi(n, 0) ** 2]]
-    )
-    assert m.homogeneous_degree() == 2
-    assert MatrixPolynomial.zero(2, 2, n).homogeneous_degree() is None
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):

@@ -10,27 +10,25 @@ def poly(*coeffs):
 
 
 def test_no_real_roots():
-    assert sturm.count_real_roots(poly(1, 0, 1)) == 0  # 1 + t^2
+    assert sturm.isolate_a_root(poly(1, 0, 1)) is None  # 1 + t^2
+    assert sturm.isolate_a_root(poly(1, 0, 2, 0, 1)) is None  # (t^2 + 1)^2
 
 
 def test_double_roots_counted_once_each():
-    # (t^2 - 2)^2 = 4 - 4t^2 + t^4: two distinct real roots
-    assert sturm.count_real_roots(poly(4, 0, -4, 0, 1)) == 2
+    # (t^2 - 2)^2 = 4 - 4t^2 + t^4 keeps its sign, but the chain counts each
+    # double root once, so the bisection still brackets one of ±√2
+    hit = sturm.isolate_a_root(poly(4, 0, -4, 0, 1))
+    assert hit[0] == "interval"
+    assert hit[1] ** 2 <= 2 <= hit[2] ** 2 or hit[2] ** 2 <= 2 <= hit[1] ** 2
 
 
 def test_cubic():
-    assert sturm.count_real_roots(poly(0, -1, 0, 1)) == 3  # t^3 - t
-
-
-def test_interval_counts():
-    p = poly(0, -1, 0, 1)  # roots -1, 0, 1
-    assert sturm.count_real_roots(p, F(-1, 2), F(2)) == 2  # (−1/2, 2] has 0 and 1
-    assert sturm.count_real_roots(p, F(-2), F(-1)) == 1
+    assert sturm.isolate_a_root(poly(0, -1, 0, 1)) == ("exact", 0)  # t^3 - t
 
 
 def test_constant_and_linear():
-    assert sturm.count_real_roots(poly(5)) == 0
-    assert sturm.count_real_roots(poly(-3, 2)) == 1
+    assert sturm.isolate_a_root(poly(5)) is None
+    assert sturm.isolate_a_root(poly(-3, 2)) == ("exact", F(3, 2))
 
 
 def test_isolate_exact_rational_root():

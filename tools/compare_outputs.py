@@ -5,10 +5,12 @@
 Each root is a checkout with `src/ellsym`, `systems/` and `perfbench/`. Both
 run the same list of operations:
 
-- `check --json`, `annihilator --json` and `moment --json` on every file in
-  `systems/` (`moment` on `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in
-  an error, whose message and exit code are compared too);
-- nine `witness --json` runs (WITNESS_CASES): a dirac `laplacian_r2`, the
+- `check`, `annihilator`, `homogenize` and `moment` on every file in
+  `systems/`, each once with `--json` and once as text (`moment` on
+  `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in an error, whose
+  message and exit code are compared too);
+- nine `witness --json` runs (WITNESS_CASES), the one labelled
+  CSV_WITNESS_CASE also as CSV text: a dirac `laplacian_r2`, the
   same with e = (3, 1) (beyond unit size, so `blowup_experiment` scales it
   by a power of two), the same with j = 1 (p = 2: the L² norm by Parseval
   and the center value by a half-spectrum sum), a constrained `laplacian_div_r2`, a dirac
@@ -57,8 +59,9 @@ apart, labelled rounding noise and judged on the data's scale, by its
 absolute deviation only: an in-range witness residual near 1e-17 moves by
 a large relative amount when only the order of roundings changes. Any
 other difference (a status, a witness, a string, an integer, the shape of
-the tree, the exit code) is printed and makes the exit code 1. Standard
-library and numpy only.
+the tree, the exit code) is printed and makes the exit code 1; a text
+output is one string, so any change in it counts. Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ WITNESS_CASES = (
         ["--mode", "constrained", "--j", "1", "--eps", "0.8,0.4", "--grid", "32"],
     ),
 )
+CSV_WITNESS_CASE = "laplacian_r2"  # the WITNESS_CASES label also run without --json
 # systems of WITNESS_CASES that no file in systems/ holds
 INLINE_SYSTEMS = {
     "laplacian_grad_r2": (
@@ -235,11 +239,16 @@ def operations(inline_dir):
     INLINE_SYSTEMS are in inline_dir."""
     ops = []
     for name in SYSTEMS:
-        for cmd in ("check", "annihilator", "moment"):
-            ops.append((f"{cmd} {name}", ["-m", "ellsym.cli", cmd, f"systems/{name}.sys", "--json"]))
+        for cmd in ("check", "annihilator", "homogenize", "moment"):
+            argv = ["-m", "ellsym.cli", cmd, f"systems/{name}.sys"]
+            ops.append((f"{cmd} {name}", [*argv, "--json"]))
+            ops.append((f"{cmd} {name} text", argv))
     for label, name, options in WITNESS_CASES:
         path = os.path.join(inline_dir, f"{name}.sys") if name in INLINE_SYSTEMS else f"systems/{name}.sys"
-        ops.append((f"witness {label}", ["-m", "ellsym.cli", "witness", path, *options, "--json"]))
+        argv = ["-m", "ellsym.cli", "witness", path, *options]
+        ops.append((f"witness {label}", [*argv, "--json"]))
+        if label == CSV_WITNESS_CASE:
+            ops.append((f"witness {label} csv", argv))
     for seed in LADDER_SEEDS:
         ops.append((f"ladder seed {seed}", ["-c", LADDER_SCRIPT % seed]))
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
