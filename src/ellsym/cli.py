@@ -112,11 +112,9 @@ def cmd_moment(args):
     system, digest = _read_system(args.path)
     rule = build_rule(system.n, args.level)
     mm = moment_map(system.a, rule)
-    lines = [
-        f"moment map: E=R^{mm.source_dim} -> V⊙^{mm.k - mm.n} "
-        f"(dim {mm.matrix.shape[0]}), levels {mm.levels}, "
-        f"error estimate {mm.error_estimate:.3e}"
-    ]
+    how = ("exact (isotropic)" if mm.method == "isotropic"
+           else f"levels {mm.levels}, error estimate {mm.error_estimate:.3e}")
+    lines = [f"moment map: E=R^{mm.matrix.shape[1]} -> V⊙^{mm.k - mm.n} (dim {mm.matrix.shape[0]}), {how}"]
     for row in mm.matrix:
         lines.append("  " + "  ".join(f"{x: .9e}" for x in row))
     _emit(args, digest, {"quad_level": args.level}, mm.to_json(), "\n".join(lines) + "\n")

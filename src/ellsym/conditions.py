@@ -317,7 +317,7 @@ def _weak_verdicts(a, subspaces):
     if all(s.is_zero() for s in subspaces):
         verdict = None
     elif a.isotropic and not a.degenerate:
-        mats = isotropic_moment_matrix(a)
+        mats = a.isotropic_moments
         weights = [multinomial(k - n, g) for g in monomials_of_degree(n, k - n)]
 
         def verdict(basis):  # |M e / π^(n/2)|² in rationals
@@ -449,13 +449,11 @@ def left_inverse_family(op, m_matrix):
     y = transpose(y_cols)  # rows aligned with t_rows
     # K = Π Yᵀ split into β blocks; unreferenced rows of K_β stay zero
     k_full = mat_mul(proj, transpose(y))  # dim_e x len(t_rows)
-    maps = {}
+    # every C_β of op is nonzero, so each has a row in row_index, in the order of betas
+    maps = {beta: [[Fraction(0)] * dim_f for _ in range(dim_e)] for beta in betas if beta in op.coeffs}
     for col_idx, (beta, r) in enumerate(row_index):
-        k_beta = maps.setdefault(
-            beta, [[Fraction(0)] * dim_f for _ in range(dim_e)]
-        )
         for i in range(dim_e):
-            k_beta[i][r] = k_full[i][col_idx]
+            maps[beta][i][r] = k_full[i][col_idx]
     maps = {b: tuple(tuple(row) for row in m) for b, m in maps.items()}
     fam = LeftInverseFamily(order, betas, maps, blocks, target, proj)
     assert fam.composite() == proj, "left-inverse construction inconsistency"

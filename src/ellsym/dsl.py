@@ -269,7 +269,7 @@ class _Parser:
                         tok.col,
                     )
                 value = _RowValue(self.nvars, Polynomial.variable(self.nvars, idx - 1))
-                return self._maybe_power(value, tok)
+                return self._maybe_power(value)
             if idx < 1:
                 raise UnknownComponentError(
                     f"component index must be >= 1, got {idx}", tok.line, tok.col
@@ -281,7 +281,7 @@ class _Parser:
             )
         raise DslSyntaxError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
-    def _maybe_power(self, value, tok=None):
+    def _maybe_power(self, value):
         nxt = self.peek(skip_newlines=False)
         if nxt.kind == "CARET":
             self.next(skip_newlines=False)

@@ -62,7 +62,7 @@ class QuadratureNotConvergedError(EllsymError):
 
 
 class NearSingularSymbolError(EllsymError):
-    """det(A*A) nearly vanishes at a quadrature node; ellipticity suspect."""
+    """det(A*A) at a quadrature node is below DET_FLOOR times its largest value over the nodes."""
 
 
 class HypothesisFailedError(EllsymError):

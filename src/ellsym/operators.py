@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .conditions import is_elliptic
+from .conditions import is_elliptic, isotropic_moment_matrix
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, monomials_of_degree
 from .ratlinalg import nullspace, primitive, transpose
@@ -172,6 +172,12 @@ class OperatorSpec:
             gram(alpha) == [[sum(x * x for x in alpha) ** k * g for g in row] for row in g1]
             for alpha in sorted(monomials_of_degree(n, 2 * k), key=lambda al: -sum(map(bool, al)))
         )
+
+    @cached_property
+    def isotropic_moments(self):
+        """`isotropic_moment_matrix`, the exact M / π^(n/2) of an isotropic elliptic
+        operator: the one M that `check` and `moment_map` read."""
+        return isotropic_moment_matrix(self)
 
     @cached_property
     def rows_isotropic(self):

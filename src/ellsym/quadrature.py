@@ -22,7 +22,7 @@ from .errors import InvalidArgumentError, NearSingularSymbolError, QuadratureNot
 from .poly import monomials_of_degree, multinomial
 from .ratlinalg import primitive
 
-DET_FLOOR = 1e-12  # relative det(A*A) floor before ellipticity is suspect
+DET_FLOOR = 1e-12  # relative det(A*A) floor below which a rule cannot resolve the symbol
 MAX_RULE_NODES = 2**21  # sphere nodes per rule: S² through level 10
 SAMPLE_NODES = 2**15  # sphere nodes of the sampler and of a refinement's first rule, at most
 SYMBOL_BLOCK = 4096  # points per monomial table in float_symbol; bounds the temporaries
@@ -241,8 +241,8 @@ def _pseudoinverse_at(a, nodes):
     scale = det.max()
     if scale == 0.0 or det.min() < DET_FLOOR * scale:
         raise NearSingularSymbolError(
-            "det(A*A) nearly vanishes at a quadrature node; the operator "
-            "may not be elliptic"
+            f"det(A*A) at a quadrature node is below {DET_FLOOR:g} times its largest "
+            "value over the nodes, or all are 0: the rule cannot resolve this symbol"
         )
     return np.linalg.solve(gram, sym_t)
 
@@ -270,54 +270,54 @@ def _scale(adag):
 
 @dataclass
 class MomentMap:
-    """The linear map e ↦ M e from E into V ⊙^{k-n} R^n, with error data."""
+    """The linear map e ↦ M e from E into V ⊙^{k-n} R^n, one row per (v, γ) over
+    `tensor_basis(n, k − n)`: exact ("isotropic") or from quadrature ("quadrature"),
+    which alone has the error estimate, the integrand scale and the two levels."""
 
     n: int
     k: int
-    source_dim: int
-    gammas: list
-    tensor_weights: np.ndarray
-    matrix: np.ndarray  # (dim V * len(gammas)) x source_dim
-    error_estimate: float
-    integrand_scale: float
-    levels: tuple
-    node_counts: tuple
+    matrix: np.ndarray  # (dim V * len(gammas)) x dim E
+    method: str
+    error_estimate: float | None = None
+    integrand_scale: float | None = None
+    levels: tuple | None = None
 
     def to_json(self):
-        return {
+        gammas, tweights = tensor_basis(self.n, self.k - self.n)
+        d = {
             "order": self.k,
             "space_dim": self.n,
-            "tensor_monomials": [list(g) for g in self.gammas],
-            "tensor_weights": [float(w) for w in self.tensor_weights],
+            "method": self.method,
+            "tensor_monomials": [list(g) for g in gammas],
+            "tensor_weights": [float(w) for w in tweights],
             "matrix": [[float(x) for x in row] for row in self.matrix],
-            "error_estimate": float(self.error_estimate),
-            "integrand_scale": float(self.integrand_scale),
-            "levels": list(self.levels),
-            "node_counts": list(self.node_counts),
         }
+        if self.method == "quadrature":
+            d.update(error_estimate=self.error_estimate, integrand_scale=self.integrand_scale,
+                     levels=list(self.levels), node_counts=[rule_size(self.n, lv) for lv in self.levels])
+        return d
 
 
 def moment_map(a, rule):
-    """M on the standard basis of E from `rule` and the next level: one step of
-    the refinement in converged_moments, with no tolerance. Like `annihilator`,
-    it refuses an A that `check` reports as not elliptic."""
+    """M on the standard basis of E. For an isotropic operator it is the exact M that
+    `check` reads (`OperatorSpec.isotropic_moments`), weighted by √multinomial(γ)·π^(n/2);
+    otherwise the quadrature at the next level, with its distance from `rule`'s as the
+    error estimate. Like `annihilator`, it refuses an A that `check` reports as not
+    elliptic, and, for every operator, a `rule` whose next level is over the budget."""
     _require_moments(a)
     a.require_elliptic()
-    matrix, adag, err, rules = _refine(a, rule, rel_tol=math.inf, max_level=rule.level + 1)
     n, k = a.space_dim, a.order
-    gammas, tweights = tensor_basis(n, k - n)
-    return MomentMap(
-        n=n,
-        k=k,
-        source_dim=a.target_dim,
-        gammas=gammas,
-        tensor_weights=tweights,
-        matrix=matrix,
-        error_estimate=err,
-        integrand_scale=_scale(adag),
-        levels=tuple(r.level for r in rules),
-        node_counts=tuple(r.count for r in rules),
-    )
+    if rule_size(n, rule.level + 1) > MAX_RULE_NODES:  # also where M is exact: one meaning of `rule`
+        raise InvalidArgumentError(f"the moment map at level {rule.level} needs level {rule.level + 1}, "
+                                   f"whose rule on S^{n - 1} is over the budget of {MAX_RULE_NODES} nodes")
+    if a.isotropic:
+        _, tweights = tensor_basis(n, k - n)
+        exact = np.array(a.isotropic_moments, dtype=float).transpose(1, 0, 2) * tweights[:, None]
+        return MomentMap(n, k, (exact * math.pi ** (n / 2)).reshape(-1, a.target_dim), "isotropic")
+    coarse, _ = moment_matrix(a, rule)
+    matrix, adag = moment_matrix(a, build_rule(n, rule.level + 1))
+    return MomentMap(n, k, matrix, "quadrature", float(np.abs(matrix - coarse).max()), _scale(adag),
+                     (rule.level, rule.level + 1))
 
 
 def converged_moments(a):
@@ -325,29 +325,22 @@ def converged_moments(a):
     to the integrand scale times the sphere area); returns the finer matrix, A† at
     its nodes, the error and the two rules compared. The first level is 3, or
     coarser where that rule has more than SAMPLE_NODES nodes (n ≥ 6) or leaves no
-    finer level within MAX_RULE_NODES (n ≥ 8); the last is 9."""
+    finer level within MAX_RULE_NODES (n ≥ 8); the loop raises after level 9 or
+    at the last level within MAX_RULE_NODES."""
     _require_moments(a)  # before any rule is built
     n = a.space_dim
     top = finest_level(n, MAX_RULE_NODES)
-    base = max(1, min(3, finest_level(n, SAMPLE_NODES), top - 1))
-    return _refine(a, build_rule(n, base), WEAK_ZERO_TOL, max_level=9)
-
-
-def _refine(a, rule, rel_tol, max_level):
-    """The level loop behind every moment: start at `rule`, stop at the first
-    level that agrees with the one below it, or raise after max_level or at
-    the last level within MAX_RULE_NODES."""
-    area = surface_area(a.space_dim)
+    rule = build_rule(n, max(1, min(3, finest_level(n, SAMPLE_NODES), top - 1)))
+    area = surface_area(n)
     matrix, _ = moment_matrix(a, rule)
-    top = min(max_level, finest_level(rule.n, MAX_RULE_NODES))
-    while rule.level < top:
-        fine = build_rule(rule.n, rule.level + 1)
+    while rule.level < min(9, top):
+        fine = build_rule(n, rule.level + 1)
         fine_matrix, adag = moment_matrix(a, fine)
         err = float(np.abs(fine_matrix - matrix).max())
-        if err <= rel_tol * max(area * _scale(adag), 1e-300):
+        if err <= WEAK_ZERO_TOL * max(area * _scale(adag), 1e-300):
             return fine_matrix, adag, err, (rule, fine)
         rule, matrix = fine, fine_matrix
-    over = f", the finest within the budget of {MAX_RULE_NODES} nodes" if top < max_level else ""
+    over = f", the finest within the budget of {MAX_RULE_NODES} nodes" if top < 9 else ""
     raise QuadratureNotConvergedError(
         f"moment quadrature did not converge by level {rule.level}{over}"
     )

@@ -90,10 +90,6 @@ def rref(a):
     return m, pivots
 
 
-def rank(a):
-    return len(rref(a)[1])
-
-
 def nullspace(a, ncols=None):
     """Canonical basis (RREF rows) of {x : a x = 0}. `ncols` needed when a is empty."""
     if not a:

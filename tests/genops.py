@@ -8,7 +8,7 @@ import numpy as np
 
 from ellsym.operators import OperatorSpec
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from ellsym.ratlinalg import Subspace, as_fraction_matrix, mat_mul, mat_vec
+from ellsym.ratlinalg import Subspace, as_fraction_matrix, mat_mul, mat_vec, rref
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -163,9 +163,12 @@ def random_operator(rng, n, source_dim, target_dim, max_degree=2, homogeneous=Fa
     return OperatorSpec(n, source_dim, target_dim, coeffs)
 
 
-def random_invertible_matrix(rng, dim):
-    from ellsym.ratlinalg import rank
+def rank(a):
+    """The rank of a rational matrix: its number of RREF pivots."""
+    return len(rref(a)[1])
 
+
+def random_invertible_matrix(rng, dim):
     while True:
         mat = [
             [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim)]

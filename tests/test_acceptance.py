@@ -24,7 +24,7 @@ from ellsym.dsl import parse_operator, parse_system
 from ellsym.operators import OperatorSpec, SystemSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial
 from ellsym.quadrature import build_rule, moment_map, moment_matrix
-from ellsym.ratlinalg import identity, mat_vec, rank, solve
+from ellsym.ratlinalg import identity, mat_vec, solve
 from ellsym.witness import WitnessConfig, blowup_experiment
 from genops import (
     all_witnesses,
@@ -35,6 +35,7 @@ from genops import (
     random_elliptic_operator,
     random_operator,
     random_rational_point,
+    rank,
     read_repo_file,
     sampled_kernel_dimension,
 )

@@ -234,8 +234,11 @@ def test_moment_map_after_check_evaluates_nothing_exact(monkeypatch, name):
     monkeypatch.setattr(OperatorSpec, "value_at", refuse)
     for module in (operators, conditions):  # every binding of the function
         monkeypatch.setattr(module, "is_elliptic", refuse)
+        monkeypatch.setattr(module, "isotropic_moment_matrix", refuse)  # nor is M recomputed
+    monkeypatch.setattr(quadrature, "moment_matrix", refuse)
     mm = quadrature.moment_map(system.a, quadrature.build_rule(system.n, 3))
-    assert mm.levels == (3, 4)
+    assert mm.method == "isotropic" and mm.levels is None
+    assert np.array_equal(mm.matrix, quadrature.surface_area(system.n) * np.eye(system.a.target_dim))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -266,7 +269,7 @@ def test_cwc_reuses_weak_when_the_subspaces_agree(monkeypatch):
 
     cases = [
         # isotropic: one exact moment matrix on E
-        ("d1^2 u1 + d2^2 u1; d1^2 u2 + d2^2 u2", "conditions", "isotropic_moment_matrix", 1),
+        ("d1^2 u1 + d2^2 u1; d1^2 u2 + d2^2 u2", "operators", "isotropic_moment_matrix", 1),
         # not isotropic: one converged quadrature on E
         ("d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2", "quadrature", "converged_moments", 1),
     ]
@@ -288,22 +291,25 @@ def test_cwc_reuses_weak_when_the_subspaces_agree(monkeypatch):
 
 def test_weak_and_cwc_on_proper_subspaces_share_one_level_loop(monkeypatch):
     # I_A = span{(1,1,0), (0,0,1)} ≠ E and I_A ∩ K_C = span{(1,1,0)} ≠ I_A, not isotropic:
-    # both verdicts read one M on E, converged by one run of the level loop
+    # both verdicts read one M on E, converged by one run of the level loop, which
+    # builds each level once, coarse to fine
     from ellsym import quadrature
 
-    calls = []
-    orig = quadrature._refine
+    calls, built = [], []
+    orig, orig_build = quadrature.converged_moments, quadrature.build_rule
 
     def counted(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_refine", counted)
+    monkeypatch.setattr(quadrature, "converged_moments", counted)
+    monkeypatch.setattr(quadrature, "build_rule", lambda n, level: built.append(level) or orig_build(n, level))
     rows = "d1^2 u1 + 2 d2^2 u1; d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2"
     a = parse_operator(f"from 2 to 3\nrows: {rows}", 2)
     c = parse_operator("from 3 to 1\nrows: d1 f3", 2)
     report = run_full_check(SystemSpec(a, c, 2))
     assert len(calls) == 1
+    assert built == list(range(3, built[-1] + 1)) and report.weak.levels == tuple(built[-2:])
     assert report.image_basis.basis == ((1, 1, 0), (0, 0, 1))
     weak, cwc = report.weak, report.cwc
     assert (weak.method, cwc.method) == ("quadrature", "quadrature")
@@ -911,7 +917,7 @@ def test_moments_build_no_adjugate_for_scalar_gram(monkeypatch):
     monkeypatch.setattr(MatrixPolynomial, "adjugate", counted)
     system = parse_system(read_repo_file("systems/laplacian_div_r2.sys"))
     report = run_full_check(system)
-    assert report.weak is not None and report.cwc is not None  # both quadratures ran
+    assert report.weak is not None and report.cwc is not None  # both verdicts computed
     quadrature.moment_map(system.a, quadrature.build_rule(2, 4))
     assert calls == []
 
@@ -930,27 +936,45 @@ def _random_isotropic_operator(rng, n, k, m):
     return compose_left(laplacian_operator(n, k // 2, dim=m), b)
 
 
-@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 6)])
-def test_isotropic_moments_match_converged_quadrature(n, k):
-    from ellsym.quadrature import converged_moments, tensor_basis
+def _exact_moment_map_matches_converged_quadrature(a):
+    """`moment_map` of an isotropic operator is the exact M, in the row layout (v, γ) of
+    the quadrature and within 1e-12 of it; for odd n every entry is 0 in both, +0.0 in M."""
+    from ellsym.quadrature import build_rule, converged_moments, moment_map
 
-    rng = random.Random(1000 * n + k)
-    a = _random_isotropic_operator(rng, n, k, m=2)
     assert a.isotropic and is_elliptic(a).decided_by == "isotropic"
+    mm = moment_map(a, build_rule(a.space_dim, 3))
     got, _, _, _ = converged_moments(a)
-    mats = isotropic_moment_matrix(a)  # one V × E matrix per γ
-    _, weights = tensor_basis(n, k - n)
-    # the quadrature stores M as rows (v, γ) with the weights √(multinomial)
-    exact = np.array(mats, dtype=float).transpose(1, 0, 2) * weights[None, :, None] * math.pi ** (n / 2)
-    exact = exact.reshape(got.shape)
+    assert mm.method == "isotropic" and mm.matrix.shape == got.shape
     norms = [nrm for _, nrm in check_weak_cancellation(a, Subspace.full(a.target_dim)).moments]
-    if n % 2:  # |α + γ| = 2k − n is odd: every integral is 0, in both
-        assert all(x == 0 for m in mats for r in m for x in r) and not got.any()
+    if a.space_dim % 2:  # |α + γ| = 2k − n is odd: every integral is 0, in both
+        assert all(x == 0 for m in isotropic_moment_matrix(a) for r in m for x in r) and not got.any()
+        assert not mm.matrix.any() and not np.signbit(mm.matrix).any()
         assert norms == [0.0] * a.target_dim
         return
-    assert np.abs(exact - got).max() <= 1e-12 * np.abs(got).max()
+    assert np.abs(mm.matrix - got).max() <= 1e-12 * np.abs(got).max()
     for nrm, column in zip(norms, got.T):
         assert abs(nrm - np.linalg.norm(column)) <= 1e-12 * nrm
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4), (4, 5), (5, 6)])
+def test_isotropic_moments_match_converged_quadrature(n, k):
+    rng = random.Random(1000 * n + k)
+    _exact_moment_map_matches_converged_quadrature(_random_isotropic_operator(rng, n, k, m=2))
+
+
+def test_exact_moment_map_of_bundled_systems_and_square_rungs(monkeypatch):
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import ladder
+
+    ops = [parse_system(read_repo_file(f"systems/{name}.sys")).a
+           for name in ("biharmonic_div_r4", "laplacian_div_r2", "laplacian_r2")]
+    for seed in (1, 2):
+        ops += [parse_system(r.text).a for r in ladder.build_ladder(seed) if r.square]
+    assert len(ops) == 7
+    for a in ops:
+        _exact_moment_map_matches_converged_quadrature(a)
 
 
 def _value_at_calls(monkeypatch, a):

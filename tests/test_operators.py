@@ -9,7 +9,7 @@ from ellsym.errors import NotEllipticError, NotHomogeneousError
 from ellsym.operators import OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.quadrature import SYMBOL_BLOCK, float_symbol
-from ellsym.ratlinalg import mat_vec, nullspace, rank
+from ellsym.ratlinalg import mat_vec, nullspace
 from genops import (
     add,
     div_curl_operator,
@@ -19,6 +19,7 @@ from genops import (
     laplacian_power,
     random_elliptic_operator,
     random_operator,
+    rank,
 )
 
 F = Fraction

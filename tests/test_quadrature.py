@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ellsym.cli import main
+from ellsym.conditions import run_full_check
 from ellsym.dsl import parse_operator, parse_system
 from ellsym.errors import NearSingularSymbolError, NotEllipticError, OrderTooLowError
 from ellsym.poly import monomials_of_degree
@@ -65,10 +66,13 @@ def test_xi1_squared_over_s2():
 
 
 def test_moment_map_laplacian_2d():
+    # isotropic: the exact M that check reads, 2π·Id to the bit, with no quadrature fields
     a = laplacian_operator(2)
     mm = moment_map(a, build_rule(2, 6))
-    assert np.allclose(mm.matrix, 2 * math.pi * np.eye(2), atol=1e-8)
-    assert mm.error_estimate < 1e-10
+    assert mm.method == "isotropic"
+    assert np.array_equal(mm.matrix, 2 * math.pi * np.eye(2))
+    assert mm.to_json()["matrix"] == [[2 * math.pi, 0.0], [0.0, 2 * math.pi]]
+    assert not {"error_estimate", "integrand_scale", "levels", "node_counts"} & mm.to_json().keys()
 
 
 def test_moment_map_anisotropic_closed_form():
@@ -101,9 +105,9 @@ def test_moment_map_zero_vector_is_zero():
 def test_moment_map_biharmonic_r3_parity_zero():
     a = laplacian_operator(3, power=2)  # k=4, n=3
     mm = moment_map(a, build_rule(3, 3))
+    assert mm.method == "isotropic"
     assert mm.matrix.shape == (3 * 3, 3)  # V ⊗ monomials of degree 1
-    assert np.all(mm.matrix == 0.0)
-    assert mm.error_estimate == 0.0
+    assert np.all(mm.matrix == 0.0) and not np.signbit(mm.matrix).any()  # +0.0, no −0.0
 
 
 def test_moment_map_order_too_low():
@@ -138,17 +142,20 @@ def test_refinement_convergence_decreases():
 
 
 def test_converged_moments_raises_when_levels_exhausted(monkeypatch):
+    # on S¹ the budget admits level 10, so the loop stops at its last level, 9,
+    # having built each level from 3 once and none finer
     from ellsym.errors import QuadratureNotConvergedError
     from ellsym.dsl import parse_operator
 
     from ellsym import quadrature
 
     a = parse_operator("rows: d1^2 u1 + 3 d2^2 u1; d1 d2 u1", 2)
-    with pytest.raises(QuadratureNotConvergedError, match="did not converge by level 3$"):
-        quadrature._refine(a, build_rule(2, 3), rel_tol=0.0, max_level=3)
+    built = []
+    monkeypatch.setattr(quadrature, "build_rule", lambda n, level: built.append(level) or build_rule(n, level))
     monkeypatch.setattr(quadrature, "WEAK_ZERO_TOL", 0.0)
     with pytest.raises(QuadratureNotConvergedError, match="did not converge by level 9$"):
         converged_moments(a)
+    assert built == [3, 4, 5, 6, 7, 8, 9]
 
 
 def test_refine_stops_at_the_budget_without_building_past_it(monkeypatch):
@@ -157,13 +164,13 @@ def test_refine_stops_at_the_budget_without_building_past_it(monkeypatch):
     from ellsym.errors import QuadratureNotConvergedError
 
     a = parse_operator("rows: d1^4 u1 + d2^4 u1 + d3^4 u1 + d4^4 u1", 4)
-    rule = build_rule(4, 6)
     built = []
     monkeypatch.setattr(quadrature, "build_rule", lambda n, level: built.append(level) or build_rule(n, level))
-    message = "did not converge by level 6, the finest within the budget of 2097152 nodes"
+    monkeypatch.setattr(quadrature, "WEAK_ZERO_TOL", 0.0)
+    message = "did not converge by level 6, the finest within the budget of 2097152 nodes$"
     with pytest.raises(QuadratureNotConvergedError, match=message):
-        quadrature._refine(a, rule, rel_tol=0.0, max_level=9)
-    assert built == []
+        converged_moments(a)
+    assert built == [3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("n", [3, 8, 9, 16, 22])
@@ -323,6 +330,51 @@ def test_moment_tensor_monomials_match_exact(n, k, level):
         ref = 2 * np.einsum("m,mv,mg->vg", rule.weights, adag @ e, omega * tweights).ravel()
         assert np.abs(ref).max() > 0
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "n, level, rows",
+    [
+        (4, 6, "rows: d1^4 u1 + 2 d2^4 u1 + 3 d3^4 u1 + d4^4 u1"),
+        (3, 10, "rows: d1^4 u1 + 2 d2^4 u1 + 3 d3^4 u1"),
+        (3, 10, "rows: (d1^2 + d2^2 + d3^2)^2 u1"),  # isotropic: M is exact, and the rule is the same
+    ],
+    ids=["quartic R4", "S2 anisotropic", "S2 isotropic"],
+)
+def test_moment_at_the_finest_level_is_refused_before_any_moment(tmp_path, capsys, monkeypatch, n, level, rows):
+    # the finest level within MAX_RULE_NODES builds, but the moment map also needs the next one
+    from ellsym import operators, quadrature
+
+    def refuse(*args):
+        raise AssertionError("a moment matrix was built")
+
+    monkeypatch.setattr(quadrature, "moment_matrix", refuse)
+    monkeypatch.setattr(operators, "isotropic_moment_matrix", refuse)
+    path = tmp_path / "op.sys"
+    path.write_text(f"dim {n}\noperator A {{\n  from 1 to 1\n  {rows}\n}}\n")
+    assert main(["moment", str(path), "--level", str(level)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: the moment map at level {level} needs level {level + 1}, whose rule on "
+                   f"S^{n - 1} is over the budget of 2097152 nodes\n")
+
+
+def test_near_singular_note_states_what_was_measured(tmp_path, capsys):
+    # det G = (10⁹ξ₁² + ξ₂²)² spans 18 orders over the circle: elliptic by an exact
+    # Sturm count, but no rule resolves it below DET_FLOOR, and the note says so
+    text = "dim 2\noperator A {\n  from 1 to 1\n  rows: 1000000000 d1^2 u1 + d2^2 u1\n}\n"
+    report = run_full_check(parse_system(text))
+    assert (report.elliptic.status, report.elliptic.decided_by) == ("yes", "sturm")
+    assert report.weak is None and report.cwc is None
+    message = ("det(A*A) at a quadrature node is below 1e-12 times its largest value over the "
+               "nodes, or all are 0: the rule cannot resolve this symbol")
+    assert report.diagnostics[-1] == f"moment quadrature failed: {message}"
+    path = tmp_path / "stiff.sys"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "elliptic: yes\n" in out and "may not be elliptic" not in out
+    assert main(["moment", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_moment_map_identically_singular_symbol(tmp_path, capsys):

@@ -11,12 +11,11 @@ from ellsym.ratlinalg import (
     mat_vec,
     nullspace,
     projection_onto_rowspace,
-    rank,
     rref,
     solve,
     transpose,
 )
-from genops import image_of, is_full
+from genops import image_of, is_full, rank
 
 F = Fraction
 

@@ -8,7 +8,14 @@ run the same list of operations:
 - `check`, `annihilator`, `homogenize` and `moment` on every file in
   `systems/`, each once with `--json` and once as text (`moment` on
   `divcurl_r3`, `gradient_r2` and `quartic_r4` ends in an error, whose
-  message and exit code are compared too);
+  message and exit code are compared too; on the other three, all
+  isotropic, it prints the exact M);
+- `moment` on the inline systems of MOMENT_CASES, each with `--json` and as
+  text, so that the quadrature branch of the command is run: the
+  non-isotropic `d1^2 u1 + 2 d2^2 u1` on R^2 at the default level, and the
+  non-isotropic quartic `d1^4 u1 + 2 d2^4 u1 + 3 d3^4 u1 + d4^4 u1` on R^4
+  at `--level 6`, the finest level within the node budget, which ends in
+  an error;
 - nine `witness --json` runs (WITNESS_CASES), the one labelled
   CSV_WITNESS_CASE also as CSV text: a dirac `laplacian_r2`, the
   same with e = (3, 1) (beyond unit size, so `blowup_experiment` scales it
@@ -109,11 +116,20 @@ WITNESS_CASES = (
     ),
 )
 CSV_WITNESS_CASE = "laplacian_r2"  # the WITNESS_CASES label also run without --json
-# systems of WITNESS_CASES that no file in systems/ holds
+# (label, system, moment options) for the inline systems run by `moment`
+MOMENT_CASES = (
+    ("anisotropic_r2", "anisotropic_r2", []),
+    ("quartic R4 --level 6", "anisotropic_quartic_r4", ["--level", "6"]),
+)
+# systems of WITNESS_CASES and MOMENT_CASES that no file in systems/ holds
 INLINE_SYSTEMS = {
     "laplacian_grad_r2": (
         "dim 2\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 + d2^2 u1\n}\n"
         "constraint C {\n  from 1 to 2\n  rows: d1 f1; d2 f1\n}\n"
+    ),
+    "anisotropic_r2": "dim 2\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 + 2 d2^2 u1\n}\n",
+    "anisotropic_quartic_r4": (
+        "dim 4\noperator A {\n  from 1 to 1\n  rows: d1^4 u1 + 2 d2^4 u1 + 3 d3^4 u1 + d4^4 u1\n}\n"
     ),
 }
 # six orders below witness.DEFAULT_RESIDUAL_TOL (1e-6): a residual this small is rounding noise
@@ -243,6 +259,10 @@ def operations(inline_dir):
             argv = ["-m", "ellsym.cli", cmd, f"systems/{name}.sys"]
             ops.append((f"{cmd} {name}", [*argv, "--json"]))
             ops.append((f"{cmd} {name} text", argv))
+    for label, name, options in MOMENT_CASES:
+        argv = ["-m", "ellsym.cli", "moment", os.path.join(inline_dir, f"{name}.sys"), *options]
+        ops.append((f"moment {label}", [*argv, "--json"]))
+        ops.append((f"moment {label} text", argv))
     for label, name, options in WITNESS_CASES:
         path = os.path.join(inline_dir, f"{name}.sys") if name in INLINE_SYSTEMS else f"systems/{name}.sys"
         argv = ["-m", "ellsym.cli", "witness", path, *options]
