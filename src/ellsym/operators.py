@@ -18,7 +18,7 @@ from itertools import accumulate
 from .conditions import is_elliptic, isotropic_moment_matrix
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, monomials_of_degree
-from .ratlinalg import nullspace, primitive, transpose
+from .ratlinalg import injective, nullspace, primitive, transpose
 
 MultiIndex = tuple
 
@@ -114,25 +114,29 @@ class OperatorSpec:
         """c·A(ξ) = Σ ξ^α (c·C_α) in ints at an integer point, c the common
         denominator of the coefficients: it has the kernel and image of A(ξ)."""
         out = [[0] * self.source_dim for _ in range(self.target_dim)]
-        for alpha, mat in self._int_coeffs.items():
+        for alpha, entries in self._int_coeffs.items():
             w = math.prod(x**e for x, e in zip(xi, alpha) if e)
             if w:
-                out = [[o + w * c if c else o for o, c in zip(r, cr)] for r, cr in zip(out, mat)]
+                for i, j, c in entries:
+                    out[i][j] += w * c
         return out
 
     @cached_property
     def _int_coeffs(self):
+        """The nonzero entries (i, j, c·C_α[i][j]) of each c·C_α."""
         c = math.lcm(*(x.denominator for m in self.coeffs.values() for row in m for x in row))
-        return {alpha: [[int(x * c) for x in row] for row in m] for alpha, m in self.coeffs.items()}
+        return {alpha: [(i, j, x.numerator * (c // x.denominator)) for i, row in enumerate(m)
+                        for j, x in enumerate(row) if x] for alpha, m in self.coeffs.items()}
 
     def kernel_at(self, xi):
         """The canonical kernel vector of A at `primitive(ξ)`, None where A is
         injective. A(cξ) is A(ξ) with its rows scaled by powers of c, so the
-        answer holds on the whole line through ξ, and each line is evaluated once."""
+        answer holds on the whole line through ξ, and each line is evaluated once.
+        Injectivity is decided in ints (`injective`); only a hit runs the RREF."""
         p = primitive(xi)
         if p not in self._kernels:
-            kern = nullspace(self.value_at(p))
-            self._kernels[p] = primitive(kern[0]) if kern else None
+            m = self.value_at(p)
+            self._kernels[p] = None if injective(m) else primitive(nullspace(m)[0])
         return self._kernels[p]
 
     @cached_property

@@ -48,6 +48,13 @@ class Polynomial:
                     self.terms[tuple(alpha)] = c
 
     @classmethod
+    def _wrap(cls, nvars, terms):
+        """The polynomial of a dict that already holds only nonzero Fractions."""
+        p = cls.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
@@ -86,7 +93,7 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return Polynomial(self.nvars, {a: -c for a, c in self.terms.items()})
+        return Polynomial._wrap(self.nvars, {a: -c for a, c in self.terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -97,7 +104,7 @@ class Polynomial:
                 terms.pop(a, None)
             else:
                 terms[a] = s
-        return Polynomial(self.nvars, terms)
+        return Polynomial._wrap(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -118,7 +125,7 @@ class Polynomial:
                     out.pop(a, None)
                 else:
                     out[a] = s
-        return Polynomial(self.nvars, out)
+        return Polynomial._wrap(self.nvars, out)
 
     __rmul__ = __mul__
 

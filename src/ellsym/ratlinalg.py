@@ -25,11 +25,11 @@ def as_fraction_vector(v):
 
 
 def primitive(v):
-    """The primitive integer multiple of a rational vector whose first nonzero
-    coordinate is positive, as a tuple of ints; 0 stays 0."""
-    v = [Fraction(x) for x in v]
+    """The primitive integer multiple of a rational vector (int or Fraction
+    entries) whose first nonzero coordinate is positive, as a tuple of ints;
+    0 stays 0."""
     d = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * d) for x in v]
+    ints = [x.numerator * (d // x.denominator) for x in v]
     g = math.gcd(*ints) or 1
     g = -g if next((x for x in ints if x), 0) < 0 else g
     return tuple(x // g for x in ints)
@@ -88,6 +88,21 @@ def rref(a):
         if r == nrows:
             break
     return m, pivots
+
+
+def injective(a):
+    """Whether the int matrix a has full column rank, by fraction-free Bareiss
+    elimination (Math. Comp. 22 (1968)): each column, in order, needs a pivot."""
+    m, prev = [list(row) for row in a], 1
+    for k in range(len(m[0])):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return False
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, len(m)):
+            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    return True
 
 
 def nullspace(a, ncols=None):

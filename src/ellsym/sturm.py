@@ -1,13 +1,16 @@
 """Univariate real-root isolation over exact rationals via Sturm chains.
 
-Polynomials are coefficient lists, lowest degree first, Fraction entries.
-The generalized Sturm theorem used here counts *distinct* real roots, which
-is what the ellipticity decision needs (det G >= 0 makes every real zero a
+Polynomials are coefficient lists, lowest degree first, int or Fraction
+entries. The chain is in ints, by primitive pseudo-remainders (Brown & Traub,
+J. ACM 18 (1971)): each member is a positive multiple of the rational one. The
+generalized Sturm theorem used here counts *distinct* real roots, which is
+what the ellipticity decision needs (det G >= 0 makes every real zero a
 multiple root, with no sign change to bisect on).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -34,36 +37,40 @@ def derivative(p):
     return trim([c * i for i, c in enumerate(p)][1:])
 
 
-def remainder(a, b):
-    """Polynomial remainder of a by b over the rationals."""
-    a = list(trim(a))
-    b = trim(b)
-    db = degree(b)
-    assert db >= 0
-    lead = b[-1]
-    while degree(a) >= db:
-        da = degree(a)
-        factor = a[-1] / lead
-        shift = da - db
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a = list(trim(a))
-        if not a:
-            break
-    return a
+def pseudo_remainder(a, b):
+    """prem(a, b) = lc(b)^(δ+1)·a mod b, δ = deg a − deg b >= 0, without division."""
+    a, b = trim(a), trim(b)
+    lead, r = b[-1], list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        r = [lead * c for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[i + shift] -= top * c
+    return trim(r)
+
+
+def _positive_primitive(p):
+    """The primitive int multiple of p with a positive factor."""
+    d = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (d // c.denominator) for c in p]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
 
 
 def sturm_chain(p):
-    p = trim(p)
-    chain = [p]
-    dp = derivative(p)
+    """p, p′, then −rem(a, b) up to a positive factor: prem(a, b) times
+    −sign(lc b)^(δ+1), over its content."""
+    chain = [_positive_primitive(trim(p))]
+    dp = derivative(chain[0])
     if dp:
-        chain.append(dp)
+        chain.append(_positive_primitive(dp))
         while degree(chain[-1]) > 0:
-            rem = remainder(chain[-2], chain[-1])
+            a, b = chain[-2], chain[-1]
+            rem = pseudo_remainder(a, b)
             if not rem:
                 break
-            chain.append([-c for c in rem])
+            flip = 1 if b[-1] < 0 and (len(a) - len(b)) % 2 == 0 else -1
+            chain.append(_positive_primitive([flip * c for c in rem]))
     return chain
 
 
@@ -76,22 +83,20 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def variations_at(chain, x):
-    return _variations([_sign(evaluate(q, x)) for q in chain])
+def _signs_at(chain, x):
+    """The sign of each q(x), from the int form Σ q_i·n^i·d^(deg q − i) of x = n/d, d > 0."""
+    n, d, out = x.numerator, x.denominator, []
+    for q in chain:
+        acc, dpow = 0, 1
+        for c in reversed(q):
+            acc, dpow = acc * n + c * dpow, dpow * d
+        out.append(_sign(acc))
+    return out
 
 
 def variations_at_inf(chain, positive):
-    signs = []
-    for q in chain:
-        q = trim(q)
-        if not q:
-            signs.append(0)
-            continue
-        lead = _sign(q[-1])
-        if not positive and (len(q) - 1) % 2 == 1:
-            lead = -lead
-        signs.append(lead)
-    return _variations(signs)
+    """Sign changes at ±∞, read off the leading coefficients of the trimmed chain."""
+    return _variations([_sign(q[-1]) * (1 if positive or len(q) % 2 else -1) for q in chain if q])
 
 
 def root_bound(p):
@@ -114,33 +119,26 @@ def isolate_a_root(p, width=Fraction(1, 10**14)):
         return None
     bound = root_bound(p)
     lo, hi = -bound, bound
-    v_lo = variations_at(chain, lo)
+    v_lo = _variations(_signs_at(chain, lo))
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if evaluate(p, mid) == 0:
+        signs = _signs_at(chain, mid)
+        if not signs[0]:  # chain[0] is a positive multiple of p
             return ("exact", mid)
-        v_mid = variations_at(chain, mid)
+        v_mid = _variations(signs)
         if v_lo - v_mid > 0:
             hi = mid
         else:
             lo, v_lo = mid, v_mid
-    # try small-denominator rationals inside the bracket
-    mid = (lo + hi) / 2
-    for cand in _rational_candidates(mid):
+    # try small-denominator rationals inside the bracket; lo and hi are no
+    # roots: ±bound lies outside them all, and every mid was tested
+    for cand in _rational_candidates((lo + hi) / 2):
         if lo <= cand <= hi and evaluate(p, cand) == 0:
             return ("exact", cand)
-    if evaluate(p, lo) == 0:
-        return ("exact", lo)
-    if evaluate(p, hi) == 0:
-        return ("exact", hi)
     return ("interval", lo, hi)
 
 
 def _rational_candidates(x, max_den=10**9):
-    """Continued-fraction convergents of x with modest denominators."""
-    out = []
-    frac = Fraction(x).limit_denominator(max_den)
-    out.append(frac)
-    for den in (1, 2, 3, 4, 6, 8, 12):
-        out.append(Fraction(round(x * den), den))
-    return out
+    """The closest rational to x with denominator <= max_den, then x rounded
+    to a few small denominators."""
+    return [Fraction(x).limit_denominator(max_den)] + [Fraction(round(x * d), d) for d in (1, 2, 3, 4, 6, 8, 12)]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ellsym import sturm
 from ellsym.operators import OperatorSpec
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from ellsym.ratlinalg import Subspace, as_fraction_matrix, mat_mul, mat_vec, rref
@@ -176,6 +177,41 @@ def random_invertible_matrix(rng, dim):
         ]
         if rank(mat) == dim:
             return mat
+
+
+# -- reference algorithms -------------------------------------------------------
+
+
+def reference_remainder(a, b):
+    """Euclidean remainder of a by b over the rationals (coefficient lists,
+    lowest degree first)."""
+    a = list(sturm.trim(a))
+    b = sturm.trim(b)
+    lead, db = b[-1], len(b) - 1
+    while len(a) - 1 >= db:
+        factor = a[-1] / lead
+        shift = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[i + shift] -= factor * c
+        a = list(sturm.trim(a))
+        if not a:
+            break
+    return a
+
+
+def reference_sturm_chain(p):
+    """The Sturm chain of p over the rationals: p, p′, then −rem(a, b)."""
+    p = sturm.trim(p)
+    chain = [p]
+    dp = sturm.derivative(p)
+    if dp:
+        chain.append(dp)
+        while sturm.degree(chain[-1]) > 0:
+            rem = reference_remainder(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return chain
 
 
 # -- sampled oracles -------------------------------------------------------------

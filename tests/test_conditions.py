@@ -394,6 +394,46 @@ def test_elliptic_quartic_r4_no_with_pinned_witness():
     assert target in witnesses
 
 
+def test_quartic_r4_witnesses_pinned():
+    v = is_elliptic(parse_system(read_repo_file("systems/quartic_r4.sys")).a)
+    assert (v.status, v.decided_by, v.witness_exact) == ("no", "axis_candidate", True)
+    got = [(tuple(map(int, xi)), kern) for xi, kern in all_witnesses(v)]
+    e3 = (1, 0)  # the kernel vector where ξ1 = ξ2 = 0, else e2
+    assert got == [
+        ((1, 0, 0, 0), (0, 1)), ((0, 1, 0, 0), (0, 1)), ((0, 0, 1, 0), e3), ((0, 0, 0, 1), e3),
+        ((0, 0, 0, -1), e3), ((0, 0, 1, 1), e3), ((0, 0, 1, -1), e3), ((0, 0, -1, 0), e3),
+        ((0, 0, -1, 1), e3), ((0, 0, -1, -1), e3), ((0, -1, 0, 0), (0, 1)), ((1, 1, 0, 0), (0, 1)),
+        ((1, -1, 0, 0), (0, 1)), ((-1, 0, 0, 0), (0, 1)), ((-1, 1, 0, 0), (0, 1)), ((-1, -1, 0, 0), (0, 1)),
+    ]
+
+
+def test_kernel_at_runs_no_rref_where_a_is_injective(monkeypatch):
+    from pathlib import Path
+
+    from ellsym import operators
+    from ellsym.conditions import _axis_and_sign_candidates
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import ladder
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nullspace(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "nullspace", counted)
+    rungs = [parse_system(r.text).a for r in ladder.build_ladder(1) if not r.square]
+    assert len(rungs) == 8
+    for a in rungs:
+        assert all(a.kernel_at(xi) is None for xi in _axis_and_sign_candidates(a.space_dim))
+    assert calls == []
+    # a hit still runs the RREF, once per line through the origin
+    quartic = parse_system(read_repo_file("systems/quartic_r4.sys")).a
+    assert quartic.kernel_at((0, 0, 1, 0)) == quartic.kernel_at((0, 0, -2, 0)) == (1, 0)
+    assert len(calls) == 1
+
+
 def test_elliptic_numeric_positive_n3():
     v = is_elliptic(laplacian_operator(3))
     assert (v.status, v.decided_by, v.min_normalized) == ("yes", "isotropic", None)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -293,6 +294,17 @@ def test_kernel_at_evaluates_each_line_once(monkeypatch):
     assert all(type(x) is int for row in orig(a, (1, 2)) for x in row)
     assert a.kernel_at((1, 0)) is None and a.kernel_at((-3, 0)) is None
     assert calls == [(1, 2), (1, 0)]
+
+
+def test_value_at_is_the_scaled_symbol():
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        a = random_operator(rng, n, rng.randint(1, 3), rng.randint(1, 3))
+        c = math.lcm(*(x.denominator for m in a.coeffs.values() for row in m for x in row))
+        for _ in range(3):
+            xi = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert a.value_at(xi) == [[c * x for x in row] for row in a.symbol().eval(xi)]
 
 
 def test_row_degrees_are_computed_once_per_operator():

@@ -73,6 +73,34 @@ def test_eval_commutes_with_product():
         assert (p * q).eval(point) == p.eval(point) * q.eval(point)
 
 
+def _assert_nonzero_fractions(p):
+    for alpha, c in p.terms.items():
+        assert type(alpha) is tuple and len(alpha) == p.nvars
+        assert type(c) is Fraction and c != 0
+
+
+def test_results_store_only_nonzero_fractions():
+    # +, -, * and ** wrap the dicts they build without re-validating them, so the
+    # invariant must come out of the arithmetic itself, cancellations included
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+
+        def rand_poly():
+            terms = {tuple(rng.randint(0, 2) for _ in range(n)): rng.choice([-2, -1, 1, 2, F(1, 2)])
+                     for _t in range(rng.randint(0, 4))}
+            return Polynomial(n, terms)
+
+        p, q = rand_poly(), rand_poly()
+        results = [p + q, p - q, q - p, p - p, p + (-p), p * q, (p + q) * (p - q), -p, p**2, (p - q) ** 3,
+                   p + 1, 1 + p, p * 0 + q, (p + q) - q]
+        for r in results:
+            _assert_nonzero_fractions(r)
+        assert (p - p).is_zero() and (p + (-p)).is_zero()
+        assert (p + q) - q == p
+        assert (p + q) * (p - q) == p**2 - q**2
+
+
 def test_matrix_eval_commutes():
     rng = random.Random(11)
     n = 2

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from ellsym.ratlinalg import (
     Subspace,
     identity,
+    injective,
     inverse,
     mat_mul,
     mat_vec,
     nullspace,
+    primitive,
     projection_onto_rowspace,
     rref,
     solve,
@@ -103,3 +105,48 @@ def test_subspace_full_and_zero():
     assert is_full(f.intersect(f))
     assert is_full(z.orthogonal_complement())
     assert f.orthogonal_complement().is_zero()
+
+
+def _bareiss_cases():
+    """Int matrices, tall, square and wide, with small or huge entries, some
+    with a zero column or a repeated column."""
+    def shape(entries):
+        return st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+    def edit(args):
+        m, kind, i, j = args
+        c = len(m[0])
+        i, j = i % c, j % c
+        if kind == "zero":
+            return [row[:i] + [0] + row[i + 1:] for row in m]
+        if kind == "repeat":
+            return [row[:i] + [row[j]] + row[i + 1:] for row in m]
+        return m
+
+    matrices = st.one_of(shape(st.integers(-3, 3)), shape(st.integers(-10**40, 10**40)))
+    return st.tuples(matrices, st.sampled_from(["keep", "zero", "repeat"]), st.integers(0, 4),
+                     st.integers(0, 4)).map(edit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bareiss_cases())
+def test_injective_agrees_with_nullspace(m):
+    assert injective(m) == (not nullspace(m))
+
+
+def test_injective_examples():
+    assert injective([[2, 1], [4, 3], [0, 5]])
+    assert not injective([[1, 2], [2, 4]])  # repeated column up to a factor
+    assert not injective([[1, 2, 3], [4, 5, 6]])  # wide
+    assert not injective([[0, 1], [0, 2], [0, 3]])  # zero column
+    assert injective([[0, 1], [1, 0]])  # a row swap
+    assert injective([[10**30, 1], [1, 10**30]])
+
+
+def test_primitive_of_ints_and_fractions():
+    assert primitive((F(-1, 2), 0, F(3, 4))) == (2, 0, -3)
+    assert primitive((0, -4, 6)) == (0, 2, -3)
+    assert primitive((F(1, 3), F(2, 3))) == primitive((1, 2)) == (1, 2)
+    assert primitive((0, 0)) == (0, 0)
+    assert all(type(x) is int for x in primitive((F(5, 6), F(-1, 4))))

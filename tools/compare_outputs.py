@@ -31,7 +31,11 @@ run the same list of operations:
   matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
   which reach the branches no system file reaches: det G ≡ 0 for n = 1 and
-  n = 2, irrational zeros for n = 2 (numeric kernel vectors), an
+  n = 2, irrational zeros for n = 2 (numeric kernel vectors), three R^2
+  operators of order 10 whose long Sturm chains reach both verdicts (an
+  elliptic one from 3 to 4 with det G of degree 60; from 2 to 3, one with
+  the exact zero ξ = (3, 2) off every axis/sign candidate and one with the
+  irrational zeros ξ2/ξ1 = ±1/√2, whose bisection runs to the end), an
   inconclusive n = 3 minimum, an n = 3 zero on the line through (1, 2, 3),
   off every axis/sign candidate, that the rounding of the refined minimizer
   certifies, the same for an n = 4 zero on the line through (1, 2, 3, 4)
@@ -163,6 +167,24 @@ ELLIPTIC_CASES = (
     ("n2 irrational scalar", 2, "rows: d1^2 u1 - 2 d2^2 u1"),
     ("n2 irrational 2x2 a", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; d2 u1 + 2 d1 u2"),
     ("n2 irrational 2x2 b", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; 3 d2 u1 + 2 d1 u2"),
+    (
+        "n2 elliptic, det G of degree 60",
+        2,
+        "from 3 to 4\nrows: (d1^2 + d2^2)^5 u1 + d1^5 d2^5 u2; (d1^2 + d1 d2 + 2 d2^2)^5 u2 + d1^10 u3;"
+        " (2 d1^2 - d1 d2 + d2^2)^5 u3; d1^7 d2^3 u1 + d1^3 d2^7 u3",
+    ),
+    (
+        "n2 rational zero at (3, 2), det G of degree 40",
+        2,
+        "from 2 to 3\nrows: (2 d1 - 3 d2)^2 (d1^2 + d2^2)^4 u1 + d1^5 d2^5 u2;"
+        " (2 d1 - 3 d2)(d1^9 + d2^9) u1 + (d1^2 + d1 d2 + 2 d2^2)^5 u2; (2 d1 - 3 d2) d2^9 u1 + d1^3 d2^7 u2",
+    ),
+    (
+        "n2 irrational zero, det G of degree 40",
+        2,
+        "from 2 to 3\nrows: (d1^2 - 2 d2^2)(d1^2 + d2^2)^4 u1 + d1^5 d2^5 u2;"
+        " (d1^2 - 2 d2^2) d1^8 u1 + (2 d1^2 - d1 d2 + d2^2)^5 u2; (d1^2 - 2 d2^2) d2^8 u1 + d1^7 d2^3 u2",
+    ),
     ("n3 inconclusive", 3, "rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1"),
     ("n3 refined rational zero", 3, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1"),
     ("n4 refined rational zero", 4, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1; 4 d1 u1 - d4 u1"),
