@@ -27,7 +27,6 @@ from .poly import MatrixPolynomial, monomials_of_degree, multinomial
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
-    identity,
     inverse,
     mat_mul,
     mat_vec,
@@ -91,11 +90,11 @@ class EllipticityVerdict:
         return d
 
 
-def _axis_and_sign_candidates(n, limit=3**7):
-    """Exact candidate points: basis vectors, then small {-1,0,1} patterns; each
-    pattern comes before its mirror, as 1 comes before -1."""
+def _axis_and_sign_candidates(n):
+    """Exact candidate points: basis vectors, then, for n <= 7, the {-1,0,1}
+    patterns; each pattern comes before its mirror, as 1 comes before -1."""
     axes = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    if 3**n - 1 > limit:
+    if n > 7:  # 3^n - 1 patterns
         return axes
     signs = product((0, 1, -1), repeat=n)
     return axes + [tuple(map(Fraction, p)) for p in signs if any(p) and p not in axes]
@@ -191,9 +190,7 @@ def kernel_intersection(c):
     stacked = [
         list(row) for _, mat in sorted(c.coeffs.items(), reverse=True) for row in mat
     ]
-    if not stacked:
-        return Subspace.full(c.source_dim)
-    return Subspace.from_vectors(c.source_dim, nullspace(stacked, ncols=c.source_dim))
+    return Subspace(c.source_dim, tuple(nullspace(stacked, ncols=c.source_dim)))
 
 
 def image_intersection(a):
@@ -205,7 +202,7 @@ def image_intersection(a):
     if not a.is_homogeneous():
         raise NotHomogeneousError("I_A requires a single-order operator")
     square = a.source_dim == a.target_dim
-    perp, basis = [], identity(a.target_dim)  # S^⊥ spanned by perp; S by basis
+    perp, basis = [], nullspace([], a.target_dim)  # S^⊥ spanned by perp; S by basis
     for alpha in a.lattice()[:1] if square else a.lattice():
         left = nullspace(transpose(a.value_at(alpha)))  # im A(α)^⊥ = ker A(α)ᵀ
         if len(left) != a.target_dim - a.source_dim:  # A(α) is not injective
@@ -218,7 +215,7 @@ def image_intersection(a):
         basis = nullspace(perp, ncols=a.target_dim)
         if not basis:
             break
-    return Subspace.from_vectors(a.target_dim, basis)
+    return Subspace(a.target_dim, tuple(basis))
 
 
 @dataclass

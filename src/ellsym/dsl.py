@@ -479,8 +479,9 @@ def _format_term(alpha, coeff, comp_idx, letter):
     return f"{coeff} {comp}"
 
 
-def format_rows(op, letter="u", indent="  "):
-    """Rows of an operator in the DSL's row syntax, one row per line."""
+def format_rows(op, letter="u"):
+    """Rows of an operator in the DSL's row syntax, one row per line, indented
+    by two spaces."""
     lines = []
     for j in range(op.target_dim):
         terms = []
@@ -501,7 +502,7 @@ def format_rows(op, letter="u", indent="  "):
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         lines.append(" ".join(parts))
-    return (";\n".join(indent + line for line in lines)).split("\n")
+    return (";\n".join("  " + line for line in lines)).split("\n")
 
 
 def format_operator(op, letter="u"):
@@ -511,14 +512,14 @@ def format_operator(op, letter="u"):
     return "\n".join(lines) + "\n"
 
 
-def format_system(sys_spec, op_name="A", constraint_name="C"):
-    lines = [f"dim {sys_spec.n}", f"operator {op_name} {{"]
+def format_system(sys_spec):
+    lines = [f"dim {sys_spec.n}", "operator A {"]
     lines.append(f"  from {sys_spec.a.source_dim} to {sys_spec.a.target_dim}")
     lines.append("  rows:")
     lines += ["  " + ln for ln in format_rows(sys_spec.a, letter="u")]
     lines.append("}")
     if sys_spec.c is not None:
-        lines.append(f"constraint {constraint_name} {{")
+        lines.append("constraint C {")
         lines.append(f"  from {sys_spec.c.source_dim} to {sys_spec.c.target_dim}")
         lines.append("  rows:")
         lines += ["  " + ln for ln in format_rows(sys_spec.c, letter="f")]

@@ -18,7 +18,7 @@ from itertools import accumulate
 from .conditions import is_elliptic, isotropic_moment_matrix
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
 from .poly import MatrixPolynomial, monomials_of_degree
-from .ratlinalg import injective, nullspace, primitive, transpose
+from .ratlinalg import nullspace, primitive, transpose
 
 MultiIndex = tuple
 
@@ -132,11 +132,12 @@ class OperatorSpec:
         """The canonical kernel vector of A at `primitive(ξ)`, None where A is
         injective. A(cξ) is A(ξ) with its rows scaled by powers of c, so the
         answer holds on the whole line through ξ, and each line is evaluated once.
-        Injectivity is decided in ints (`injective`); only a hit runs the RREF."""
+        `nullspace` eliminates c·A(ξ) in ints and returns [] at once where every
+        column has a pivot; only a kernel is back-substituted."""
         p = primitive(xi)
         if p not in self._kernels:
-            m = self.value_at(p)
-            self._kernels[p] = None if injective(m) else primitive(nullspace(m)[0])
+            ker = nullspace(self.value_at(p))
+            self._kernels[p] = primitive(ker[0]) if ker else None
         return self._kernels[p]
 
     @cached_property
@@ -276,23 +277,16 @@ def annihilator(a):
     return OperatorSpec.from_symbol(lb, a.space_dim)
 
 
-def homogenize(c, target_degree=None):
+def homogenize(c):
     """Pad each row to a common degree by all monomial multiples.
 
     Row j of degree d_j is replaced by the block of rows ξ^γ · C_j(ξ) over all
-    |γ| = l − d_j; the pointwise kernel of the symbol is preserved for any
-    l >= max_j d_j, and l defaults to that maximum. Rows are emitted grouped
-    by original row, γ in descending lex order, so an already-homogeneous
-    operator comes back structurally equal.
+    |γ| = l − d_j, l = max_j d_j; this preserves the pointwise kernel of the
+    symbol. Rows are emitted grouped by original row, γ in descending lex
+    order, so an already-homogeneous operator comes back structurally equal.
     """
     degs = c.row_degrees
     l = max((d for d in degs if d is not None), default=0)
-    if target_degree is not None:
-        if target_degree < l:
-            raise ValueError(
-                f"target degree {target_degree} below the maximal row degree {l}"
-            )
-        l = target_degree
     n = c.space_dim
     row_gammas = [monomials_of_degree(n, 0 if d is None else l - d) for d in degs]
     row_offset = list(accumulate((len(g) for g in row_gammas), initial=0))

@@ -96,7 +96,8 @@ def build_rule(n, level):
     2^level equispaced angles (spectral accuracy for smooth integrands); for
     n>=3, the Gauss product rule of `_sphere` with m = 2^level, exact to degree
     2m - 1 (Stroud, Approximate Calculation of Multiple Integrals, 1971). A
-    rule over MAX_RULE_NODES sphere nodes is refused before any allocation."""
+    rule over MAX_RULE_NODES sphere nodes is refused by its exponent, before
+    its node count or any array is built."""
     if n < 2:
         raise InvalidArgumentError("sphere rules need n >= 2")
     min_level = 2 if n == 2 else 1  # the circle rule needs at least 4 nodes
@@ -104,10 +105,10 @@ def build_rule(n, level):
         raise InvalidArgumentError(
             f"quadrature level must be >= {min_level} for n={n}, got {level}"
         )
-    count = rule_size(n, level)
-    if count > MAX_RULE_NODES:
+    e = (n - 1) * level + (n > 2)  # rule_size(n, level) = 2^e, compared before it is built
+    if e > MAX_RULE_NODES.bit_length() - 1:
         raise InvalidArgumentError(
-            f"quadrature level {level} on S^{n - 1} needs {count} nodes, over the "
+            f"quadrature level {level} on S^{n - 1} needs 2^{e} nodes, over the "
             f"budget of {MAX_RULE_NODES}"
         )
     nodes, weights = _sphere(n, 2 ** (level - (n == 2)), half=True)

@@ -1,6 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction; vectors are tuples of Fraction.
+Matrices are lists of lists of Fraction; vectors are tuples of Fraction; int
+entries are accepted wherever a matrix is read. One fraction-free elimination
+(`_echelon`, in ints) lies behind RREF, kernels, solves and subspaces.
 Subspaces are kept in reduced row echelon form so equality is structural.
 """
 
@@ -18,10 +20,6 @@ _ONE = Fraction(1)
 
 def as_fraction_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def as_fraction_vector(v):
-    return tuple(Fraction(x) for x in v)
 
 
 def primitive(v):
@@ -60,71 +58,75 @@ def mat_vec(a, v):
     return tuple(sum((x * y for x, y in zip(row, v)), _ZERO) for row in a)
 
 
-def rref(a):
-    """Reduced row echelon form. Returns (new matrix, pivot column list)."""
-    m = [list(row) for row in a]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _echelon(a):
+    """Fraction-free row echelon form of a rational matrix. Each row is scaled
+    to its primitive int multiple, then eliminated by Bareiss (Math. Comp. 22
+    (1968)), skipping columns without a pivot, so every division is exact.
+    Returns (int rows, pivot columns); rows past the pivots are zero."""
+    m = [list(primitive(row)) for row in a]
+    pivots, prev = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        m[r], m[p] = m[p], m[r]
+        top, piv = m[r], m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = piv
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == len(m):
             break
     return m, pivots
 
 
-def injective(a):
-    """Whether the int matrix a has full column rank, by fraction-free Bareiss
-    elimination (Math. Comp. 22 (1968)): each column, in order, needs a pivot."""
-    m, prev = [list(row) for row in a], 1
-    for k in range(len(m[0])):
-        p = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if p is None:
-            return False
-        m[k], m[p] = m[p], m[k]
-        for i in range(k + 1, len(m)):
-            m[i] = [(m[k][k] * x - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
-        prev = m[k][k]
-    return True
+def _reduce(m, pivots):
+    """Clear above each pivot of an echelon form from `_echelon`, in ints and in
+    place, so that row i becomes d times row i of the RREF; returns d, the last
+    pivot. Each division is exact: d·RREF is integral by Cramer's rule."""
+    if not pivots:
+        return 1
+    d = m[len(pivots) - 1][pivots[-1]]
+    for i in range(len(pivots) - 2, -1, -1):
+        row = m[i]
+        acc = [d * x for x in row]
+        for k in range(i + 1, len(pivots)):
+            f = row[pivots[k]]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, m[k])]
+        m[i] = [x // row[pivots[i]] for x in acc]
+    return d
+
+
+def rref(a):
+    """Reduced row echelon form. Returns (new matrix, pivot column list)."""
+    m, pivots = _echelon(a)
+    d = _reduce(m, pivots)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def nullspace(a, ncols=None):
-    """Canonical basis (RREF rows) of {x : a x = 0}. `ncols` needed when a is empty."""
+    """Canonical basis (RREF rows) of {x : a x = 0}. `ncols` needed when a is empty.
+    Where every column has a pivot this is [] with no back-substitution."""
     if not a:
         if ncols is None:
             raise ValueError("ncols required for empty matrix")
         return [tuple(row) for row in identity(ncols)]
     ncols = len(a[0])
-    r, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(tuple(v))
-    if not basis:
+    m, pivots = _echelon(a)
+    if len(pivots) == ncols:
         return []
-    canon, _ = rref(basis)
-    return [tuple(row) for row in canon if any(x != 0 for x in row)]
+    d = _reduce(m, pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = d
+        for i, p in enumerate(pivots):
+            v[p] = -m[i][f]
+        basis.append(v)
+    return [tuple(row) for row in rref(basis)[0]]
 
 
 def solve(a, b):
@@ -132,15 +134,11 @@ def solve(a, b):
     if not a:
         return None
     ncols = len(a[0])
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    r, pivots = rref(aug)
-    for row in r:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    r, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)])
+    if pivots and pivots[-1] == ncols:  # pivot in the augmented column
+        return None
     x = [_ZERO] * ncols
     for i, p in enumerate(pivots):
-        if p == ncols:  # pivot in the augmented column: inconsistent
-            return None
         x[p] = r[i][-1]
     return tuple(x)
 
@@ -156,12 +154,11 @@ def inverse(a):
 
 def projection_onto_rowspace(b):
     """Orthogonal projection of the ambient space onto the row space of b (exact)."""
-    rows = [row for row in b if any(x != 0 for x in row)]
-    if not rows:
+    canon, pivots = rref(b)
+    basis = canon[:len(pivots)]
+    if not basis:
         dim = len(b[0]) if b else 0
         return zeros(dim, dim)
-    canon, _ = rref(rows)
-    basis = [row for row in canon if any(x != 0 for x in row)]
     bt = transpose(basis)
     gram = mat_mul(basis, bt)
     return mat_mul(mat_mul(bt, inverse(gram)), basis)
@@ -176,13 +173,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        vecs = [list(as_fraction_vector(v)) for v in vectors]
-        vecs = [v for v in vecs if any(x != 0 for x in v)]
-        if not vecs:
-            return cls(ambient_dim, ())
-        canon, _ = rref(vecs)
-        rows = tuple(tuple(row) for row in canon if any(x != 0 for x in row))
-        return cls(ambient_dim, rows)
+        canon, pivots = rref(list(vectors))
+        return cls(ambient_dim, tuple(tuple(row) for row in canon[:len(pivots)]))
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -200,33 +192,20 @@ class Subspace:
         return not self.basis
 
     def contains(self, v):
-        v = as_fraction_vector(v)
-        if all(x == 0 for x in v):
-            return True
-        if not self.basis:
-            return False
-        stacked = [list(row) for row in self.basis]
-        before = len(rref(stacked)[1])
-        stacked.append(list(v))
-        return len(rref(stacked)[1]) == before
+        """The basis rows are independent, so v lies in the span iff appending it
+        leaves the rank at dim."""
+        return len(_echelon([*self.basis, v])[1]) == self.dim
 
     def orthogonal_complement(self):
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
-        return Subspace.from_vectors(
-            self.ambient_dim, nullspace([list(r) for r in self.basis])
-        )
+        return Subspace(self.ambient_dim, tuple(nullspace(self.basis, self.ambient_dim)))
 
     def intersect(self, other):
         """Exact intersection via the kernel of the stacked orthogonal complements."""
         assert self.ambient_dim == other.ambient_dim
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
-        stacked = [list(r) for r in self.orthogonal_complement().basis]
-        stacked += [list(r) for r in other.orthogonal_complement().basis]
-        if not stacked:
-            return Subspace.full(self.ambient_dim)
-        return Subspace.from_vectors(self.ambient_dim, nullspace(stacked))
+        stacked = [*self.orthogonal_complement().basis, *other.orthogonal_complement().basis]
+        return Subspace(self.ambient_dim, tuple(nullspace(stacked, self.ambient_dim)))
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.basis]

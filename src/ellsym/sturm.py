@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+INTERVAL_WIDTH = Fraction(1, 10**14)  # of an isolated root's ('interval', lo, hi)
+
 
 def trim(p):
     while p and p[-1] == 0:
@@ -106,11 +108,11 @@ def root_bound(p):
     return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
 
 
-def isolate_a_root(p, width=Fraction(1, 10**14)):
+def isolate_a_root(p):
     """Shrink an interval around one real root of p, on one Sturm chain.
 
     Returns None when p has no real root, ('exact', r) when a rational root is
-    pinned down, otherwise ('interval', lo, hi) with hi - lo <= width
+    pinned down, otherwise ('interval', lo, hi) with hi - lo <= INTERVAL_WIDTH
     containing a root.
     """
     p = trim(p)
@@ -120,7 +122,7 @@ def isolate_a_root(p, width=Fraction(1, 10**14)):
     bound = root_bound(p)
     lo, hi = -bound, bound
     v_lo = _variations(_signs_at(chain, lo))
-    while hi - lo > width:
+    while hi - lo > INTERVAL_WIDTH:
         mid = (lo + hi) / 2
         signs = _signs_at(chain, mid)
         if not signs[0]:  # chain[0] is a positive multiple of p
@@ -138,7 +140,7 @@ def isolate_a_root(p, width=Fraction(1, 10**14)):
     return ("interval", lo, hi)
 
 
-def _rational_candidates(x, max_den=10**9):
-    """The closest rational to x with denominator <= max_den, then x rounded
+def _rational_candidates(x):
+    """The closest rational to x with denominator <= 10^9, then x rounded
     to a few small denominators."""
-    return [Fraction(x).limit_denominator(max_den)] + [Fraction(round(x * d), d) for d in (1, 2, 3, 4, 6, 8, 12)]
+    return [Fraction(x).limit_denominator(10**9)] + [Fraction(round(x * d), d) for d in (1, 2, 3, 4, 6, 8, 12)]

@@ -1,6 +1,7 @@
 """Seeded generators of operators used across the test modules, and the helpers
 that only the tests use."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +58,19 @@ def compose_right(a, mat):
     mat = as_fraction_matrix(mat)
     coeffs = {alpha: mat_mul(m, mat) for alpha, m in a.coeffs.items()}
     return OperatorSpec(a.space_dim, len(mat[0]), a.target_dim, coeffs)
+
+
+def substitute(a, mat):
+    """A_L(ξ) = A(Lξ) for an n × n rational matrix L: (Lξ)^α expanded, times C_α."""
+    n = a.space_dim
+    lxi = [sum((Polynomial.variable(n, j) * Fraction(x) for j, x in enumerate(row)), Polynomial.zero(n))
+           for row in mat]
+    terms = []
+    for alpha, m in a.coeffs.items():
+        power = math.prod((lxi[i] ** e for i, e in enumerate(alpha)), start=Polynomial.constant(n, 1))
+        terms += [(beta, i, j, c * x) for beta, c in power.terms.items()
+                  for i, row in enumerate(m) for j, x in enumerate(row) if x]
+    return OperatorSpec.from_terms(n, a.source_dim, a.target_dim, terms)
 
 
 # -- operators ------------------------------------------------------------------
@@ -180,6 +194,37 @@ def random_invertible_matrix(rng, dim):
 
 
 # -- reference algorithms -------------------------------------------------------
+
+
+def reference_rref(a):
+    """Reduced row echelon form by Gauss–Jordan over Fraction. Returns (new
+    matrix, pivot column list)."""
+    m = [list(row) for row in a]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
 def reference_remainder(a, b):

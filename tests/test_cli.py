@@ -282,6 +282,22 @@ def test_invalid_argument_exit_code(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_huge_level_is_refused_by_the_budget_within_seconds():
+    # the node count 2^(10^11) is never built: the exponent meets the budget first
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom ellsym.cli import main\nsys.exit(main(sys.argv[1:]))",
+         "moment", "systems/laplacian_r2.sys", "--level", "100000000000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == ("error: quadrature level 100000000000 on S^1 needs 2^100000000000 nodes, "
+                          "over the budget of 2097152\n")
+
+
 @pytest.mark.parametrize(
     "options, flag",
     [

@@ -410,19 +410,20 @@ def test_quartic_r4_witnesses_pinned():
 def test_kernel_at_runs_no_rref_where_a_is_injective(monkeypatch):
     from pathlib import Path
 
-    from ellsym import operators
+    from ellsym import ratlinalg
     from ellsym.conditions import _axis_and_sign_candidates
 
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import ladder
 
     calls = []
+    rref = ratlinalg.rref
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return nullspace(*args, **kwargs)
+        return rref(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "nullspace", counted)
+    monkeypatch.setattr(ratlinalg, "rref", counted)
     rungs = [parse_system(r.text).a for r in ladder.build_ladder(1) if not r.square]
     assert len(rungs) == 8
     for a in rungs:

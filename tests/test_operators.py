@@ -190,26 +190,6 @@ def test_homogenize_mixed_degrees():
     assert kernel_intersection(h).is_zero()
 
 
-def test_homogenize_scalar_row_padded():
-    from ellsym.dsl import parse_operator
-
-    n = 3
-    c = parse_operator("rows: f1", n)
-    h = homogenize(c, target_degree=2)
-    assert h.target_dim == len(monomials_of_degree(n, 2)) == n * (n + 1) // 2
-    from ellsym.conditions import kernel_intersection
-
-    assert kernel_intersection(h).is_zero()
-
-
-def test_homogenize_target_below_max_rejected():
-    from ellsym.dsl import parse_operator
-
-    c = parse_operator("rows: d1^2 f1", 2)
-    with pytest.raises(ValueError):
-        homogenize(c, target_degree=1)
-
-
 def test_annihilator_scalar_gram_builds_no_det(monkeypatch):
     from ellsym.poly import MatrixPolynomial
 

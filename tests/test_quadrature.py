@@ -9,7 +9,7 @@ import pytest
 from ellsym.cli import main
 from ellsym.conditions import run_full_check
 from ellsym.dsl import parse_operator, parse_system
-from ellsym.errors import NearSingularSymbolError, NotEllipticError, OrderTooLowError
+from ellsym.errors import InvalidArgumentError, NearSingularSymbolError, NotEllipticError, OrderTooLowError
 from ellsym.poly import monomials_of_degree
 from ellsym.quadrature import (
     SAMPLE_NODES,
@@ -139,6 +139,14 @@ def test_refinement_convergence_decreases():
     assert diffs[-1] <= diffs[0]
     _, adag, err, _ = converged_moments(a)
     assert err <= 1e-8 * surface_area(2) * max(np.linalg.norm(adag, axis=1).max(), 1e-300)
+
+
+def test_build_rule_refuses_a_huge_level_by_its_exponent():
+    with pytest.raises(InvalidArgumentError, match=r"^quadrature level 1000000000 on S\^1 needs 2\^1000000000 nodes, "
+                       r"over the budget of 2097152$"):
+        build_rule(2, 10**9)
+    with pytest.raises(InvalidArgumentError, match=r"needs 2\^22 nodes"):
+        build_rule(4, 7)
 
 
 def test_converged_moments_raises_when_levels_exhausted(monkeypatch):

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsym.ratlinalg import (
     Subspace,
+    _echelon,
     identity,
-    injective,
     inverse,
     mat_mul,
     mat_vec,
@@ -17,7 +18,7 @@ from ellsym.ratlinalg import (
     solve,
     transpose,
 )
-from genops import image_of, is_full, rank
+from genops import image_of, is_full, rank, reference_rref
 
 F = Fraction
 
@@ -110,38 +111,107 @@ def test_subspace_full_and_zero():
 def _bareiss_cases():
     """Int matrices, tall, square and wide, with small or huge entries, some
     with a zero column or a repeated column."""
-    def shape(entries):
-        return st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
-            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
+    return _matrices(st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40)),
+                     ["keep", "zero", "repeat"])
+
+
+def _matrices(entries, edits):
+    """Matrices of 1–5 rows and 1–5 columns over `entries`, after one edit:
+    none, a zero column, a repeated column, a column or a row replaced by a
+    combination of two others (rank-deficient, so elimination skips a column
+    and goes on)."""
+    shape = st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
 
     def edit(args):
-        m, kind, i, j = args
-        c = len(m[0])
-        i, j = i % c, j % c
+        m, kind, i, j, k = args
+        c, r = len(m[0]), len(m)
         if kind == "zero":
-            return [row[:i] + [0] + row[i + 1:] for row in m]
+            return [row[:i % c] + [0] + row[i % c + 1:] for row in m]
         if kind == "repeat":
-            return [row[:i] + [row[j]] + row[i + 1:] for row in m]
+            return [row[:i % c] + [row[j % c]] + row[i % c + 1:] for row in m]
+        if kind == "column":
+            return [row[:i % c] + [2 * row[j % c] - row[k % c]] + row[i % c + 1:] for row in m]
+        if kind == "row":
+            return m[:i % r] + [[2 * x - y for x, y in zip(m[j % r], m[k % r])]] + m[i % r + 1:]
         return m
 
-    matrices = st.one_of(shape(st.integers(-3, 3)), shape(st.integers(-10**40, 10**40)))
-    return st.tuples(matrices, st.sampled_from(["keep", "zero", "repeat"]), st.integers(0, 4),
-                     st.integers(0, 4)).map(edit)
+    index = st.integers(0, 4)
+    return st.tuples(shape, st.sampled_from(edits), index, index, index).map(edit)
+
+
+_oracle_entries = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-10**40, 10**40),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**20)),
+)
+
+
+def _reference_nullspace(m):
+    r, pivots = reference_rref(m)
+    basis = []
+    for f in (c for c in range(len(m[0])) if c not in pivots):
+        v = [F(0)] * len(m[0])
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return [tuple(row) for row in reference_rref(basis)[0] if any(row)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(_oracle_entries, ["keep", "zero", "repeat", "column", "row"]),
+       st.lists(_oracle_entries, min_size=5, max_size=5))
+def test_one_elimination_agrees_with_gauss_jordan(m, b):
+    """rref, nullspace, solve, inverse and Subspace against the Fraction Gauss–Jordan."""
+    ref, pivots = reference_rref(m)
+    assert rref(m) == (ref, pivots)
+    assert all(type(x) is Fraction for row in rref(m)[0] for x in row)
+    assert nullspace(m) == _reference_nullspace(m)
+    ncols = len(m[0])
+    span = Subspace.from_vectors(ncols, m)
+    assert span.basis == tuple(tuple(row) for row in ref[:len(pivots)])
+    for v in (b[:ncols], mat_vec(transpose(m), b[:len(m)])):
+        assert span.contains(v) == (len(reference_rref([*m, v])[1]) == len(pivots))
+    for rhs in (b[:len(m)], mat_vec(m, b[:ncols])):
+        aug_ref, aug_pivots = reference_rref([list(row) + [y] for row, y in zip(m, rhs)])
+        want = None
+        if ncols not in aug_pivots:
+            want = [F(0)] * ncols
+            for i, p in enumerate(aug_pivots):
+                want[p] = aug_ref[i][-1]
+            want = tuple(want)
+        assert solve(m, rhs) == want
+    if len(m) == ncols:
+        aug_ref, aug_pivots = reference_rref([list(row) + list(e) for row, e in zip(m, identity(ncols))])
+        if aug_pivots[:ncols] == list(range(ncols)):
+            assert inverse(m) == [row[ncols:] for row in aug_ref]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                inverse(m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_bareiss_cases())
 def test_injective_agrees_with_nullspace(m):
-    assert injective(m) == (not nullspace(m))
+    assert (nullspace(m) == []) == (len(reference_rref(m)[1]) == len(m[0]))
+
+
+def test_echelon_divides_by_the_previous_pivot():
+    # Bareiss: each pivot is a leading minor, so the last one is det = -1, not -2
+    assert _echelon([[2, 1, 1], [1, 3, 2], [1, 0, 0]]) == ([[2, 1, 1], [0, 5, 3], [0, 0, -1]], [0, 1, 2])
+    # a Fraction row enters as its primitive int row; a column without a pivot is skipped
+    assert _echelon([[F(1, 2), F(1, 3), F(1, 2)], [1, F(2, 3), 0]]) == ([[3, 2, 3], [0, 0, -9]], [0, 2])
 
 
 def test_injective_examples():
-    assert injective([[2, 1], [4, 3], [0, 5]])
-    assert not injective([[1, 2], [2, 4]])  # repeated column up to a factor
-    assert not injective([[1, 2, 3], [4, 5, 6]])  # wide
-    assert not injective([[0, 1], [0, 2], [0, 3]])  # zero column
-    assert injective([[0, 1], [1, 0]])  # a row swap
-    assert injective([[10**30, 1], [1, 10**30]])
+    assert nullspace([[2, 1], [4, 3], [0, 5]]) == []
+    assert nullspace([[1, 2], [2, 4]]) != []  # repeated column up to a factor
+    assert nullspace([[1, 2, 3], [4, 5, 6]]) != []  # wide
+    assert nullspace([[0, 1], [0, 2], [0, 3]]) != []  # zero column
+    assert nullspace([[0, 1], [1, 0]]) == []  # a row swap
+    assert nullspace([[10**30, 1], [1, 10**30]]) == []
 
 
 def test_primitive_of_ints_and_fractions():

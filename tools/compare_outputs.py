@@ -50,7 +50,10 @@ run the same list of operations:
 - `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
   which reach the branches of I_A that no system file reaches: a non-scalar
   Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
-  (I_A = E), constrained systems whose CC fails, the inconclusive n = 3
+  (I_A = E), constrained systems whose CC fails, one of them with rows of
+  non-integer and 10^20-sized rational coefficients in A and in C (so that
+  I_A, K_C and the CC witness pin the scaling of each row to a primitive
+  int row before the fraction-free elimination), the inconclusive n = 3
   operator of ELLIPTIC_CASES, whose report carries the diagnostics of an
   inconclusive ellipticity verdict, the quartic Σ ∂_i⁴ on R⁴, whose
   weak verdict needs the n = 4 moment quadrature to converge, (−Δ)²·B on R³,
@@ -209,6 +212,13 @@ SHEARED_DIVCURL = (
     "    d1 u1 + d1 u2 + d2 u2 + 2 d3 u3; 2 d2 u3 - d3 u2;\n"
     "    -2 d1 u3 + d3 u1 + d3 u2; d1 u2 - d2 u1 - d2 u2\n}\n"
 )
+# the same with its first row times 2/3 and its second times 10^20: rows with
+# non-integer and huge rational coefficients, scaled to primitive int rows
+SCALED_DIVCURL = (
+    "operator A {\n  from 3 to 4\n  rows:\n"
+    "    2/3 d1 u1 + 2/3 d1 u2 + 2/3 d2 u2 + 4/3 d3 u3; 200000000000000000000 d2 u3 - 100000000000000000000 d3 u2;\n"
+    "    -2 d1 u3 + d3 u1 + d3 u2; d1 u2 - d2 u1 - d2 u2\n}\n"
+)
 # the Laplacian on R^2 times [[1,1],[0,1]]: square, G not scalar, I_A = E
 SHEARED_LAPLACIAN = (
     "operator A {\n  from 2 to 2\n  rows:\n"
@@ -219,6 +229,11 @@ SHEARED_LAPLACIAN = (
 CHECK_CASES = (
     ("sheared divcurl", "dim 3\n" + SHEARED_DIVCURL),
     ("sheared divcurl, CC fails", "dim 3\n" + SHEARED_DIVCURL + "constraint C {\n  from 4 to 1\n  rows: d1 f2\n}\n"),
+    (
+        "scaled divcurl, CC fails",
+        "dim 3\n" + SCALED_DIVCURL
+        + "constraint C {\n  from 4 to 1\n  rows: 5/7 d1 f2 + 100000000000000000000 d2 f3\n}\n",
+    ),
     ("sheared laplacian", "dim 2\n" + SHEARED_LAPLACIAN),
     ("sheared laplacian, CC fails", "dim 2\n" + SHEARED_LAPLACIAN + "constraint C {\n  from 2 to 1\n  rows: d1 f1\n}\n"),
     ("n3 inconclusive", "dim 3\noperator A {\n  from 1 to 1\n  rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1\n}\n"),
