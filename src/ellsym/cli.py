@@ -180,13 +180,13 @@ def build_parser():
         "elliptic systems",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.set_defaults(seed=0)  # every report records the seed; only `witness` reads one
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("path", help="system description file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--seed", type=int, default=0)
 
     p_check = sub.add_parser("check", help="full condition report")
     common(p_check)
@@ -212,6 +212,7 @@ def build_parser():
     p_wit.add_argument("--j", default="inf", help="derivative gap j (int) or 'inf'")
     p_wit.add_argument("--grid", type=int, default=128, help="points per axis")
     p_wit.add_argument("--mode", choices=("dirac", "constrained"), default="dirac")
+    p_wit.add_argument("--seed", type=int, default=0, help="seed of the constrained base field")
     p_wit.set_defaults(func=cmd_witness)
     return parser
 

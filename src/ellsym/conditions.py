@@ -93,11 +93,10 @@ class EllipticityVerdict:
 def _axis_and_sign_candidates(n):
     """Exact candidate points: basis vectors, then, for n <= 7, the {-1,0,1}
     patterns; each pattern comes before its mirror, as 1 comes before -1."""
-    axes = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     if n > 7:  # 3^n - 1 patterns
         return axes
-    signs = product((0, 1, -1), repeat=n)
-    return axes + [tuple(map(Fraction, p)) for p in signs if any(p) and p not in axes]
+    return axes + [p for p in product((0, 1, -1), repeat=n) if any(p) and p not in axes]
 
 
 def is_elliptic(a):
@@ -118,7 +117,7 @@ def is_elliptic(a):
     else:
         note = None
     if note:
-        e1 = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
+        e1 = tuple(int(i == 0) for i in range(n))
         return EllipticityVerdict("no", witness_xi=e1, kernel_vector=a.kernel_at(e1),
                                   witness_exact=True, note=note, decided_by=by)
     if a.isotropic:  # det G(ξ) = |ξ|^(2k·dim V)·det G(e₁), and det G ≢ 0
@@ -152,7 +151,7 @@ def _is_elliptic_2d(a):
     the circle, ξ1 = 0, is the axis candidate (0, 1) already found injective."""
     detg = a.gram_det
     d = detg.degree()
-    p = [Fraction(0)] * (d + 1)
+    p = [0] * (d + 1)
     for (a1, a2), c in detg.terms.items():
         p[a2] += c  # ξ1 = 1
     hit = sturm.isolate_a_root(p)
@@ -169,7 +168,7 @@ def _is_elliptic_2d(a):
     mid = (lo + hi) / 2
     return EllipticityVerdict(
         "no",
-        witness_xi=(Fraction(1), Fraction(mid)),
+        witness_xi=(1, mid),
         kernel_vector=numeric_kernel(a, (1.0, float(mid))),
         witness_exact=False,
         note=f"real zero of det G isolated in ({float(lo)}, {float(hi)}); "

@@ -14,10 +14,11 @@ Grammar (comments run from '#' to end of line):
            | "(" row ")" ["^" INT]
 
 Coefficients are rationals written as INT or INT/INT; derivative tokens are
-d1..dn; each row must be homogeneous (all terms share one total derivative
-order). Parenthesized groups may only contain scalar (component-free)
-expressions, so rows stay linear in the components, and nest at most
-MAX_GROUP_DEPTH deep.
+d1..dn, n at most MAX_SPACE_DIM; each row must be homogeneous (all terms share
+one total derivative order). Rows stay linear in the components: a group may
+hold components, as in `d1 (d1 u1 + d2 u2)`, but a group with components may
+not be raised to a power above 1, and no product may have two factors with
+components. Groups nest at most MAX_GROUP_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .poly import Polynomial
 
 MAX_EXPANSION_BITS = 2**17  # terms × coefficient bits of a power or product of groups, at most
 MAX_GROUP_DEPTH = 100  # nested groups; three parser frames each, well inside Python's recursion limit
+MAX_SPACE_DIM = 64  # n of `dim` and of `parse_operator`; the tests reach 22, the bundled systems 4
 
 _PUNCT = {
     "{": "LBRACE",
@@ -182,6 +184,8 @@ class _RowValue:
 
 class _Parser:
     def __init__(self, tokens, nvars):
+        if nvars > MAX_SPACE_DIM:
+            raise DslSyntaxError(f"dimension {nvars} is over the budget of {MAX_SPACE_DIM}")
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
@@ -479,18 +483,13 @@ def _format_term(alpha, coeff, comp_idx, letter):
     return f"{coeff} {comp}"
 
 
-def format_rows(op, letter="u"):
-    """Rows of an operator in the DSL's row syntax, one row per line, indented
-    by two spaces."""
+def format_operator(op, letter="u"):
+    """Bare re-parseable form: the signature line, then the rows in the DSL's row
+    syntax, one row per line, indented by two spaces."""
     lines = []
+    coeffs = sorted(op.coeffs.items(), reverse=True)
     for j in range(op.target_dim):
-        terms = []
-        for alpha, mat in sorted(op.coeffs.items(), key=lambda kv: kv[0], reverse=True):
-            for i in range(op.source_dim):
-                c = mat[j][i]
-                if c != 0:
-                    terms.append((alpha, i, c))
-        terms.sort(key=lambda t: (tuple(-x for x in t[0]), t[1]))
+        terms = [(alpha, i, c) for alpha, mat in coeffs for i, c in enumerate(mat[j]) if c]
         if not terms:
             lines.append(f"0 {letter}1")  # explicit zero row
             continue
@@ -502,26 +501,16 @@ def format_rows(op, letter="u"):
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
         lines.append(" ".join(parts))
-    return (";\n".join("  " + line for line in lines)).split("\n")
-
-
-def format_operator(op, letter="u"):
-    """Bare re-parseable form: signature line plus rows."""
-    lines = [f"from {op.source_dim} to {op.target_dim}", "rows:"]
-    lines += format_rows(op, letter=letter)
-    return "\n".join(lines) + "\n"
+    rows = ";\n".join("  " + line for line in lines)
+    return f"from {op.source_dim} to {op.target_dim}\nrows:\n{rows}\n"
 
 
 def format_system(sys_spec):
-    lines = [f"dim {sys_spec.n}", "operator A {"]
-    lines.append(f"  from {sys_spec.a.source_dim} to {sys_spec.a.target_dim}")
-    lines.append("  rows:")
-    lines += ["  " + ln for ln in format_rows(sys_spec.a, letter="u")]
-    lines.append("}")
-    if sys_spec.c is not None:
-        lines.append("constraint C {")
-        lines.append(f"  from {sys_spec.c.source_dim} to {sys_spec.c.target_dim}")
-        lines.append("  rows:")
-        lines += ["  " + ln for ln in format_rows(sys_spec.c, letter="f")]
-        lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The system file: `dim`, then each block as `format_operator` writes it,
+    indented by two spaces."""
+    text = f"dim {sys_spec.n}\n"
+    for head, op, letter in (("operator A", sys_spec.a, "u"), ("constraint C", sys_spec.c, "f")):
+        if op is not None:
+            body = "".join("  " + line for line in format_operator(op, letter).splitlines(True))
+            text += f"{head} {{\n{body}}}\n"
+    return text

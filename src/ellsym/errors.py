@@ -37,6 +37,10 @@ class DuplicateBlockError(DslSyntaxError):
     """The same declaration appears twice in one file."""
 
 
+class OversizedInputError(EllsymError):
+    """An input whose counted size is over a fixed budget, refused before the work."""
+
+
 class NotHomogeneousError(EllsymError):
     """Operation requires an operator with a single common row degree."""
 

@@ -16,11 +16,11 @@ from functools import cached_property
 from itertools import accumulate
 
 from .conditions import is_elliptic, isotropic_moment_matrix
-from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError
+from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError, OversizedInputError
 from .poly import MatrixPolynomial, monomials_of_degree
 from .ratlinalg import nullspace, primitive, transpose
 
-MultiIndex = tuple
+MAX_COEFF_ENTRIES = 2**18  # entries of all the C_α of one `from_terms` operator; tests and benchmark need 22,990
 
 
 def _freeze_matrix(mat):
@@ -211,21 +211,25 @@ class OperatorSpec:
     @classmethod
     def from_terms(cls, space_dim, source_dim, target_dim, terms):
         """The operator whose entry (i, j) is Σ c·ξ^α over the (α, i, j, c) of
-        `terms`; C_α is built at the first term of each α, and terms add up."""
+        `terms`; C_α is built at the first term of each α, and terms add up. A C_α
+        that would take the entries over MAX_COEFF_ENTRIES is refused before it is built."""
         coeffs = {}
         for alpha, i, j, c in terms:
             mat = coeffs.get(alpha)
             if mat is None:
+                size = (len(coeffs) + 1) * target_dim * source_dim
+                if size > MAX_COEFF_ENTRIES:
+                    raise OversizedInputError(
+                        f"{len(coeffs) + 1} coefficient matrices of {target_dim} × {source_dim} have "
+                        f"{size} entries, over the budget of {MAX_COEFF_ENTRIES}")
                 mat = coeffs[alpha] = [[0] * source_dim for _ in range(target_dim)]
             mat[i][j] += c
         return cls(space_dim, source_dim, target_dim, coeffs)
 
     @classmethod
-    def from_symbol(cls, mp, space_dim=None):
+    def from_symbol(cls, mp):
         """Recover the coefficient map from a matrix polynomial."""
-        n = space_dim if space_dim is not None else mp.nvars
-        assert n == mp.nvars
-        return cls.from_terms(n, mp.cols, mp.rows, (
+        return cls.from_terms(mp.nvars, mp.cols, mp.rows, (
             (alpha, i, j, c) for i, row in enumerate(mp.entries) for j, p in enumerate(row)
             for alpha, c in p.terms.items()))
 
@@ -265,16 +269,19 @@ def annihilator(a):
     L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When G(ξ) is a scalar
     polynomial q(ξ) times the identity, the reduced form
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
-    and the minimal degree 2k; it is used whenever applicable.
+    and the minimal degree 2k; it is used whenever applicable. A square A has
+    A·adj(AᵀA)·Aᵀ = det(A)²·Id = det G·Id, so L ≡ 0 without any expansion.
     """
     a.require_elliptic()
+    if a.source_dim == a.target_dim:
+        return OperatorSpec(a.space_dim, a.target_dim, a.target_dim)
     s, g = a.symbol(), a.gram
     q = g.entries[0][0]
     if g == MatrixPolynomial.scalar_identity(q, g.rows):
         lb = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
     else:
         lb = MatrixPolynomial.scalar_identity(a.gram_det, a.target_dim) - s * a.pinv_numerator
-    return OperatorSpec.from_symbol(lb, a.space_dim)
+    return OperatorSpec.from_symbol(lb)
 
 
 def homogenize(c):

@@ -11,16 +11,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import OversizedInputError
+
+MAX_MONOMIAL_ENTRIES = 2**20  # exponents (tuples × nvars) of one monomial list; tests and benchmark need 9,100
+
 
 def monomials_of_degree(nvars, degree):
-    """All exponent tuples of the given total degree, descending lex order."""
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            out.append((first,) + rest)
-    return out
+    """All exponent tuples of the given total degree, descending lex order. Their
+    number is counted first: over MAX_MONOMIAL_ENTRIES exponents, none is built."""
+    count = math.comb(degree + nvars - 1, nvars - 1)
+    if count * nvars > MAX_MONOMIAL_ENTRIES:
+        raise OversizedInputError(
+            f"the {count} monomials of degree {degree} in {nvars} variables have "
+            f"{count * nvars} exponents, over the budget of {MAX_MONOMIAL_ENTRIES}")
+    heads = [((), degree)]  # leading exponents, and the degree left for the rest
+    for _ in range(nvars - 1):
+        heads = [(head + (first,), rest - first) for head, rest in heads for first in range(rest, -1, -1)]
+    return [head + (rest,) for head, rest in heads]
 
 
 def multinomial(degree, alpha):
@@ -81,16 +88,10 @@ class Polynomial:
             return None
         return max(sum(a) for a in self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self):
         return Polynomial._wrap(self.nvars, {a: -c for a, c in self.terms.items()})
@@ -183,7 +184,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for alpha, c in self.sorted_terms():
+        for alpha, c in sorted(self.terms.items(), reverse=True):
             mono = " ".join(
                 f"x{i + 1}" + (f"^{a}" if a > 1 else "")
                 for i, a in enumerate(alpha)
@@ -243,9 +244,6 @@ class MatrixPolynomial:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.entries))
-
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return MatrixPolynomial(
@@ -265,10 +263,6 @@ class MatrixPolynomial:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return MatrixPolynomial(
-                [[p * other for p in row] for row in self.entries]
-            )
         assert isinstance(other, MatrixPolynomial) and self.cols == other.rows
         out = []
         for i in range(self.rows):
@@ -283,14 +277,6 @@ class MatrixPolynomial:
                 row.append(acc)
             out.append(row)
         return MatrixPolynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self * other
-        return NotImplemented
-
-    def __neg__(self):
-        return MatrixPolynomial([[-p for p in row] for row in self.entries])
 
     def transpose(self):
         return MatrixPolynomial(

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Vec = tuple
+from .errors import OversizedInputError
+
+MAX_KERNEL_ENTRIES = 2**16  # entries of one `nullspace` basis; tests and benchmark need 462
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,10 +37,6 @@ def primitive(v):
 
 def identity(m):
     return [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
-
-
-def zeros(r, c):
-    return [[_ZERO] * c for _ in range(r)]
 
 
 def transpose(a):
@@ -109,15 +107,18 @@ def rref(a):
 
 def nullspace(a, ncols=None):
     """Canonical basis (RREF rows) of {x : a x = 0}. `ncols` needed when a is empty.
-    Where every column has a pivot this is [] with no back-substitution."""
+    Where every column has a pivot this is [] with no back-substitution. A basis of
+    over MAX_KERNEL_ENTRIES entries is refused once the rank is known, before it is built."""
     if not a:
         if ncols is None:
             raise ValueError("ncols required for empty matrix")
+        _check_kernel(ncols, ncols)
         return [tuple(row) for row in identity(ncols)]
     ncols = len(a[0])
     m, pivots = _echelon(a)
     if len(pivots) == ncols:
         return []
+    _check_kernel(ncols - len(pivots), ncols)
     d = _reduce(m, pivots)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -127,6 +128,13 @@ def nullspace(a, ncols=None):
             v[p] = -m[i][f]
         basis.append(v)
     return [tuple(row) for row in rref(basis)[0]]
+
+
+def _check_kernel(dim, ncols):
+    if dim * ncols > MAX_KERNEL_ENTRIES:
+        raise OversizedInputError(
+            f"a kernel of dimension {dim} in {ncols} unknowns has {dim * ncols} entries, "
+            f"over the budget of {MAX_KERNEL_ENTRIES}")
 
 
 def solve(a, b):
@@ -158,7 +166,7 @@ def projection_onto_rowspace(b):
     basis = canon[:len(pivots)]
     if not basis:
         dim = len(b[0]) if b else 0
-        return zeros(dim, dim)
+        return [[_ZERO] * dim for _ in range(dim)]
     bt = transpose(basis)
     gram = mat_mul(basis, bt)
     return mat_mul(mat_mul(bt, inverse(gram)), basis)
@@ -182,7 +190,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.from_vectors(ambient_dim, identity(ambient_dim))
+        return cls(ambient_dim, tuple(nullspace([], ambient_dim)))
 
     @property
     def dim(self):

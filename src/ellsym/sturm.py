@@ -27,14 +27,6 @@ def degree(p):
     return len(p) - 1 if p else -1
 
 
-def evaluate(p, x):
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(trim(p)):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(p):
     return trim([c * i for i, c in enumerate(p)][1:])
 
@@ -102,10 +94,11 @@ def variations_at_inf(chain, positive):
 
 
 def root_bound(p):
-    """Cauchy bound: all real roots lie strictly inside (-B, B)."""
+    """Cauchy bound: all real roots lie strictly inside (-B, B), a Fraction; the
+    same for every positive multiple of p."""
     p = trim(p)
     lead = abs(p[-1])
-    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
+    return 1 + max((Fraction(abs(c), lead) for c in p[:-1]), default=Fraction(0))
 
 
 def isolate_a_root(p):
@@ -113,19 +106,19 @@ def isolate_a_root(p):
 
     Returns None when p has no real root, ('exact', r) when a rational root is
     pinned down, otherwise ('interval', lo, hi) with hi - lo <= INTERVAL_WIDTH
-    containing a root.
+    containing a root. p is read only to build the chain; chain[0] is a positive
+    multiple of p, so it has p's root bound and p's sign.
     """
-    p = trim(p)
     chain = sturm_chain(p)
     if variations_at_inf(chain, False) == variations_at_inf(chain, True):
         return None
-    bound = root_bound(p)
+    bound = root_bound(chain[0])
     lo, hi = -bound, bound
     v_lo = _variations(_signs_at(chain, lo))
     while hi - lo > INTERVAL_WIDTH:
         mid = (lo + hi) / 2
         signs = _signs_at(chain, mid)
-        if not signs[0]:  # chain[0] is a positive multiple of p
+        if not signs[0]:
             return ("exact", mid)
         v_mid = _variations(signs)
         if v_lo - v_mid > 0:
@@ -135,7 +128,7 @@ def isolate_a_root(p):
     # try small-denominator rationals inside the bracket; lo and hi are no
     # roots: ±bound lies outside them all, and every mid was tested
     for cand in _rational_candidates((lo + hi) / 2):
-        if lo <= cand <= hi and evaluate(p, cand) == 0:
+        if lo <= cand <= hi and not _signs_at(chain[:1], cand)[0]:
             return ("exact", cand)
     return ("interval", lo, hi)
 

@@ -259,6 +259,50 @@ def reference_sturm_chain(p):
     return chain
 
 
+def evaluate(p, x):
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(sturm.trim(p)):
+        acc = acc * x + c
+    return acc
+
+
+def reference_root_bound(p):
+    """Cauchy bound: all real roots lie strictly inside (-B, B)."""
+    p = sturm.trim(p)
+    lead = abs(p[-1])
+    return 1 + max((abs(c) / lead for c in p[:-1]), default=Fraction(0))
+
+
+def reference_isolate_a_root(p):
+    """`sturm.isolate_a_root` as it read the rational p (Fraction entries) beside
+    its chain: the root bound from p's coefficients, the last zero test by
+    evaluating p."""
+    p = sturm.trim(p)
+    chain = sturm.sturm_chain(p)
+    if sturm.variations_at_inf(chain, False) == sturm.variations_at_inf(chain, True):
+        return None
+    bound = reference_root_bound(p)
+    lo, hi = -bound, bound
+    v_lo = sturm._variations(sturm._signs_at(chain, lo))
+    while hi - lo > sturm.INTERVAL_WIDTH:
+        mid = (lo + hi) / 2
+        signs = sturm._signs_at(chain, mid)
+        if not signs[0]:  # chain[0] is a positive multiple of p
+            return ("exact", mid)
+        v_mid = sturm._variations(signs)
+        if v_lo - v_mid > 0:
+            hi = mid
+        else:
+            lo, v_lo = mid, v_mid
+    # try small-denominator rationals inside the bracket; lo and hi are no
+    # roots: ±bound lies outside them all, and every mid was tested
+    for cand in sturm._rational_candidates((lo + hi) / 2):
+        if lo <= cand <= hi and evaluate(p, cand) == 0:
+            return ("exact", cand)
+    return ("interval", lo, hi)
+
+
 # -- sampled oracles -------------------------------------------------------------
 
 

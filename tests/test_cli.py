@@ -298,6 +298,57 @@ def test_huge_level_is_refused_by_the_budget_within_seconds():
                           "over the budget of 2097152\n")
 
 
+# (command, system text, the budget named by the error); each input hung, ran out of
+# memory or ended in a RecursionError before its size was counted
+OVERSIZED = {
+    "order 0 on R^1100": ("check", "dim 1100\noperator A {\n  from 1 to 1\n  rows: 3 u1\n}\n", "64"),
+    "order 1 on R^2000": ("check", "dim 2000\noperator A {\n  from 1 to 1\n  rows: d1 u1\n}\n", "64"),
+    "order 1 on R^500": ("check", "dim 500\noperator A {\n  from 1 to 1\n  rows: d1 u1\n}\n", "64"),
+    "order 2000 on R^3": ("check", "dim 3\noperator A {\n  from 1 to 1\n  rows: d1^2000 u1\n}\n", "1048576"),
+    "order 100000 on R^3": ("check", "dim 3\noperator A {\n  from 1 to 1\n  rows: d1^100000 u1\n}\n", "1048576"),
+    "homogenize degree 60": (
+        "homogenize",
+        "dim 3\noperator A {\n  from 3 to 1\n  rows: d1 u1 + d2 u2 + d3 u3\n}\n"
+        "constraint C {\n  from 1 to 2\n  rows: d1^60 f1; f1\n}\n",
+        "262144",
+    ),
+    "kernel of dimension 1999": ("check", "dim 2\noperator A {\n  from 2000 to 1\n  rows: d1 u1\n}\n", "65536"),
+    "a row of 10^9 entries": ("check", "dim 2\noperator A {\n  from 999999999 to 1\n  rows: d1 u1\n}\n", "262144"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(OVERSIZED))
+def test_oversized_input_is_refused_by_a_budget_within_seconds(tmp_path, label):
+    import resource
+    import subprocess
+    import sys
+
+    def cap():  # 2 GB of address space: an input that allocates first fails here
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    command, text, budget = OVERSIZED[label]
+    path = tmp_path / "big.sys"
+    path.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom ellsym.cli import main\nsys.exit(main(sys.argv[1:]))",
+         command, str(path)],
+        capture_output=True, text=True, timeout=5, preexec_fn=cap,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert out.stderr.endswith(f"over the budget of {budget}\n")
+
+
+def test_seed_is_an_option_of_witness_alone(capsys):
+    code, out, err = run(capsys, "check", "systems/gradient_r2.sys", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unrecognized arguments: --seed 1\n"
+    code, out, _ = run(capsys, "check", "systems/gradient_r2.sys", "--json")
+    assert json.loads(out)["seed"] == 0
+
+
 @pytest.mark.parametrize(
     "options, flag",
     [

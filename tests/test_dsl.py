@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsym.dsl import format_operator, format_system, parse_operator, parse_system
+from ellsym.dsl import MAX_SPACE_DIM, format_operator, format_system, parse_operator, parse_system
 from ellsym.errors import (
     DimensionMismatchError,
     DslSyntaxError,
@@ -79,6 +79,21 @@ def test_scalar_only_row_rejected():
 def test_nonlinear_component_product_rejected():
     with pytest.raises(DslSyntaxError):
         parse_operator("rows: f1 f2", 2)
+
+
+def test_groups_may_hold_components_linearly():
+    assert parse_operator("rows: d1 (d1 u1 + d2 u2)", 2) == parse_operator("rows: d1^2 u1 + d1 d2 u2", 2)
+    assert parse_operator("rows: (d1 u1)^1", 2) == parse_operator("rows: d1 u1", 2)
+    with pytest.raises(DslSyntaxError, match="cannot raise a component expression to a power"):
+        parse_operator("rows: (d1 u1)^2", 2)
+    with pytest.raises(DslSyntaxError, match="nonlinear in the components"):
+        parse_operator("rows: (d1 u1 + u2)(d2 u1)", 2)
+
+
+def test_dimension_over_the_budget_is_refused():
+    assert parse_operator("rows: u1", MAX_SPACE_DIM).space_dim == MAX_SPACE_DIM
+    with pytest.raises(DslSyntaxError, match=f"dimension {MAX_SPACE_DIM + 1} is over the budget"):
+        parse_operator("rows: u1", MAX_SPACE_DIM + 1)
 
 
 def test_group_powers():

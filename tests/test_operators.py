@@ -13,12 +13,15 @@ from ellsym.quadrature import SYMBOL_BLOCK, float_symbol
 from ellsym.ratlinalg import mat_vec, nullspace
 from genops import (
     add,
+    compose_left,
+    compose_right,
     div_curl_operator,
     divergence_operator,
     gradient_operator,
     laplacian_operator,
     laplacian_power,
     random_elliptic_operator,
+    random_invertible_matrix,
     random_operator,
     rank,
 )
@@ -199,6 +202,28 @@ def test_annihilator_scalar_gram_builds_no_det(monkeypatch):
     monkeypatch.setattr(MatrixPolynomial, "det", no_det)
     ann = annihilator(div_curl_operator())  # G = |ξ|²·Id
     assert ann.order == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_square_annihilator_is_zero(monkeypatch, seed):
+    # A = B₁·(d1² + 2 d2² + …)·B₂ with random invertible B: not isotropic, and
+    # det G·Id − A·adj G·Aᵀ ≡ 0, the identity that lets the square case skip it
+    rng = random.Random(seed)
+    n, m = 2 + seed % 2, 1 + seed % 3
+    scalar = parse_operator("rows: " + " + ".join(f"{i} d{i}^2 u1" for i in range(1, n + 1)), n)
+    base = OperatorSpec.from_symbol(MatrixPolynomial.scalar_identity(scalar.symbol().entries[0][0], m))
+    a = compose_left(compose_right(base, random_invertible_matrix(rng, m)), random_invertible_matrix(rng, m))
+    lb = MatrixPolynomial.scalar_identity(a.gram_det, m) - a.symbol() * a.pinv_numerator
+    assert lb.is_zero()
+
+    def no_adjugate(self):  # det G itself may be built: n = 2 decides ellipticity on it
+        raise AssertionError("adj G expanded for a square operator")
+
+    monkeypatch.setattr(MatrixPolynomial, "adjugate", no_adjugate)
+    a = OperatorSpec(a.space_dim, a.source_dim, a.target_dim, a.coeffs)  # nothing cached
+    ann = annihilator(a)
+    assert not ann.coeffs
+    assert (ann.space_dim, ann.source_dim, ann.target_dim) == (n, m, m)
 
 
 def test_annihilator_guard_payload_is_kernel_of_gram():

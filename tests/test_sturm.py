@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsym import sturm
-from genops import reference_sturm_chain
+from genops import evaluate, reference_isolate_a_root, reference_sturm_chain
 
 F = Fraction
 
@@ -49,7 +49,7 @@ def test_isolate_irrational_root_interval():
     assert hit[0] == "interval"
     lo, hi = hit[1], hit[2]
     assert hi - lo <= F(1, 10**13)
-    assert sturm.evaluate(p, lo) * sturm.evaluate(p, hi) < 0
+    assert evaluate(p, lo) * evaluate(p, hi) < 0
 
 
 def test_root_bound():
@@ -61,7 +61,7 @@ def test_root_bound():
 
 def test_evaluate_and_pseudo_remainder():
     p = poly(1, 2, 1)  # (1+t)^2
-    assert sturm.evaluate(p, F(-1)) == 0
+    assert evaluate(p, F(-1)) == 0
     r = sturm.pseudo_remainder([0, 0, 0, 1], [0, 1])  # t^3 mod t
     assert sturm.trim(r) == []
 
@@ -108,3 +108,18 @@ def test_int_chain_matches_rational_chain(ints, scale):
     hit = sturm.isolate_a_root(p)
     with mock.patch.object(sturm, "sturm_chain", reference_sturm_chain):
         assert sturm.isolate_a_root(p) == hit
+
+
+# det G >= 0 has only multiple roots: squares; rational roots: products with linear
+# factors; non-integer coefficients: rational lists, their squares and the scale
+rationals = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=1, max_size=6)
+rationals = rationals.filter(lambda p: p[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polynomials, rationals, rationals.map(lambda p: _multiply(p, p))),
+       st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool))
+def test_isolate_a_root_matches_the_rational_p_version(coeffs, scale):
+    p = [scale * c for c in coeffs]
+    assert sturm.isolate_a_root(p) == reference_isolate_a_root(p)
+    assert sturm.isolate_a_root([c * 3**40 for c in p]) == reference_isolate_a_root(p)

@@ -31,8 +31,10 @@ run the same list of operations:
   matrix for each rung of the seed-1 and seed-2 `perfbench` ladders;
 - `is_elliptic(...).to_json()` for the inline operators of ELLIPTIC_CASES,
   which reach the branches no system file reaches: det G ≡ 0 for n = 1 and
-  n = 2, irrational zeros for n = 2 (numeric kernel vectors), three R^2
-  operators of order 10 whose long Sturm chains reach both verdicts (an
+  n = 2, irrational zeros for n = 2 (numeric kernel vectors; one of a det G
+  with non-integer coefficients, whose bisection interval the int chain
+  must reproduce), three R^2 operators of order 10 whose long Sturm chains
+  reach both verdicts (an
   elliptic one from 3 to 4 with det G of degree 60; from 2 to 3, one with
   the exact zero ξ = (3, 2) off every axis/sign candidate and one with the
   irrational zeros ξ2/ξ1 = ±1/√2, whose bisection runs to the end), an
@@ -46,7 +48,9 @@ run the same list of operations:
   inline operators of GUARD_CASES, or the class and message of the error
   each raises: three operators that `check` proves not elliptic away from
   the axes (an exact zero at (2, 1) on R², an irrational zero on R², an
-  exact zero at (1, 1, 0) on R³), and one with mixed row orders;
+  exact zero at (1, 1, 0) on R³), one with mixed row orders, and a square,
+  non-isotropic elliptic operator from 3 to 3 on R², whose annihilator is the
+  zero operator without any symbolic expansion;
 - `run_full_check(...).to_json()` for the inline systems of CHECK_CASES,
   which reach the branches of I_A that no system file reaches: a non-scalar
   Gram matrix with 0 < dim I_A < dim E, a square non-scalar Gram matrix
@@ -62,7 +66,10 @@ run the same list of operations:
   and a non-isotropic n = 2 system from 2 to 3 (rows `d1^2 u1 + 2 d2^2 u1;
   d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2`, constraint `d1 f3`), whose weak
   verdict reads the quadrature M on a proper I_A = span{(1,1,0), (0,0,1)}
-  and whose CWC verdict reads it on span{(1,1,0)}.
+  and whose CWC verdict reads it on span{(1,1,0)};
+- `format_system` of every file in `systems/` and of every system of
+  CHECK_CASES, which pins the one block writer of the operator and the
+  constraint.
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -170,6 +177,7 @@ ELLIPTIC_CASES = (
     ("n2 irrational scalar", 2, "rows: d1^2 u1 - 2 d2^2 u1"),
     ("n2 irrational 2x2 a", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; d2 u1 + 2 d1 u2"),
     ("n2 irrational 2x2 b", 2, "from 2 to 2\nrows: d1 u1 + d2 u2; 3 d2 u1 + 2 d1 u2"),
+    ("n2 irrational zero, non-integer det G", 2, "rows: 1/2 d1^2 u1 - 1/3 d2^2 u1"),
     (
         "n2 elliptic, det G of degree 60",
         2,
@@ -203,6 +211,11 @@ GUARD_CASES = (
     ("n2 irrational zero", 2, "rows: d1^2 u1 - 2 d2^2 u1"),
     ("n3 cone times laplacian", 3, "rows: ((d1 - d2)^2 + d3^2)(d1^2 + d2^2 + d3^2) u1"),
     ("mixed orders", 2, "from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1"),
+    (
+        "n2 square anisotropic elliptic",
+        2,
+        "from 3 to 3\nrows: d1^2 u1 + 2 d2^2 u1 + d1 d2 u2; d1^2 u2 + d2^2 u2 + d1 d2 u3; d1^2 u3 + 3 d2^2 u3",
+    ),
 )
 
 # div-curl on R^3 after the source change u = M w, M = [[1,1,0],[0,1,0],[0,0,2]]:
@@ -286,6 +299,14 @@ for label, n, text in cases:
 print(json.dumps(out, sort_keys=True))
 """ % (GUARD_CASES,)
 
+FORMAT_SCRIPT = """
+import json
+from ellsym import format_system, parse_system
+
+cases = %r + [(name, open(f"systems/{name}.sys").read()) for name in %r]
+print(json.dumps({label: format_system(parse_system(text)).splitlines() for label, text in cases}, sort_keys=True))
+""" % (list(CHECK_CASES), SYSTEMS)
+
 
 def operations(inline_dir):
     """(label, argv after the interpreter) for every operation; the files of
@@ -311,6 +332,7 @@ def operations(inline_dir):
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
     ops.append(("moment_map and annihilator guard", ["-c", GUARD_SCRIPT]))
     ops.append(("run_full_check inline systems", ["-c", CHECK_SCRIPT]))
+    ops.append(("format_system of the systems", ["-c", FORMAT_SCRIPT]))
     return ops
 
 
