@@ -193,6 +193,13 @@ class OperatorSpec:
             {alpha: transpose(m) for alpha, m in self.coeffs.items()}).isotropic
 
     @cached_property
+    def float_symbol(self):
+        """`quadrature.float_symbol` of this operator, compiled on first use."""
+        from .quadrature import float_symbol  # the numeric layer (numpy)
+
+        return float_symbol(self)
+
+    @cached_property
     def ellipticity(self):
         """The `is_elliptic` verdict, the one that `check` reports."""
         return is_elliptic(self)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conditions import WEAK_ZERO_TOL, EllipticityVerdict, _require_moments
-from .errors import InvalidArgumentError, NearSingularSymbolError, QuadratureNotConvergedError
+from .errors import InvalidArgumentError, NearSingularSymbolError, OversizedInputError, QuadratureNotConvergedError
 from .poly import monomials_of_degree, multinomial
 from .ratlinalg import primitive
 
@@ -29,34 +29,53 @@ SYMBOL_BLOCK = 4096  # points per monomial table in float_symbol; bounds the tem
 ELLIPTIC_MIN_THRESHOLD = 1e-9  # normalized sphere minimum of det G
 
 
-def monomial_table(points, exps):
-    """ξ^α for each row ξ of `points` (real or complex) and row α of `exps`: the powers
-    x_i^0 … x_i^max by repeated multiplication (x^e errs by ≤ (e − 1)·u, Higham 2002,
-    §3.1), the columns x_i^(α_i) multiplied in coordinate order."""
-    dtype = np.result_type(points, float)
-    table = np.ones((len(points), len(exps)), dtype=dtype)
-    for i in range(exps.shape[1]):
-        powers = np.ones((len(points), int(exps[:, i].max(initial=0)) + 1), dtype=dtype)
-        for e in range(1, powers.shape[1]):
-            np.multiply(powers[:, e - 1], points[:, i], out=powers[:, e])
-        table *= powers[:, exps[:, i]]
+def compile_monomials(exps):
+    """points ↦ ξ^α for each row ξ of `points` (real or complex) and row α of `exps`, with
+    each coordinate's top exponent and gather column found once: per coordinate, the powers
+    x_i^0 … x_i^top by repeated multiplication (x^e errs by ≤ (e − 1)·u, Higham 2002, §3.1)
+    down the columns of one buffer, then the gathered x_i^(α_i) multiplied into the table,
+    in coordinate order from 1. numpy may fuse a complex product by its operands' memory
+    layout; this one keeps the bits of the per-coordinate loop it replaced."""
+    tops = exps.max(axis=0, initial=0).tolist()
+    width = max(tops, default=0) + 1
+    columns = list(exps.T)
+
+    def table(points):
+        powers = np.ones((len(points), width), dtype=np.result_type(points, float))
+        out = np.ones((len(points), len(exps)), dtype=powers.dtype)
+        for i, (top, column) in enumerate(zip(tops, columns)):
+            for e in range(1, top + 1):  # columns past top hold an earlier coordinate's, never gathered
+                np.multiply(powers[:, e - 1], points[:, i], out=powers[:, e])
+            out *= powers[:, column]
+        return out
+
     return table
 
 
+def monomial_table(points, exps):
+    """`compile_monomials(exps)` at `points`, compiled for this one call."""
+    return compile_monomials(exps)(points)
+
+
 def float_symbol(a):
-    """points ↦ A(ξ) at each row of `points` (real or complex), shape (len(points),
-    target, source): the `monomial_table` of the ξ^α times the coefficient matrices
-    C_α, stacked once here, SYMBOL_BLOCK points at a time."""
+    """points ↦ A(ξ) at each row of `points` (real or complex), shape (len(points), target,
+    source): the compiled monomial table times the coefficient matrices C_α, stacked once,
+    SYMBOL_BLOCK points at a time; BLAS may sum in another order for another block size, so
+    a row's last bits depend on its batch. A C_α entry beyond the float range is oversized."""
     alphas = sorted(a.coeffs, reverse=True)
-    exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), a.space_dim)
-    stack = np.array([a.coeffs[x] for x in alphas], dtype=float)
+    table = compile_monomials(np.array(alphas, dtype=np.int64).reshape(len(alphas), a.space_dim))
+    try:
+        stack = np.array([a.coeffs[x] for x in alphas], dtype=float)
+    except OverflowError:
+        raise OversizedInputError("a coefficient of the operator is over the float range, "
+                                  f"the budget of {np.finfo(float).max:g}") from None
     stack = stack.reshape(len(alphas), a.target_dim * a.source_dim)
 
     def values(points):
         out = np.empty((len(points), stack.shape[1]), dtype=np.result_type(points, float))
         for s in range(0, len(points), SYMBOL_BLOCK):
             block = slice(s, s + SYMBOL_BLOCK)
-            np.matmul(monomial_table(points[block], exps), stack, out=out[block])
+            np.matmul(table(points[block]), stack, out=out[block])
         return out.reshape(len(points), a.target_dim, a.source_dim)
 
     return values
@@ -76,10 +95,10 @@ def finest_level(n, nodes):
     return next(level for level in itertools.count() if rule_size(n, level + 1) > nodes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule:
-    """One node of each antithetic pair ±ξ on S^{n-1}, with the weight of each
-    of the two; the rule covers count = 2·len(nodes) sphere nodes."""
+    """One node of each antithetic pair ±ξ on S^{n-1}, with the weight of each of
+    the two, in read-only arrays; the rule covers count = 2·len(nodes) sphere nodes."""
 
     n: int
     level: int
@@ -91,13 +110,16 @@ class QuadratureRule:
         return 2 * len(self.weights)
 
 
+_RULES = {}  # (n, level) -> a rule of at most SAMPLE_NODES sphere nodes, built once per process
+
+
 def build_rule(n, level):
     """Antithetic rule at a refinement level, one node per ± pair: for n=2,
     2^level equispaced angles (spectral accuracy for smooth integrands); for
     n>=3, the Gauss product rule of `_sphere` with m = 2^level, exact to degree
     2m - 1 (Stroud, Approximate Calculation of Multiple Integrals, 1971). A
     rule over MAX_RULE_NODES sphere nodes is refused by its exponent, before
-    its node count or any array is built."""
+    its node count or any array is built; one within SAMPLE_NODES is kept."""
     if n < 2:
         raise InvalidArgumentError("sphere rules need n >= 2")
     min_level = 2 if n == 2 else 1  # the circle rule needs at least 4 nodes
@@ -111,9 +133,16 @@ def build_rule(n, level):
             f"quadrature level {level} on S^{n - 1} needs 2^{e} nodes, over the "
             f"budget of {MAX_RULE_NODES}"
         )
+    if (n, level) in _RULES:
+        return _RULES[n, level]
     nodes, weights = _sphere(n, 2 ** (level - (n == 2)), half=True)
     # renormalize away the last-digit drift so each node is unit to 1e-14
-    return QuadratureRule(n, level, nodes / np.linalg.norm(nodes, axis=1, keepdims=True), weights)
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    nodes.flags.writeable = weights.flags.writeable = False
+    rule = QuadratureRule(n, level, nodes, weights)
+    if rule.count <= SAMPLE_NODES:
+        _RULES[n, level] = rule
+    return rule
 
 
 def sample_nodes(n):
@@ -132,7 +161,7 @@ def sample_nodes(n):
 
 def numeric_kernel(a, xi_float):
     """The last right singular vector of A(ξ), rounded to denominators of at most 10⁶."""
-    _, _, vt = np.linalg.svd(float_symbol(a)(np.array([xi_float]))[0])
+    _, _, vt = np.linalg.svd(a.float_symbol(np.array([xi_float]))[0])
     return tuple(Fraction(float(x)).limit_denominator(10**6) for x in vt[-1])
 
 
@@ -142,10 +171,9 @@ def sampled_ellipticity(a):
     representatives. det G is even, so the mirrored nodes add nothing: the
     five are the ten lowest sphere nodes less their mirrors."""
     n = a.space_dim
-    symbol = float_symbol(a)
 
     def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
-        sym = symbol(points)
+        sym = a.float_symbol(points)
         return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     nodes = sample_nodes(n)
@@ -164,12 +192,13 @@ def sampled_ellipticity(a):
             break
         # every start polls its 2n points x ± h·e_i, pulled back onto the sphere
         trial = x[:, None, :] + h[:, None, None] * steps
-        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        trial /= np.sqrt(np.add.reduce(trial * trial, axis=2, keepdims=True))  # np.linalg.norm's arithmetic
         tv = det_g(trial.reshape(-1, n)).reshape(len(x), 2 * n) / scale
         pick = tv.argmin(axis=1)
-        moved = live & (tv[rows, pick] < f)
-        x[moved], f[moved] = trial[rows, pick][moved], tv[rows, pick][moved]
-        h[~moved] /= 2
+        low = tv[rows, pick]
+        moved = live & (low < f)
+        x, f = np.where(moved[:, None], trial[rows, pick], x), np.where(moved, low, f)
+        h = np.where(moved, h, h / 2)
     best, best_x = float(f.min()), x[int(np.argmin(f))]
     # try to certify an exact zero near the minimizer
     if best <= ELLIPTIC_MIN_THRESHOLD:
@@ -235,7 +264,7 @@ def _pseudoinverse_at(a, nodes):
     A(-ξ) = (-1)^k A(ξ), so the values at -ξ need no evaluation. The
     near-singular test compares det G(ξ) with its largest value over the nodes.
     """
-    sym = float_symbol(a)(nodes)
+    sym = a.float_symbol(nodes)
     sym_t = sym.transpose(0, 2, 1)
     gram = sym_t @ sym
     det = np.abs(np.linalg.det(gram))

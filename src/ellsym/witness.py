@@ -25,7 +25,6 @@ import numpy as np
 from .conditions import kernel_intersection
 from .errors import EpsilonTooSmallError, InvalidArgumentError
 from .poly import monomials_of_degree, multinomial
-from .quadrature import float_symbol
 
 # fixed thresholds of every experiment, echoed in its config; not settings
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -83,7 +82,7 @@ class Grid:
 def symbol_on_modes(op, k):
     """Real A(k) = Σ C_α k^α at the frequencies k of a Spectrum, shape k2 + (target, source)."""
     points = np.stack(np.broadcast_arrays(*k), axis=-1)
-    values = float_symbol(op)(points.reshape(-1, len(k)))
+    values = op.float_symbol(points.reshape(-1, len(k)))
     return values.reshape(points.shape[:-1] + (op.target_dim, op.source_dim))
 
 
@@ -132,7 +131,7 @@ def constrain_field(fhat, c_op, k):
     flat = fhat.reshape(-1, c_op.source_dim)
     parts = np.stack([flat.real, flat.imag], axis=-1)
     if c_op.rows_isotropic:
-        c1 = float_symbol(c_op)(np.eye(1, len(k)))[0]
+        c1 = c_op.float_symbol(np.eye(1, len(k)))[0]
         corr = sym.transpose(0, 2, 1) @ (np.linalg.pinv(c1 @ c1.T) @ (sym @ parts))
         parts -= corr / (np.maximum(sum(kd**2 for kd in k), 1.0) ** c_op.order).reshape(-1, 1, 1)
     else:
@@ -170,7 +169,7 @@ def solve_modes(a_op, fhat, grid):
 
     sym = symbol_on_modes(a_op, spec.k).reshape(-1, t, s)
     sym_t = sym.transpose(0, 2, 1)
-    a1 = float_symbol(a_op)(np.eye(1, grid.n)) if a_op.isotropic else sym
+    a1 = a_op.float_symbol(np.eye(1, grid.n)) if a_op.isotropic else sym
     gram = a1.transpose(0, 2, 1) @ a1
     singular = np.abs(np.linalg.det(gram)) <= 1e-12 * np.einsum("mii->mi", gram).prod(axis=-1)
     gram[singular] = np.eye(s)

@@ -303,6 +303,95 @@ def reference_isolate_a_root(p):
     return ("interval", lo, hi)
 
 
+def reference_monomial_table(points, exps):
+    """The per-coordinate loop the compiled table replaced: the powers x_i^0 … x_i^max
+    of each coordinate by repeated multiplication, the columns x_i^(α_i) multiplied in
+    coordinate order."""
+    dtype = np.result_type(points, float)
+    table = np.ones((len(points), len(exps)), dtype=dtype)
+    for i in range(exps.shape[1]):
+        powers = np.ones((len(points), int(exps[:, i].max(initial=0)) + 1), dtype=dtype)
+        for e in range(1, powers.shape[1]):
+            np.multiply(powers[:, e - 1], points[:, i], out=powers[:, e])
+        table *= powers[:, exps[:, i]]
+    return table
+
+
+def reference_float_symbol(a):
+    """points ↦ A(ξ) as `quadrature.float_symbol` computed it before its table was
+    compiled: `reference_monomial_table` times the stacked C_α, SYMBOL_BLOCK points at a time."""
+    from ellsym.quadrature import SYMBOL_BLOCK
+
+    alphas = sorted(a.coeffs, reverse=True)
+    exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), a.space_dim)
+    stack = np.array([a.coeffs[x] for x in alphas], dtype=float)
+    stack = stack.reshape(len(alphas), a.target_dim * a.source_dim)
+
+    def values(points):
+        out = np.empty((len(points), stack.shape[1]), dtype=np.result_type(points, float))
+        for s in range(0, len(points), SYMBOL_BLOCK):
+            block = slice(s, s + SYMBOL_BLOCK)
+            np.matmul(reference_monomial_table(points[block], exps), stack, out=out[block])
+        return out.reshape(len(points), a.target_dim, a.source_dim)
+
+    return values
+
+
+def reference_sampled_ellipticity(a):
+    """`quadrature.sampled_ellipticity` before its round was trimmed, on
+    `reference_float_symbol`: the same verdict, minimum and witness, bit for bit."""
+    from ellsym.conditions import EllipticityVerdict
+    from ellsym.quadrature import ELLIPTIC_MIN_THRESHOLD, sample_nodes
+    from ellsym.ratlinalg import primitive
+
+    n = a.space_dim
+    symbol = reference_float_symbol(a)
+
+    def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
+        sym = symbol(points)
+        return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
+
+    nodes = sample_nodes(n)
+    vals = det_g(nodes)
+    scale = float(np.abs(vals).max())
+    if scale == 0.0:
+        return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")
+    starts = np.argsort(vals)[:5]
+    x, f = nodes[starts], vals[starts] / scale
+    h = np.full(len(x), 0.05)  # about the node spacing
+    steps = np.concatenate([np.eye(n), -np.eye(n)])
+    rows = np.arange(len(x))
+    for _ in range(400):
+        live = h >= 1e-12  # a start whose step fell below this has stopped
+        if not live.any():
+            break
+        # every start polls its 2n points x ± h·e_i, pulled back onto the sphere
+        trial = x[:, None, :] + h[:, None, None] * steps
+        trial /= np.linalg.norm(trial, axis=2, keepdims=True)
+        tv = det_g(trial.reshape(-1, n)).reshape(len(x), 2 * n) / scale
+        pick = tv.argmin(axis=1)
+        moved = live & (tv[rows, pick] < f)
+        x[moved], f[moved] = trial[rows, pick][moved], tv[rows, pick][moved]
+        h[~moved] /= 2
+    best, best_x = float(f.min()), x[int(np.argmin(f))]
+    # try to certify an exact zero near the minimizer
+    if best <= ELLIPTIC_MIN_THRESHOLD:
+        for den in (1, 2, 3, 4, 6, 8, 12, 100, 10**4, 10**6):
+            cand = tuple(Fraction(float(x)).limit_denominator(den) for x in best_x)
+            # ±ξ and every multiple of ξ share ker A: report the primitive point
+            if any(cand) and (kern := a.kernel_at(cand)) is not None:
+                return EllipticityVerdict(
+                    "no", witness_xi=primitive(cand), kernel_vector=kern, witness_exact=True
+                )
+        return EllipticityVerdict(
+            "inconclusive",
+            min_normalized=best,
+            note="normalized sphere minimum of det G below threshold but no "
+            "exact rational zero certified",
+        )
+    return EllipticityVerdict("numerically_positive", min_normalized=best)
+
+
 # -- sampled oracles -------------------------------------------------------------
 
 
@@ -334,6 +423,18 @@ def sampled_kernel_dimension(c, points):
 
 
 # -- test-only helpers ----------------------------------------------------------------
+
+
+def ladder_systems(seed):
+    """The parsed systems of the benchmark's seeded operator ladder (perfbench/ladder.py)."""
+    import importlib.util
+
+    from ellsym.dsl import parse_system
+
+    spec = importlib.util.spec_from_file_location("ladder", ROOT / "perfbench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return [parse_system(rung.text) for rung in ladder.build_ladder(seed)]
 
 
 def read_repo_file(path):

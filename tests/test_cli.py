@@ -340,6 +340,25 @@ def test_oversized_input_is_refused_by_a_budget_within_seconds(tmp_path, label):
     assert out.stderr.endswith(f"over the budget of {budget}\n")
 
 
+# (command, system text, options): a coefficient of 10^400 is beyond the float range
+# where the float symbol converts it, in the n = 3 sampler and in the witness solve
+BEYOND_FLOAT = {
+    "check": ("dim 3\noperator A {\n  from 1 to 1\n"
+              f"  rows: {10**400} d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1\n}}\n", []),
+    "witness": (f"dim 2\noperator A {{\n  from 1 to 1\n  rows: {10**400} d1^2 u1 + {10**400} d2^2 u1\n}}\n",
+                ["--e", "1", "--eps", "0.8,0.4", "--grid", "32"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BEYOND_FLOAT))
+def test_coefficient_beyond_the_float_range_is_oversized_input(capsys, tmp_path, command):
+    text, options = BEYOND_FLOAT[command]
+    path = tmp_path / "big.sys"
+    path.write_text(text)
+    assert run(capsys, command, str(path), *options) == (
+        1, "", "error: a coefficient of the operator is over the float range, the budget of 1.79769e+308\n")
+
+
 def test_seed_is_an_option_of_witness_alone(capsys):
     code, out, err = run(capsys, "check", "systems/gradient_r2.sys", "--seed", "1")
     assert code == 1

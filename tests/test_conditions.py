@@ -36,6 +36,7 @@ from genops import (
     gradient_operator,
     image_of,
     is_full,
+    ladder_systems,
     laplacian_operator,
     random_elliptic_operator,
     random_invertible_matrix,
@@ -197,15 +198,6 @@ def test_image_intersection_witness_at_first_singular_lattice_point():
     assert Subspace.from_vectors(2, [info.value.kernel_vector]) == Subspace.from_vectors(2, kernel)
 
 
-def _ladder_systems(seed):
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location("ladder", "perfbench/ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    return [parse_system(rung.text) for rung in ladder.build_ladder(seed)]
-
-
 def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypatch):
     from ellsym import operators
 
@@ -217,7 +209,7 @@ def test_run_full_check_walks_no_sample_point_and_builds_no_annihilator(monkeypa
     systems = []
     for name in ["biharmonic_div_r4", "divcurl_r3", "gradient_r2", "laplacian_div_r2", "laplacian_r2", "quartic_r4"]:
         systems.append(parse_system(read_repo_file(f"systems/{name}.sys")))
-    reports = [run_full_check(system) for system in systems + _ladder_systems(1)]
+    reports = [run_full_check(system) for system in systems + ladder_systems(1)]
     assert sum(r.image_basis is not None for r in reports) == len(reports) - 1  # all but quartic_r4
 
 

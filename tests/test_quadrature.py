@@ -13,21 +13,30 @@ from ellsym.errors import InvalidArgumentError, NearSingularSymbolError, NotElli
 from ellsym.poly import monomials_of_degree
 from ellsym.quadrature import (
     SAMPLE_NODES,
+    SYMBOL_BLOCK,
     _pseudoinverse_at,
+    _sphere,
     build_rule,
     converged_moments,
+    finest_level,
+    float_symbol,
     moment_map,
     moment_matrix,
     monomial_table,
     sample_nodes,
+    sampled_ellipticity,
     surface_area,
     tensor_basis,
 )
 from genops import (
     divergence_operator,
+    ladder_systems,
     laplacian_operator,
     random_elliptic_operator,
     read_repo_file,
+    reference_float_symbol,
+    reference_monomial_table,
+    reference_sampled_ellipticity,
 )
 
 
@@ -395,3 +404,77 @@ def test_moment_map_identically_singular_symbol(tmp_path, capsys):
     path.write_text("dim 2\noperator A {\n  from 2 to 2\n  " + rows + "\n}\n")
     assert main(["moment", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_monomial_table_is_bitwise_the_per_coordinate_loop(kind, n):
+    # full degrees, uneven tops per coordinate, zero and no exponents, at one point,
+    # one compass round (5 starts × 2n points), one symbol block and more
+    rng = np.random.default_rng(n)
+    cases = [np.array(monomials_of_degree(n, d)) for d in (1, 3, 4)]
+    cases += [rng.integers(0, 6, size=(7, n)), np.zeros((3, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64)]
+    for count in (1, 5 * 2 * n, SYMBOL_BLOCK, 2 * SYMBOL_BLOCK + 5):
+        points = rng.normal(size=(count, n))
+        if kind == "complex":
+            points = points + 1j * rng.normal(size=(count, n))
+        for exps in cases:
+            got, want = monomial_table(points, exps), reference_monomial_table(points, exps)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 30, SYMBOL_BLOCK, 2 * SYMBOL_BLOCK + 5])
+def test_float_symbol_is_bitwise_the_reference(count):
+    rng = np.random.default_rng(count)
+    for system in ladder_systems(1):
+        a = system.a
+        points = rng.normal(size=(count, a.space_dim))
+        for pts in (points, points + 1j * rng.normal(size=points.shape)):
+            assert float_symbol(a)(pts).tobytes() == reference_float_symbol(a)(pts).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampled_ellipticity_is_bitwise_the_reference_compass(seed):
+    rungs = [system.a for system in ladder_systems(seed) if system.n >= 3]
+    assert len(rungs) == 5
+    for a in rungs:
+        got, want = sampled_ellipticity(a), reference_sampled_ellipticity(a)
+        assert got == want and got.status == "numerically_positive"
+        assert got.min_normalized.hex() == want.min_normalized.hex()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sampled_zero_on_a_line_is_the_reference_witness(n):
+    # ker A(ξ) ≠ 0 on the line through (1, 2, …, n), off every axis/sign candidate
+    a = parse_operator("rows: " + "; ".join(f"{i} d1 u1 - d{i} u1" for i in range(2, n + 1)), n)
+    got = sampled_ellipticity(a)
+    assert got == reference_sampled_ellipticity(a) and got.status == "no"
+    assert got.witness_xi in (tuple(range(1, n + 1)), tuple(range(-1, -n - 1, -1)))
+
+
+@pytest.mark.parametrize("n, level", [(2, 6), (3, 3), (3, 4), (4, 3), (4, 4)])
+def test_build_rule_returns_one_read_only_rule_per_level(n, level):
+    rule = build_rule(n, level)
+    nodes, weights = _sphere(n, 2 ** (level - (n == 2)), half=True)
+    nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+    again = build_rule(n, level)
+    assert again is rule and rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    if level == finest_level(n, SAMPLE_NODES):
+        assert sample_nodes(n) is rule.nodes
+
+
+def test_a_rule_over_the_sample_budget_is_built_per_call():
+    from ellsym import quadrature
+
+    level = finest_level(2, SAMPLE_NODES) + 1
+    rule = build_rule(2, level)
+    assert rule.count > SAMPLE_NODES and (2, level) not in quadrature._RULES
+    again = build_rule(2, level)
+    assert again is not rule and again.nodes.tobytes() == rule.nodes.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rule.nodes[0] = 0

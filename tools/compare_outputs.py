@@ -69,7 +69,11 @@ run the same list of operations:
   and whose CWC verdict reads it on span{(1,1,0)};
 - `format_system` of every file in `systems/` and of every system of
   CHECK_CASES, which pins the one block writer of the operator and the
-  constraint.
+  constraint;
+- the class and message of the error that the two float conversions of a
+  coefficient beyond the float range (10^400) raise: `is_elliptic` of a
+  non-isotropic n = 3 operator, which reaches the sampler, and
+  `blowup_experiment` of an n = 2 system (FLOAT_RANGE_SCRIPT).
 
 Every output is a JSON tree (or text) plus standard error and the exit
 code. Two outputs either are byte for byte equal, or differ only in float
@@ -307,6 +311,28 @@ cases = %r + [(name, open(f"systems/{name}.sys").read()) for name in %r]
 print(json.dumps({label: format_system(parse_system(text)).splitlines() for label, text in cases}, sort_keys=True))
 """ % (list(CHECK_CASES), SYSTEMS)
 
+# coefficients beyond the float range, on the two paths that convert them to floats
+FLOAT_RANGE_SCRIPT = """
+import json
+from fractions import Fraction
+from ellsym import WitnessConfig, blowup_experiment, is_elliptic, parse_operator, parse_system
+
+def attempt(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+big = 10**400
+system = parse_system(f"dim 2\\noperator A {{\\n  from 1 to 1\\n  rows: {big} d1^2 u1 + {big} d2^2 u1\\n}}\\n")
+config = WitnessConfig(system=system, epsilons=[0.8, 0.4], e=(Fraction(1),), grid_n=32)
+sampled = parse_operator(f"rows: {big} d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1", 3)
+print(json.dumps({
+    "is_elliptic n3": attempt(lambda: is_elliptic(sampled).to_json()),
+    "witness n2": attempt(lambda: blowup_experiment(config).to_json()),
+}, sort_keys=True))
+"""
+
 
 def operations(inline_dir):
     """(label, argv after the interpreter) for every operation; the files of
@@ -333,6 +359,7 @@ def operations(inline_dir):
     ops.append(("moment_map and annihilator guard", ["-c", GUARD_SCRIPT]))
     ops.append(("run_full_check inline systems", ["-c", CHECK_SCRIPT]))
     ops.append(("format_system of the systems", ["-c", FORMAT_SCRIPT]))
+    ops.append(("coefficients beyond the float range", ["-c", FLOAT_RANGE_SCRIPT]))
     return ops
 
 
