@@ -48,7 +48,7 @@ def _emit(args, digest, tolerances, payload, text):
             "tolerances": tolerances,
             "result": payload,
         }
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -99,7 +99,7 @@ def cmd_annihilator(args):
     system, digest = _read_system(args.path)
     ann = annihilator(system.a)
     rows = format_operator(ann, letter="f")
-    trivial = not ann.coeffs
+    trivial = ann.symbol().is_zero()
     note = "# not canceling: annihilator trivial\n" if trivial else ""
     payload = {"annihilator_rows": rows.splitlines(), "trivial": trivial}
     _emit(args, digest, {}, payload, note + rows)

@@ -9,7 +9,7 @@ Grammar (comments run from '#' to end of line):
     sig   := "from" INT "to" INT
     rows  := "rows" ":" row ((";" | NEWLINE) row)*
     row   := ["-"] term (("+" | "-") term)*
-    term  := factor+                      (adjacency is multiplication)
+    term  := factor (["*"] factor)*       (adjacency is multiplication too)
     factor:= RATIONAL | ("d" INT)["^" INT] | ("f"|"u") INT
            | "(" row ")" ["^" INT]
 
@@ -297,12 +297,13 @@ class _Parser:
         tok = self.peek(skip_newlines=False)
         value = self.parse_factor()
         while True:
-            nxt = self.peek(skip_newlines=False)
-            if nxt.kind == "STAR":
+            star = self.peek(skip_newlines=False)
+            if star.kind == "STAR":
                 self.next(skip_newlines=False)
-                nxt = self.peek(skip_newlines=False)
-            if nxt.kind in ("NUMBER", "LPAREN") or nxt.kind == "IDENT":
+            if self.peek(skip_newlines=False).kind in ("NUMBER", "LPAREN", "IDENT"):
                 value = value.mul(self.parse_factor(), tok)
+            elif star.kind == "STAR":
+                raise DslSyntaxError("expected a factor after '*'", star.line, star.col)
             else:
                 return value
 
@@ -487,9 +488,9 @@ def format_operator(op, letter="u"):
     """Bare re-parseable form: the signature line, then the rows in the DSL's row
     syntax, one row per line, indented by two spaces."""
     lines = []
-    coeffs = sorted(op.coeffs.items(), reverse=True)
-    for j in range(op.target_dim):
-        terms = [(alpha, i, c) for alpha, mat in coeffs for i, c in enumerate(mat[j]) if c]
+    for row in op.symbol().entries:  # the terms of a row by α descending, then by component
+        terms = sorted(((alpha, i, c) for i, p in enumerate(row) for alpha, c in p.terms.items()),
+                       key=lambda t: t[0], reverse=True)
         if not terms:
             lines.append(f"0 {letter}1")  # explicit zero row
             continue

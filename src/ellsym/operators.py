@@ -1,71 +1,53 @@
 """Constant-coefficient differential operators and their symbol calculus.
 
-An operator is stored as a map multi-index -> coefficient matrix (target x
-source, exact rationals). The symbol uses the real convention ξ^α — no factor
-of i^|α| — so kernels and images match the constant-coefficient theory while
-staying inside rational arithmetic. Rows of mixed degree are admissible; many
-operations require a single common order and say so.
+An operator is held as its symbol, the matrix polynomial A(ξ) = Σ C_α ξ^α
+(target x source, exact rationals); the dense C_α are a view derived from it
+for the few readers of whole matrices. The symbol uses the real convention
+ξ^α — no factor of i^|α| — so kernels and images match the constant-coefficient
+theory while staying inside rational arithmetic. Rows of mixed degree are
+admissible; many operations require a single common order and say so.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 from .conditions import is_elliptic, isotropic_moment_matrix
 from .errors import DimensionMismatchError, NotEllipticError, NotHomogeneousError, OversizedInputError
-from .poly import MatrixPolynomial, monomials_of_degree
+from .poly import MatrixPolynomial, Polynomial, monomials_of_degree
 from .ratlinalg import nullspace, primitive, transpose
 
 MAX_COEFF_ENTRIES = 2**18  # entries of all the C_α of one `from_terms` operator; tests and benchmark need 22,990
 
 
-def _freeze_matrix(mat):
-    return tuple(tuple(Fraction(x) for x in row) for row in mat)
-
-
-@dataclass
 class OperatorSpec:
     """A homogeneous-by-row differential operator from R^source to R^target."""
 
-    space_dim: int
-    source_dim: int
-    target_dim: int
-    coeffs: dict = field(default_factory=dict)
+    def __init__(self, space_dim, source_dim, target_dim, coeffs=None):
+        """The operator Σ C_α ξ^α of a map α -> C_α, each C_α target × source."""
+        self._symbol = MatrixPolynomial.from_coeffs(coeffs or {}, target_dim, source_dim, space_dim)
+        self.space_dim, self.source_dim, self.target_dim = space_dim, source_dim, target_dim
 
-    def __post_init__(self):
-        clean = {}
-        for alpha, mat in self.coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            assert len(alpha) == self.space_dim
-            frozen = _freeze_matrix(mat)
-            assert len(frozen) == self.target_dim
-            assert all(len(row) == self.source_dim for row in frozen)
-            if any(x != 0 for row in frozen for x in row):
-                clean[alpha] = frozen
-        self.coeffs = clean
+    def __eq__(self, other):
+        if not isinstance(other, OperatorSpec):
+            return NotImplemented
+        return self.space_dim == other.space_dim and self._symbol == other._symbol
 
     # -- structure ---------------------------------------------------------
 
     @cached_property
     def row_degrees(self):
-        """Degree of each row, a tuple; None for an identically zero row.
-
-        Raises NonHomogeneousRow-style ValueError if some row mixes degrees;
-        parsing enforces this, so reaching it means a construction bug.
-        """
-        degs = [None] * self.target_dim
-        for alpha, mat in self.coeffs.items():
-            d = sum(alpha)
-            for j in range(self.target_dim):
-                if any(x != 0 for x in mat[j]):
-                    if degs[j] is None:
-                        degs[j] = d
-                    elif degs[j] != d:
-                        raise ValueError(f"row {j + 1} mixes degrees {degs[j]} and {d}")
+        """Degree of each row, a tuple; None for an identically zero row. A row of
+        mixed degrees, which parsing refuses, is a construction bug (ValueError)."""
+        degs = []
+        for j, row in enumerate(self._symbol.entries):
+            d = {sum(alpha) for p in row for alpha in p.terms}
+            if len(d) > 1:
+                raise ValueError(f"row {j + 1} mixes degrees {sorted(d)}")
+            degs.append(d.pop() if d else None)
         return tuple(degs)
 
     def is_homogeneous(self):
@@ -84,15 +66,27 @@ class OperatorSpec:
             )
         return degs.pop()
 
-    # -- symbol data, each built on first use and kept ------------------------
+    # -- the symbol, and the data built from it on first use and kept ---------
 
     def symbol(self):
-        """Matrix-valued polynomial A(ξ) = Σ C_α ξ^α (real convention)."""
+        """Matrix-valued polynomial A(ξ) = Σ C_α ξ^α (real convention), as stored."""
         return self._symbol
 
+    def _terms(self):
+        """(α, i, j, c) for each nonzero term c·ξ^α of each entry (i, j) of A(ξ)."""
+        return ((alpha, i, j, c) for i, row in enumerate(self._symbol.entries) for j, p in enumerate(row)
+                for alpha, c in p.terms.items())
+
     @cached_property
-    def _symbol(self):
-        return MatrixPolynomial.from_coeffs(self.coeffs, self.target_dim, self.source_dim, self.space_dim)
+    def coeffs(self):
+        """The dense C_α, α -> target × source tuple of Fractions, α in descending
+        order: a read-only view of the symbol for the readers of whole matrices."""
+        mats = {}
+        for alpha, i, j, c in self._terms():
+            if alpha not in mats:
+                mats[alpha] = [[Fraction(0)] * self.source_dim for _ in range(self.target_dim)]
+            mats[alpha][i][j] = c
+        return {alpha: tuple(map(tuple, mats[alpha])) for alpha in sorted(mats, reverse=True)}
 
     @cached_property
     def gram(self):
@@ -123,10 +117,12 @@ class OperatorSpec:
 
     @cached_property
     def _int_coeffs(self):
-        """The nonzero entries (i, j, c·C_α[i][j]) of each c·C_α."""
-        c = math.lcm(*(x.denominator for m in self.coeffs.values() for row in m for x in row))
-        return {alpha: [(i, j, x.numerator * (c // x.denominator)) for i, row in enumerate(m)
-                        for j, x in enumerate(row) if x] for alpha, m in self.coeffs.items()}
+        """α -> the nonzero entries (i, j, c·C_α[i][j]) of c·C_α, read off the symbol."""
+        c = math.lcm(*(x.denominator for *_, x in self._terms()))
+        table = {}
+        for alpha, i, j, x in self._terms():
+            table.setdefault(alpha, []).append((i, j, x.numerator * (c // x.denominator)))
+        return table
 
     def kernel_at(self, xi):
         """The canonical kernel vector of A at `primitive(ξ)`, None where A is
@@ -188,9 +184,7 @@ class OperatorSpec:
     def rows_isotropic(self):
         """A(ξ)A(ξ)ᵀ = |ξ|^2k·A(e₁)A(e₁)ᵀ, exactly: `isotropic` of the transpose Aᵀ,
         whose entries share the one order k of the rows of A."""
-        return self.is_homogeneous() and OperatorSpec(
-            self.space_dim, self.target_dim, self.source_dim,
-            {alpha: transpose(m) for alpha, m in self.coeffs.items()}).isotropic
+        return self.is_homogeneous() and OperatorSpec.from_symbol(self._symbol.transpose()).isotropic
 
     @cached_property
     def float_symbol(self):
@@ -217,28 +211,28 @@ class OperatorSpec:
 
     @classmethod
     def from_terms(cls, space_dim, source_dim, target_dim, terms):
-        """The operator whose entry (i, j) is Σ c·ξ^α over the (α, i, j, c) of
-        `terms`; C_α is built at the first term of each α, and terms add up. A C_α
-        that would take the entries over MAX_COEFF_ENTRIES is refused before it is built."""
-        coeffs = {}
+        """The operator whose entry (i, j) is Σ c·ξ^α over the (α, i, j, c) of `terms`;
+        terms add up. It is refused before its symbol is built if its #α dense C_α
+        (one for the zero operator) would take the entries over MAX_COEFF_ENTRIES."""
+        entries = {}
         for alpha, i, j, c in terms:
-            mat = coeffs.get(alpha)
-            if mat is None:
-                size = (len(coeffs) + 1) * target_dim * source_dim
-                if size > MAX_COEFF_ENTRIES:
-                    raise OversizedInputError(
-                        f"{len(coeffs) + 1} coefficient matrices of {target_dim} × {source_dim} have "
-                        f"{size} entries, over the budget of {MAX_COEFF_ENTRIES}")
-                mat = coeffs[alpha] = [[0] * source_dim for _ in range(target_dim)]
-            mat[i][j] += c
-        return cls(space_dim, source_dim, target_dim, coeffs)
+            entry = entries.setdefault((i, j), {})
+            entry[alpha] = entry.get(alpha, 0) + c
+        size = target_dim * source_dim
+        if max(len({alpha for entry in entries.values() for alpha in entry}), 1) * size > MAX_COEFF_ENTRIES:
+            count = MAX_COEFF_ENTRIES // size + 1  # the first count over the budget
+            raise OversizedInputError(
+                f"{count} coefficient matrices of {target_dim} × {source_dim} have "
+                f"{count * size} entries, over the budget of {MAX_COEFF_ENTRIES}")
+        return cls.from_symbol(MatrixPolynomial([[Polynomial(space_dim, entries.get((i, j))) for j in range(source_dim)]
+                                                 for i in range(target_dim)]))
 
     @classmethod
     def from_symbol(cls, mp):
-        """Recover the coefficient map from a matrix polynomial."""
-        return cls.from_terms(mp.nvars, mp.cols, mp.rows, (
-            (alpha, i, j, c) for i, row in enumerate(mp.entries) for j, p in enumerate(row)
-            for alpha, c in p.terms.items()))
+        """The operator of the matrix polynomial `mp`, stored as given."""
+        op = cls.__new__(cls)
+        op._symbol, op.space_dim, op.source_dim, op.target_dim = mp, mp.nvars, mp.cols, mp.rows
+        return op
 
 
 @dataclass
@@ -302,12 +296,8 @@ def homogenize(c):
     degs = c.row_degrees
     l = max((d for d in degs if d is not None), default=0)
     n = c.space_dim
-    row_gammas = [monomials_of_degree(n, 0 if d is None else l - d) for d in degs]
-    row_offset = list(accumulate((len(g) for g in row_gammas), initial=0))
-    terms = []
-    for alpha, mat in c.coeffs.items():
-        for j, row in enumerate(mat):
-            for gi, gamma in enumerate(row_gammas[j]):
-                beta = tuple(x + y for x, y in zip(alpha, gamma))
-                terms += [(beta, row_offset[j] + gi, i, x) for i, x in enumerate(row) if x]
-    return OperatorSpec.from_terms(n, c.source_dim, row_offset[-1], terms)
+    rows = [(gamma, row) for row, d in zip(c.symbol().entries, degs)
+            for gamma in monomials_of_degree(n, 0 if d is None else l - d)]
+    terms = [(tuple(x + y for x, y in zip(alpha, gamma)), r, i, x) for r, (gamma, row) in enumerate(rows)
+             for i, p in enumerate(row) for alpha, x in p.terms.items()]
+    return OperatorSpec.from_terms(n, c.source_dim, len(rows), terms)

@@ -172,12 +172,15 @@ def sampled_ellipticity(a):
     five are the ten lowest sphere nodes less their mirrors."""
     n = a.space_dim
 
-    def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row
+    def det_g(points):  # det G(ξ) = det(A(ξ)ᵀA(ξ)) at each row; inf or NaN past the float range
         sym = a.float_symbol(points)
-        return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.det(sym.transpose(0, 2, 1) @ sym)
 
     nodes = sample_nodes(n)
     vals = det_g(nodes)
+    if not np.isfinite(vals).all():
+        return EllipticityVerdict("inconclusive", note="det G is beyond the float range at a sample node")
     scale = float(np.abs(vals).max())
     if scale == 0.0:
         return EllipticityVerdict("inconclusive", note="det G underflows on all nodes")

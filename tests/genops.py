@@ -73,6 +73,15 @@ def substitute(a, mat):
     return OperatorSpec.from_terms(n, a.source_dim, a.target_dim, terms)
 
 
+def transform(a, p, q):
+    """P·A·Q for constant rational matrices P on the target and Q on the source,
+    multiplied on the symbol; the constraint of the transformed system is C·P⁻¹,
+    which is transform(c, Id, P⁻¹)."""
+    n = a.space_dim
+    p, q = (MatrixPolynomial.from_rational(as_fraction_matrix(m), n) for m in (p, q))
+    return OperatorSpec.from_symbol(p * a.symbol() * q)
+
+
 # -- operators ------------------------------------------------------------------
 
 

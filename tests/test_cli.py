@@ -359,6 +359,29 @@ def test_coefficient_beyond_the_float_range_is_oversized_input(capsys, tmp_path,
         1, "", "error: a coefficient of the operator is over the float range, the budget of 1.79769e+308\n")
 
 
+def test_det_g_beyond_the_float_range_is_inconclusive_and_the_report_strict_json(tmp_path):
+    # the coefficient fits a float but det G overflows at some sample nodes: no minimum
+    # is read off an inf or a NaN, no numpy warning is printed, and no NaN is written
+    import subprocess
+    import sys
+
+    path = tmp_path / "big.sys"
+    path.write_text(f"dim 3\noperator A {{\n  from 1 to 1\n  rows: {10**200} d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1\n}}\n")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom ellsym.cli import main\nsys.exit(main(sys.argv[1:]))",
+         "check", "--json", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (2, "")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in the report")
+
+    assert json.loads(out.stdout, parse_constant=refuse)["result"]["elliptic"] == {
+        "status": "inconclusive", "decided_by": "sampled",
+        "note": "det G is beyond the float range at a sample node"}
+
+
 def test_seed_is_an_option_of_witness_alone(capsys):
     code, out, err = run(capsys, "check", "systems/gradient_r2.sys", "--seed", "1")
     assert code == 1

@@ -71,6 +71,18 @@ def test_syntax_error_carries_position():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("starred, adjacent", [("2 * d1 u1", "2 d1 u1"), ("d1*d2 u1", "d1 d2 u1")])
+def test_a_star_is_multiplication_as_adjacency_is(starred, adjacent):
+    assert parse_operator(f"rows: {starred}", 2) == parse_operator(f"rows: {adjacent}", 2)
+
+
+@pytest.mark.parametrize("row, col", [("d1 u1 *", 13), ("d1 u1 * + d2 u1", 13), ("d1 * * u1", 10)])
+def test_a_star_must_be_followed_by_a_factor(row, col):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_operator(f"rows: {row}", 2)
+    assert str(err.value) == f"line 1, col {col}: expected a factor after '*'"
+
+
 def test_scalar_only_row_rejected():
     with pytest.raises(DslSyntaxError):
         parse_operator("rows: d1 + d2", 2)

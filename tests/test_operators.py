@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellsym.dsl import parse_operator
+from ellsym.dsl import format_operator, parse_operator, parse_system
 from ellsym.errors import NotEllipticError, NotHomogeneousError
 from ellsym.operators import OperatorSpec, annihilator, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
@@ -14,12 +14,14 @@ from ellsym.ratlinalg import mat_vec, nullspace
 from genops import (
     add,
     compose_left,
+    ROOT,
     compose_right,
     div_curl_operator,
     divergence_operator,
     gradient_operator,
     laplacian_operator,
     laplacian_power,
+    ladder_systems,
     random_elliptic_operator,
     random_invertible_matrix,
     random_operator,
@@ -318,3 +320,39 @@ def test_row_degrees_are_computed_once_per_operator():
     assert degrees == (2, 2, None)
     assert (a.order, a.is_homogeneous(), len(a.lattice())) == (2, True, 5)
     assert a.row_degrees is degrees
+
+
+@pytest.mark.parametrize("dim, text, make, head", [
+    (3, "from 1 to 2\nrows: d1^30 f1; f1", homogenize, "from 1 to 497"),
+    (3, "from 3 to 4\nrows: d1 u1 + d2 u2 + d3 u3; d2 u3 - d3 u2; d3 u1 - d1 u3; d1 u2 - d2 u1", annihilator,
+     "from 4 to 4"),
+    (2, "from 1 to 2\nrows: d1^2 u1 + 2 d2^2 u1; d1 d2 u1", annihilator, "from 2 to 2"),  # G is not scalar
+], ids=["homogenize", "annihilator isotropic", "annihilator adjugate"])
+def test_symbol_paths_never_build_the_dense_coefficients(monkeypatch, dim, text, make, head):
+    # an operator is its symbol: parse, homogenize, annihilator and format read it alone
+    def refuse(self):
+        raise AssertionError("the dense C_α were built")
+
+    monkeypatch.setattr(OperatorSpec, "coeffs", property(refuse))
+    assert format_operator(make(parse_operator(text, dim))).startswith(head + "\nrows:\n")
+
+
+def test_the_three_constructors_store_one_symbol():
+    # the dense constructor, from_symbol and the parser (from_terms) agree on every
+    # bundled operator and constraint and on every rung of the seed-1 ladder
+    systems = [parse_system(path.read_text()) for path in sorted((ROOT / "systems").glob("*.sys"))]
+    ops = [op for system in systems + ladder_systems(1) for op in (system.a, system.c) if op is not None]
+    assert len(ops) == 20
+    for op in ops:
+        dense = OperatorSpec(op.space_dim, op.source_dim, op.target_dim, op.coeffs)
+        assert dense == op == OperatorSpec.from_symbol(op.symbol())
+        assert list(op.coeffs) == sorted(op.coeffs, reverse=True)
+        assert all(type(x) is F for mat in op.coeffs.values() for row in mat for x in row)
+
+
+def test_kernel_at_reports_the_first_canonical_kernel_vector():
+    # ker A = span{(−2, −4, 1, 0), (−3, −5, 0, 1)}: the first row of its reduced echelon
+    # basis is (1, 0, 5/2, −2), not the back-substituted first free column
+    a = parse_operator("from 4 to 2\nrows: u1 + 2 u3 + 3 u4; u2 + 4 u3 + 5 u4", 2)
+    assert a.kernel_at((1, 0)) == (2, 0, 5, -4)
+    assert mat_vec(a.value_at((1, 0)), (2, 4, -1, 0)) == (0, 0)

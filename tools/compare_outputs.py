@@ -67,6 +67,10 @@ run the same list of operations:
   d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2`, constraint `d1 f3`), whose weak
   verdict reads the quadrature M on a proper I_A = span{(1,1,0), (0,0,1)}
   and whose CWC verdict reads it on span{(1,1,0)};
+- two single CLI runs on inline systems (CLI_CASES): `homogenize` of the
+  constraint `d1^30 f1; f1` on R^3 (497 rows), and `check --json` of
+  `10^200 d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1` on R^3, whose det G is beyond the
+  float range at some sample nodes;
 - `format_system` of every file in `systems/` and of every system of
   CHECK_CASES, which pins the one block writer of the operator and the
   constraint;
@@ -149,7 +153,19 @@ INLINE_SYSTEMS = {
     "anisotropic_quartic_r4": (
         "dim 4\noperator A {\n  from 1 to 1\n  rows: d1^4 u1 + 2 d2^4 u1 + 3 d3^4 u1 + d4^4 u1\n}\n"
     ),
+    "homogenize_degree_30_r3": (
+        "dim 3\noperator A {\n  from 3 to 1\n  rows: d1 u1 + d2 u2 + d3 u3\n}\n"
+        "constraint C {\n  from 1 to 2\n  rows: d1^30 f1; f1\n}\n"
+    ),
+    "det_g_overflow_r3": (
+        f"dim 3\noperator A {{\n  from 1 to 1\n  rows: {10**200} d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1\n}}\n"
+    ),
 }
+# (label, command, system of INLINE_SYSTEMS, options) for single CLI runs
+CLI_CASES = (
+    ("homogenize d1^30 f1; f1 on R^3", "homogenize", "homogenize_degree_30_r3", []),
+    ("check --json, det G beyond the float range", "check", "det_g_overflow_r3", ["--json"]),
+)
 # six orders below witness.DEFAULT_RESIDUAL_TOL (1e-6): a residual this small is rounding noise
 RESIDUAL_NOISE = 1e-12
 NOISE_LABEL = " (rounding noise, absolute only)"
@@ -353,6 +369,8 @@ def operations(inline_dir):
         ops.append((f"witness {label}", [*argv, "--json"]))
         if label == CSV_WITNESS_CASE:
             ops.append((f"witness {label} csv", argv))
+    for label, cmd, name, options in CLI_CASES:
+        ops.append((label, ["-m", "ellsym.cli", cmd, os.path.join(inline_dir, f"{name}.sys"), *options]))
     for seed in LADDER_SEEDS:
         ops.append((f"ladder seed {seed}", ["-c", LADDER_SCRIPT % seed]))
     ops.append(("is_elliptic inline operators", ["-c", ELLIPTIC_SCRIPT]))
