@@ -69,6 +69,8 @@ def cmd_check(args):
     if report.elliptic.witness_xi is not None:
         kv = _vector(report.elliptic.kernel_vector) if report.elliptic.kernel_vector else "?"
         lines.append(f"  witness xi=({_vector(report.elliptic.witness_xi)})  kernel vector=({kv})")
+    if report.elliptic.note:
+        lines.append(f"  note: {report.elliptic.note}")
     if report.image_basis is not None:
         lines.append(f"I_A basis: {report.image_basis.to_json()}")
         lines.append(f"canceling: {report.canceling}")

@@ -33,7 +33,7 @@ from .ratlinalg import (
     nullspace,
     primitive,
     projection_onto_rowspace,
-    solve,
+    rref,
     transpose,
 )
 
@@ -431,25 +431,21 @@ def left_inverse_family(op, m_matrix):
             if any(x != 0 for x in mat[r]):
                 t_rows.append(list(mat[r]))
                 row_index.append((beta, r))
-    # solve Tᵀ Y = Π column by column (consistent because im M* ⊆ im Tᵀ)
-    t_t = transpose(t_rows)
-    y_cols = []
-    for col in transpose(proj):
-        sol = solve(t_t, col)
-        if sol is None:
-            raise HypothesisFailedError(
-                "projection column not in the row space of the stacked symbol "
-                "coefficients (hypothesis violated)"
-            )
-        y_cols.append(list(sol))
-    y = transpose(y_cols)  # rows aligned with t_rows
-    # K = Π Yᵀ split into β blocks; unreferenced rows of K_β stay zero
-    k_full = mat_mul(proj, transpose(y))  # dim_e x len(t_rows)
-    # every C_β of op is nonzero, so each has a row in row_index, in the order of betas
+    # solve Tᵀ Y = Π in one elimination of [Tᵀ | Π] (consistent because im M* ⊆ im Tᵀ)
+    unknowns = len(t_rows)
+    reduced, pivots = rref([t + p for t, p in zip(transpose(t_rows), proj)])
+    if pivots and pivots[-1] >= unknowns:
+        raise HypothesisFailedError(
+            "projection column not in the row space of the stacked symbol "
+            "coefficients (hypothesis violated)"
+        )
+    # K = Π Yᵀ split into β blocks: column p of K is Π times row p of Y, the Π block of the
+    # pivot row of unknown p; free unknowns (Y row 0) and unreferenced rows of K_β stay zero
     maps = {beta: [[Fraction(0)] * dim_f for _ in range(dim_e)] for beta in betas if beta in op.coeffs}
-    for col_idx, (beta, r) in enumerate(row_index):
-        for i in range(dim_e):
-            maps[beta][i][r] = k_full[i][col_idx]
+    for i, p in enumerate(pivots):
+        beta, r = row_index[p]
+        for j, x in enumerate(mat_vec(proj, reduced[i][unknowns:])):
+            maps[beta][j][r] = x
     maps = {b: tuple(tuple(row) for row in m) for b, m in maps.items()}
     fam = LeftInverseFamily(order, betas, maps, blocks, target, proj)
     assert fam.composite() == proj, "left-inverse construction inconsistency"

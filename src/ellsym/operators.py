@@ -128,8 +128,8 @@ class OperatorSpec:
         """The canonical kernel vector of A at `primitive(ξ)`, None where A is
         injective. A(cξ) is A(ξ) with its rows scaled by powers of c, so the
         answer holds on the whole line through ξ, and each line is evaluated once.
-        `nullspace` eliminates c·A(ξ) in ints and returns [] at once where every
-        column has a pivot; only a kernel is back-substituted."""
+        `nullspace` eliminates c·A(ξ) once, in ints, and returns [] at once where every
+        column has a pivot; only a kernel is back-substituted, canonically, in that pass."""
         p = primitive(xi)
         if p not in self._kernels:
             ker = nullspace(self.value_at(p))

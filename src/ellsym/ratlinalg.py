@@ -106,28 +106,31 @@ def rref(a):
 
 
 def nullspace(a, ncols=None):
-    """Canonical basis (RREF rows) of {x : a x = 0}. `ncols` needed when a is empty.
-    Where every column has a pivot this is [] with no back-substitution. A basis of
-    over MAX_KERNEL_ENTRIES entries is refused once the rank is known, before it is built."""
+    """Canonical basis (RREF rows) of {x : a x = 0}, from one elimination; `ncols` needed
+    when a is empty. Full column rank gives [] with no back-substitution; a basis of over
+    MAX_KERNEL_ENTRIES entries is refused before it is built. Columns are eliminated last to
+    first: j is a pivot of the kernel's RREF iff rank a[:, j:] = rank a[:, j+1:], iff j is free
+    here, and free column f's back-substituted vector (1 at f, 0 at the other free columns) is
+    the unique kernel vector with those free values: the kernel RREF's row for f."""
     if not a:
         if ncols is None:
             raise ValueError("ncols required for empty matrix")
         _check_kernel(ncols, ncols)
         return [tuple(row) for row in identity(ncols)]
     ncols = len(a[0])
-    m, pivots = _echelon(a)
+    m, pivots = _echelon([row[::-1] for row in a])
     if len(pivots) == ncols:
         return []
     _check_kernel(ncols - len(pivots), ncols)
     d = _reduce(m, pivots)
     basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [0] * ncols
-        v[f] = d
+    for f in (c for c in range(ncols - 1, -1, -1) if c not in pivots):  # reversed columns
+        v = [_ZERO] * ncols
+        v[f] = _ONE
         for i, p in enumerate(pivots):
-            v[p] = -m[i][f]
-        basis.append(v)
-    return [tuple(row) for row in rref(basis)[0]]
+            v[p] = Fraction(-m[i][f], d)
+        basis.append(tuple(v[::-1]))
+    return basis
 
 
 def _check_kernel(dim, ncols):

@@ -10,8 +10,9 @@ multiple root, with no sign change to bisect on).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .ratlinalg import primitive
 
 INTERVAL_WIDTH = Fraction(1, 10**14)  # of an isolated root's ('interval', lo, hi)
 
@@ -45,10 +46,8 @@ def pseudo_remainder(a, b):
 
 def _positive_primitive(p):
     """The primitive int multiple of p with a positive factor."""
-    d = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (d // c.denominator) for c in p]
-    g = math.gcd(*ints) or 1
-    return [c // g for c in ints]
+    sign = -1 if next((c for c in p if c), 0) < 0 else 1
+    return [sign * c for c in primitive(p)]
 
 
 def sturm_chain(p):

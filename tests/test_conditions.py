@@ -399,32 +399,52 @@ def test_quartic_r4_witnesses_pinned():
     ]
 
 
+def _count_eliminations(monkeypatch):
+    """Count the calls of `rref`, `_echelon` (the elimination) and `_reduce`
+    (the back-substitution) in `ratlinalg`."""
+    from ellsym import ratlinalg
+
+    calls = dict.fromkeys(("rref", "_echelon", "_reduce"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(ratlinalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(ratlinalg, name, counted)
+    return calls
+
+
 def test_kernel_at_runs_no_rref_where_a_is_injective(monkeypatch):
     from pathlib import Path
 
-    from ellsym import ratlinalg
     from ellsym.conditions import _axis_and_sign_candidates
+    from ellsym.ratlinalg import primitive
 
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import ladder
 
-    calls = []
-    rref = ratlinalg.rref
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return rref(*args, **kwargs)
-
-    monkeypatch.setattr(ratlinalg, "rref", counted)
+    calls = _count_eliminations(monkeypatch)
     rungs = [parse_system(r.text).a for r in ladder.build_ladder(1) if not r.square]
     assert len(rungs) == 8
+    lines = 0
     for a in rungs:
-        assert all(a.kernel_at(xi) is None for xi in _axis_and_sign_candidates(a.space_dim))
-    assert calls == []
-    # a hit still runs the RREF, once per line through the origin
+        candidates = _axis_and_sign_candidates(a.space_dim)
+        assert all(a.kernel_at(xi) is None for xi in candidates)
+        lines += len({primitive(xi) for xi in candidates})
+    # one elimination per line through the origin, and no back-substitution
+    assert calls == {"rref": 0, "_echelon": lines, "_reduce": 0}
+    # a hit eliminates and back-substitutes once per line through the origin
     quartic = parse_system(read_repo_file("systems/quartic_r4.sys")).a
     assert quartic.kernel_at((0, 0, 1, 0)) == quartic.kernel_at((0, 0, -2, 0)) == (1, 0)
-    assert len(calls) == 1
+    assert calls == {"rref": 0, "_echelon": lines + 1, "_reduce": 1}
+
+
+def test_kernel_at_of_a_wide_kernel_runs_one_elimination(monkeypatch):
+    # ker A(1, 0) has dimension 254; its first canonical vector is e2
+    a = parse_operator("from 255 to 1\nrows: d1 u1", 2)
+    calls = _count_eliminations(monkeypatch)
+    assert a.kernel_at((1, 0)) == (0, 1) + (0,) * 253
+    assert calls == {"rref": 0, "_echelon": 1, "_reduce": 1}
 
 
 def test_elliptic_numeric_positive_n3():

@@ -115,12 +115,12 @@ def _bareiss_cases():
                      ["keep", "zero", "repeat"])
 
 
-def _matrices(entries, edits):
-    """Matrices of 1–5 rows and 1–5 columns over `entries`, after one edit:
-    none, a zero column, a repeated column, a column or a row replaced by a
-    combination of two others (rank-deficient, so elimination skips a column
-    and goes on)."""
-    shape = st.integers(1, 5).flatmap(lambda r: st.integers(1, 5).flatmap(
+def _matrices(entries, edits, max_rows=5, max_cols=5):
+    """Matrices of 1–max_rows rows and 1–max_cols columns over `entries`, after
+    one edit: none, a zero column, a repeated column, a column or a row replaced
+    by a combination of two others (rank-deficient, so elimination skips a
+    column and goes on)."""
+    shape = st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
         lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)))
 
     def edit(args):
@@ -136,7 +136,7 @@ def _matrices(entries, edits):
             return m[:i % r] + [[2 * x - y for x, y in zip(m[j % r], m[k % r])]] + m[i % r + 1:]
         return m
 
-    index = st.integers(0, 4)
+    index = st.integers(0, max(max_rows, max_cols) - 1)
     return st.tuples(shape, st.sampled_from(edits), index, index, index).map(edit)
 
 
@@ -149,6 +149,8 @@ _oracle_entries = st.one_of(
 
 
 def _reference_nullspace(m):
+    """The kernel's canonical basis in two passes: back-substitute each free
+    column of the Fraction Gauss–Jordan, then reduce that basis again."""
     r, pivots = reference_rref(m)
     basis = []
     for f in (c for c in range(len(m[0])) if c not in pivots):
@@ -190,6 +192,16 @@ def test_one_elimination_agrees_with_gauss_jordan(m, b):
         else:
             with pytest.raises(ZeroDivisionError):
                 inverse(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(_oracle_entries, ["keep", "zero", "repeat", "column", "row"], max_rows=3, max_cols=12))
+def test_one_elimination_reads_the_canonical_kernel_of_wide_matrices(m):
+    """Kernels of dimension up to 11: the back-substituted vectors of the last-to-first
+    elimination are the rows of the kernel's RREF, as the two-pass oracle computes them."""
+    kernel = nullspace(m)
+    assert kernel == _reference_nullspace(m)
+    assert all(type(x) is Fraction for v in kernel for x in v)
 
 
 @settings(max_examples=300, deadline=None)

@@ -67,10 +67,12 @@ run the same list of operations:
   d1^2 u1 + 2 d2^2 u1; d1^2 u2 + d2^2 u2`, constraint `d1 f3`), whose weak
   verdict reads the quadrature M on a proper I_A = span{(1,1,0), (0,0,1)}
   and whose CWC verdict reads it on span{(1,1,0)};
-- two single CLI runs on inline systems (CLI_CASES): `homogenize` of the
-  constraint `d1^30 f1; f1` on R^3 (497 rows), and `check --json` of
+- four single CLI runs on inline systems (CLI_CASES): `homogenize` of the
+  constraint `d1^30 f1; f1` on R^3 (497 rows), `check` of
   `10^200 d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1` on R^3, whose det G is beyond the
-  float range at some sample nodes;
+  float range at some sample nodes, once with `--json` and once as text
+  (the note of its inconclusive verdict), and `check` (text) of `d1 u1`
+  from 255 to 1 on R^2, whose witness has a kernel of dimension 254;
 - `format_system` of every file in `systems/` and of every system of
   CHECK_CASES, which pins the one block writer of the operator and the
   constraint;
@@ -160,11 +162,14 @@ INLINE_SYSTEMS = {
     "det_g_overflow_r3": (
         f"dim 3\noperator A {{\n  from 1 to 1\n  rows: {10**200} d1^2 u1 + 2 d2^2 u1 + 3 d3^2 u1\n}}\n"
     ),
+    "kernel_255_r2": "dim 2\noperator A {\n  from 255 to 1\n  rows: d1 u1\n}\n",
 }
 # (label, command, system of INLINE_SYSTEMS, options) for single CLI runs
 CLI_CASES = (
     ("homogenize d1^30 f1; f1 on R^3", "homogenize", "homogenize_degree_30_r3", []),
     ("check --json, det G beyond the float range", "check", "det_g_overflow_r3", ["--json"]),
+    ("check text, det G beyond the float range", "check", "det_g_overflow_r3", []),
+    ("check text, d1 u1 from 255 to 1 on R^2", "check", "kernel_255_r2", []),
 )
 # six orders below witness.DEFAULT_RESIDUAL_TOL (1e-6): a residual this small is rounding noise
 RESIDUAL_NOISE = 1e-12
