@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from . import sturm
 from .errors import (
@@ -27,12 +27,12 @@ from .poly import MatrixPolynomial, monomials_of_degree, multinomial
 from .ratlinalg import (
     Subspace,
     as_fraction_matrix,
+    gram_det,
     inverse,
     mat_mul,
     mat_vec,
     nullspace,
     primitive,
-    projection_onto_rowspace,
     rref,
     transpose,
 )
@@ -104,8 +104,8 @@ def is_elliptic(a):
 
     Exact when det G ≡ 0 (`a.degenerate`), when G(ξ) = |ξ|^2k·G(e₁) (`a.isotropic`,
     every n = 1 operator among them), at an axis/sign candidate, and by a Sturm
-    count on det G for n = 2. Otherwise (n >= 3) a semi-decision on
-    det(A(ξ)ᵀA(ξ)) by the numeric layer (`quadrature.sampled_ellipticity`).
+    count on det G(1, t), evaluated in ints, for n = 2. Otherwise (n >= 3) a semi-decision
+    on det(A(ξ)ᵀA(ξ)) by the numeric layer (`quadrature.sampled_ellipticity`).
     """
     if not a.is_homogeneous():
         raise NotHomogeneousError("ellipticity requires a single-order operator")
@@ -147,14 +147,10 @@ def is_elliptic(a):
 
 
 def _is_elliptic_2d(a):
-    """Exact decision on the circle: Sturm count of det G(1, t). The rest of
-    the circle, ξ1 = 0, is the axis candidate (0, 1) already found injective."""
-    detg = a.gram_det
-    d = detg.degree()
-    p = [0] * (d + 1)
-    for (a1, a2), c in detg.terms.items():
-        p[a2] += c  # ξ1 = 1
-    hit = sturm.isolate_a_root(p)
+    """Exact decision on the circle: Sturm count of det G(1, t), a positive multiple
+    read off one integer evaluation (`_det_gram_on_line`); nothing is expanded. The rest
+    of the circle, ξ1 = 0, is the axis candidate (0, 1) already found injective."""
+    hit = sturm.isolate_a_root(_det_gram_on_line(a))
     if hit is None:
         return EllipticityVerdict("yes")
     if hit[0] == "exact":
@@ -174,6 +170,26 @@ def _is_elliptic_2d(a):
         note=f"real zero of det G isolated in ({float(lo)}, {float(hi)}); "
         "no small-denominator rational zero found",
     )
+
+
+def _det_gram_on_line(a):
+    """The int coefficients, lowest degree first, of c^(2·dim V)·det G(1, t) (c clears
+    the denominators in `value_at`): the balanced base-B digits of one integer det G_c(1, B),
+    G_c = (c·A)ᵀ(c·A) (Kronecker substitution; von zur Gathen & Gerhard, Modern Computer
+    Algebra, §8.4). With N_ri = Σ_α |c·C_α[r][i]|, the ℓ1 norm of entry (r, i) of c·A(1, t),
+    and H = NᵀN, each coefficient is at most ‖det G_c(1, t)‖₁ <= perm H <= M = Π_i Σ_j H_ij,
+    so B = 2M + 1 makes the digits unique. det G ≢ 0 (`degenerate`), and a binary form
+    vanishing on ξ₁ = 1 vanishes everywhere, so the digits end at the leading coefficient."""
+    norms = [[0] * a.source_dim for _ in range(a.target_dim)]
+    for r, i, x in chain(*a.int_coeffs.values()):
+        norms[r][i] += abs(x)
+    bound = math.prod(sum(row[i] * sum(row) for row in norms) for i in range(a.source_dim))
+    base, digits = 2 * bound + 1, []
+    value = gram_det(a.gram_at((1, base)))
+    while value:
+        digits.append((value + bound) % base - bound)
+        value = (value - digits[-1]) // base
+    return digits
 
 
 # -- subspace computations -----------------------------------------------------
@@ -414,7 +430,7 @@ def left_inverse_family(op, m_matrix):
     dim_e = op.source_dim
     dim_f = op.target_dim
     target = Subspace.from_vectors(dim_e, m_matrix)
-    proj = projection_onto_rowspace(m_matrix)
+    proj = target.projection()
     if target.is_zero():
         return LeftInverseFamily(order, [], {}, {}, target, proj)
     betas = sorted(monomials_of_degree(op.space_dim, order), reverse=True)

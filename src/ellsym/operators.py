@@ -88,35 +88,24 @@ class OperatorSpec:
             mats[alpha][i][j] = c
         return {alpha: tuple(map(tuple, mats[alpha])) for alpha in sorted(mats, reverse=True)}
 
-    @cached_property
-    def gram(self):
-        """G(ξ) = A*(ξ) A(ξ): square, symmetric, homogeneous of degree 2k."""
-        s = self.symbol()
-        return s.transpose() * s
-
-    @cached_property
-    def gram_det(self):
-        """det G(ξ); it vanishes exactly where A(ξ) fails to be injective."""
-        return self.gram.det()
-
-    @cached_property
-    def pinv_numerator(self):
-        """N(ξ) = adj G(ξ)·A*(ξ), so that A†(ξ) = N(ξ) / det G(ξ)."""
-        return self.gram.adjugate() * self.symbol().transpose()
-
     def value_at(self, xi):
         """c·A(ξ) = Σ ξ^α (c·C_α) in ints at an integer point, c the common
         denominator of the coefficients: it has the kernel and image of A(ξ)."""
         out = [[0] * self.source_dim for _ in range(self.target_dim)]
-        for alpha, entries in self._int_coeffs.items():
+        for alpha, entries in self.int_coeffs.items():
             w = math.prod(x**e for x, e in zip(xi, alpha) if e)
             if w:
                 for i, j, c in entries:
                     out[i][j] += w * c
         return out
 
+    def gram_at(self, xi):
+        """(c·A(ξ))ᵀ(c·A(ξ)) = c²·G(ξ) in ints at an integer point, from `value_at`."""
+        cols = transpose(self.value_at(xi))
+        return [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+
     @cached_property
-    def _int_coeffs(self):
+    def int_coeffs(self):
         """α -> the nonzero entries (i, j, c·C_α[i][j]) of c·C_α, read off the symbol."""
         c = math.lcm(*(x.denominator for *_, x in self._terms()))
         table = {}
@@ -157,20 +146,16 @@ class OperatorSpec:
 
     @cached_property
     def isotropic(self):
-        """G(ξ) = |ξ|^2k·G(e₁), exactly, with G = (c·A)ᵀ(c·A) from `value_at`; False
+        """G(ξ) = |ξ|^2k·G(e₁), exactly, with c²·G from `gram_at`; False
         for mixed row degrees. Both sides are forms of degree 2k, so agreement on Λ_2k
         suffices (as in `lattice`). The points with the most nonzero coordinates come
         first, and the walk stops at the first point that differs."""
-        def gram(xi):
-            cols = transpose(self.value_at(xi))
-            return [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
-
         if not self.is_homogeneous():
             return False
         k, n = self.order, self.space_dim
-        g1 = gram((1,) + (0,) * (n - 1))
+        g1 = self.gram_at((1,) + (0,) * (n - 1))
         return all(
-            gram(alpha) == [[sum(x * x for x in alpha) ** k * g for g in row] for row in g1]
+            self.gram_at(alpha) == [[sum(x * x for x in alpha) ** k * g for g in row] for row in g1]
             for alpha in sorted(monomials_of_degree(n, 2 * k), key=lambda al: -sum(map(bool, al)))
         )
 
@@ -267,8 +252,8 @@ def annihilator(a):
     """L with ker L(ξ) = im A(ξ) wherever det G(ξ) ≠ 0, for a single-order A that
     `check` does not report as not elliptic (NotElliptic otherwise).
 
-    L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*. When G(ξ) is a scalar
-    polynomial q(ξ) times the identity, the reduced form
+    L(ξ) = det G(ξ)·Id − A(ξ)·N(ξ) with N = adj G·A*, G = A*A expanded here and nowhere
+    else. When G(ξ) is a scalar polynomial q(ξ) times the identity, the reduced form
     L(ξ) = q(ξ)·Id − A(ξ)A*(ξ) has the same kernel at every ξ with q(ξ) ≠ 0
     and the minimal degree 2k; it is used whenever applicable. A square A has
     A·adj(AᵀA)·Aᵀ = det(A)²·Id = det G·Id, so L ≡ 0 without any expansion.
@@ -276,12 +261,13 @@ def annihilator(a):
     a.require_elliptic()
     if a.source_dim == a.target_dim:
         return OperatorSpec(a.space_dim, a.target_dim, a.target_dim)
-    s, g = a.symbol(), a.gram
+    s, st = a.symbol(), a.symbol().transpose()
+    g = st * s
     q = g.entries[0][0]
     if g == MatrixPolynomial.scalar_identity(q, g.rows):
-        lb = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * s.transpose()
+        lb = MatrixPolynomial.scalar_identity(q, a.target_dim) - s * st
     else:
-        lb = MatrixPolynomial.scalar_identity(a.gram_det, a.target_dim) - s * a.pinv_numerator
+        lb = MatrixPolynomial.scalar_identity(g.det(), a.target_dim) - s * (g.adjugate() * st)
     return OperatorSpec.from_symbol(lb)
 
 

@@ -2,7 +2,7 @@
 
 Matrices are lists of lists of Fraction; vectors are tuples of Fraction; int
 entries are accepted wherever a matrix is read. One fraction-free elimination
-(`_echelon`, in ints) lies behind RREF, kernels, solves and subspaces.
+(`_echelon`, in ints) lies behind RREF, kernels, subspaces and Gram determinants.
 Subspaces are kept in reduced row echelon form so equality is structural.
 """
 
@@ -80,6 +80,16 @@ def _echelon(a):
     return m, pivots
 
 
+def gram_det(g):
+    """det g of a Gram matrix g = BᵀB with int entries, read off `_echelon`. Row i is
+    scaled there by ±1/gcd(row i), so the last Bareiss pivot is ±det g / Π gcd(row i);
+    det g >= 0, and det g = 0 when a row has no pivot."""
+    m, pivots = _echelon(g)
+    if len(pivots) < len(g):
+        return 0
+    return abs(m[-1][pivots[-1]]) * math.prod(math.gcd(*row) for row in g)
+
+
 def _reduce(m, pivots):
     """Clear above each pivot of an echelon form from `_echelon`, in ints and in
     place, so that row i becomes d times row i of the RREF; returns d, the last
@@ -140,20 +150,6 @@ def _check_kernel(dim, ncols):
             f"over the budget of {MAX_KERNEL_ENTRIES}")
 
 
-def solve(a, b):
-    """One exact solution of a x = b, free variables set to 0; None if inconsistent."""
-    if not a:
-        return None
-    ncols = len(a[0])
-    r, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)])
-    if pivots and pivots[-1] == ncols:  # pivot in the augmented column
-        return None
-    x = [_ZERO] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = r[i][-1]
-    return tuple(x)
-
-
 def inverse(a):
     n = len(a)
     aug = [list(row) + list(e) for row, e in zip(a, identity(n))]
@@ -165,14 +161,7 @@ def inverse(a):
 
 def projection_onto_rowspace(b):
     """Orthogonal projection of the ambient space onto the row space of b (exact)."""
-    canon, pivots = rref(b)
-    basis = canon[:len(pivots)]
-    if not basis:
-        dim = len(b[0]) if b else 0
-        return [[_ZERO] * dim for _ in range(dim)]
-    bt = transpose(basis)
-    gram = mat_mul(basis, bt)
-    return mat_mul(mat_mul(bt, inverse(gram)), basis)
+    return Subspace.from_vectors(len(b[0]) if b else 0, b).projection()
 
 
 @dataclass(frozen=True)
@@ -206,6 +195,13 @@ class Subspace:
         """The basis rows are independent, so v lies in the span iff appending it
         leaves the rank at dim."""
         return len(_echelon([*self.basis, v])[1]) == self.dim
+
+    def projection(self):
+        """The orthogonal projection of the ambient space onto this subspace (exact)."""
+        if not self.basis:
+            return [[_ZERO] * self.ambient_dim for _ in range(self.ambient_dim)]
+        bt = transpose(self.basis)
+        return mat_mul(mat_mul(bt, inverse(mat_mul(self.basis, bt))), self.basis)
 
     def orthogonal_complement(self):
         return Subspace(self.ambient_dim, tuple(nullspace(self.basis, self.ambient_dim)))

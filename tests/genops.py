@@ -236,6 +236,53 @@ def reference_rref(a):
     return m, pivots
 
 
+def reference_solve(a, b):
+    """One exact solution of a x = b, free variables set to 0; None if inconsistent."""
+    if not a:
+        return None
+    ncols = len(a[0])
+    r, pivots = rref([list(row) + [bi] for row, bi in zip(a, b)])
+    if pivots and pivots[-1] == ncols:  # pivot in the augmented column
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = r[i][-1]
+    return tuple(x)
+
+
+def reference_gram(a):
+    """G(ξ) = A*(ξ)A(ξ) by symbolic expansion, as `annihilator` forms it."""
+    s = a.symbol()
+    return s.transpose() * s
+
+
+def reference_gram_det(a):
+    """det G(ξ) by cofactor expansion of the symbolic Gram matrix."""
+    return reference_gram(a).det()
+
+
+def reference_pinv_numerator(a):
+    """N(ξ) = adj G(ξ)·A*(ξ), so that A†(ξ) = N(ξ) / det G(ξ)."""
+    return reference_gram(a).adjugate() * a.symbol().transpose()
+
+
+def reference_det(m):
+    """det m of a square rational matrix by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
 def reference_remainder(a, b):
     """Euclidean remainder of a by b over the rationals (coefficient lists,
     lowest degree first)."""
@@ -434,16 +481,21 @@ def sampled_kernel_dimension(c, points):
 # -- test-only helpers ----------------------------------------------------------------
 
 
-def ladder_systems(seed):
-    """The parsed systems of the benchmark's seeded operator ladder (perfbench/ladder.py)."""
+def load_repo_module(path):
+    """The Python module at `path` from the repository root, loaded by file name."""
     import importlib.util
 
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ladder_systems(seed):
+    """The parsed systems of the benchmark's seeded operator ladder (perfbench/ladder.py)."""
     from ellsym.dsl import parse_system
 
-    spec = importlib.util.spec_from_file_location("ladder", ROOT / "perfbench" / "ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    return [parse_system(rung.text) for rung in ladder.build_ladder(seed)]
+    return [parse_system(rung.text) for rung in load_repo_module("perfbench/ladder.py").build_ladder(seed)]
 
 
 def read_repo_file(path):

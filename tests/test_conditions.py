@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsym.conditions import (
     check_cc,
@@ -26,7 +28,7 @@ from ellsym.errors import (
 )
 from ellsym.operators import OperatorSpec, SystemSpec, homogenize
 from ellsym.poly import MatrixPolynomial, Polynomial, monomials_of_degree
-from ellsym.ratlinalg import Subspace, identity, mat_vec, nullspace, solve, transpose
+from ellsym.ratlinalg import Subspace, identity, mat_vec, nullspace, transpose
 from genops import (
     all_witnesses,
     compose_left,
@@ -38,11 +40,16 @@ from genops import (
     is_full,
     ladder_systems,
     laplacian_operator,
+    load_repo_module,
     random_elliptic_operator,
     random_invertible_matrix,
     random_operator,
     random_rational_point,
+    ROOT,
     read_repo_file,
+    reference_gram,
+    reference_gram_det,
+    reference_solve,
     sampled_kernel_dimension,
     scale,
 )
@@ -96,7 +103,7 @@ def test_divcurl_image_direction_has_explicit_preimage():
         xi = random_rational_point(rng, 3)
         norm2 = sum(x * x for x in xi)
         mat = sym.eval(xi)
-        v = solve(mat, e1)
+        v = reference_solve(mat, e1)
         assert v == tuple(x / norm2 for x in xi)
 
 
@@ -110,7 +117,7 @@ def test_image_basis_vectors_lie_in_image_at_samples():
         xi = random_rational_point(rng, 3)
         mat = sym.eval(xi)
         for e in i_a.basis:
-            assert solve(mat, list(e)) is not None
+            assert reference_solve(mat, list(e)) is not None
 
 
 # -- I_A by the walk over the principal lattice ---------------------------------------
@@ -121,7 +128,7 @@ SHEARED_DIVCURL = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
 
 
 def _scalar_gram(a):
-    g = a.gram
+    g = reference_gram(a)
     return g == g.scalar_identity(g.entries[0][0], g.rows)
 
 
@@ -847,17 +854,29 @@ operator A {
 """
 
 
-@pytest.mark.parametrize("case", ["laplacian_r2", "nonscalar_gram", "square_nonscalar_gram"])
+# (d1² + 2 d2²)·B on R² with a dense invertible 8 × 8 B: square, not isotropic, decided
+# by Sturm; a cofactor expansion of its det G took seconds
+SQUARE_TIMES_B = [
+    [6, 1, 1, 1, 1, 1, 1, 1], [4, 10, 1, 2, 3, 4, 5, 1], [2, 4, 6, 3, 5, 2, 4, 1], [5, 3, 1, 9, 2, 5, 3, 1],
+    [3, 2, 1, 5, 9, 3, 2, 1], [1, 1, 1, 1, 1, 6, 1, 1], [4, 5, 1, 2, 3, 4, 10, 1], [2, 4, 1, 3, 5, 2, 4, 6],
+]
+SQUARE_TIMES_B_SYSTEM = "dim 2\noperator A {\n  from 8 to 8\n  rows: " + "; ".join(
+    "(d1^2 + 2 d2^2)(" + " + ".join(f"{x} u{j + 1}" for j, x in enumerate(row)) + ")" for row in SQUARE_TIMES_B
+) + "\n}\n"
+
+
+@pytest.mark.parametrize("case", ["laplacian_r2", "nonscalar_gram", "square_nonscalar_gram", "square_times_b"])
 def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
     # A† comes from a solve on A(ξ); I_A needs no identity, hence no adj G:
     # the lattice walk alone shows I_A = {0} for the 3 × 2 operator, and a
-    # square operator has I_A = E
+    # square operator has I_A = E; the n = 2 Sturm input is evaluated, not expanded
     from ellsym.poly import MatrixPolynomial
 
     texts = {
         "laplacian_r2": read_repo_file("systems/laplacian_r2.sys"),
         "nonscalar_gram": NONSCALAR_GRAM_SYSTEM,
         "square_nonscalar_gram": SQUARE_NONSCALAR_GRAM_SYSTEM,
+        "square_times_b": SQUARE_TIMES_B_SYSTEM,
     }
     calls = {"det": 0, "adjugate": 0}
     for name in calls:
@@ -868,8 +887,79 @@ def test_run_full_check_builds_det_and_adjugate_once(monkeypatch, case):
         monkeypatch.setattr(MatrixPolynomial, name, counted)
     report = run_full_check(parse_system(texts[case]))
     assert report.weak is not None and report.cwc is not None
-    # an isotropic Gram (the two square cases) needs no Sturm sequence either
-    assert calls == {"det": int(case == "nonscalar_gram"), "adjugate": 0}
+    assert calls == {"det": 0, "adjugate": 0}
+
+
+def _check_systems():
+    """The bundled systems, ladder seeds 1–3 and the n = 2 ELLIPTIC_CASES of
+    tools/compare_outputs.py as systems without a constraint."""
+    systems = [parse_system(read_repo_file(f"systems/{p.name}")) for p in sorted((ROOT / "systems").glob("*.sys"))]
+    systems += [s for seed in (1, 2, 3) for s in ladder_systems(seed)]
+    cases = load_repo_module("tools/compare_outputs.py").ELLIPTIC_CASES
+    return systems + [SystemSpec(parse_operator(text, n), None, n) for _, n, text in cases if n == 2]
+
+
+def test_run_full_check_builds_no_symbol_product(monkeypatch):
+    # every exact decision of `check` evaluates the symbol (`value_at`) and eliminates
+    # in ints; no MatrixPolynomial product, det or adjugate is built for any input
+    systems = _check_systems()
+    assert sum(s.a.ellipticity.decided_by == "sturm" for s in systems) >= 18
+    # fresh operators, so that nothing is cached
+    systems = [SystemSpec(OperatorSpec.from_symbol(s.a.symbol()), s.c, s.n) for s in systems]
+
+    def refuse(self, *args):
+        raise AssertionError("a MatrixPolynomial product, det or adjugate was built")
+
+    for name in ("__mul__", "det", "adjugate"):
+        monkeypatch.setattr(MatrixPolynomial, name, refuse)
+    for system in systems:
+        run_full_check(system)
+
+
+def test_square_times_b_decides_by_sturm_in_bounded_time():
+    import time
+
+    system = parse_system(SQUARE_TIMES_B_SYSTEM)
+    start = time.perf_counter()
+    v = is_elliptic(system.a)
+    assert time.perf_counter() - start < 0.5
+    assert (v.status, v.decided_by) == ("yes", "sturm")
+
+
+def _expanded_det_gram_on_line(a):
+    """c^(2·dim V)·det G(1, t) from the cofactor expansion, lowest degree first."""
+    c = math.lcm(*(x.denominator for row in a.coeffs.values() for r in row for x in r))
+    p = {}
+    for (_, a2), x in reference_gram_det(a).terms.items():
+        p[a2] = p.get(a2, 0) + x * c ** (2 * a.source_dim)
+    return [p.get(i, 0) for i in range(max(p) + 1)] if p else []
+
+
+_line_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@st.composite
+def _line_operators(draw):
+    """n = 2 operators of one order k, dim V 1..3, square or not; each entry a few
+    terms ξ1^(k−j)ξ2^j, so high orders give sparse rows."""
+    dim_v = draw(st.integers(1, 3))
+    dim_e = draw(st.integers(dim_v, dim_v + 2))
+    k = draw(st.sampled_from((0, 1, 2, 3, 7, 30, 60)))
+    terms = draw(st.lists(st.tuples(st.integers(0, k), st.integers(0, dim_e - 1), st.integers(0, dim_v - 1),
+                                    _line_coeffs), min_size=1, max_size=3 * dim_e))
+    return OperatorSpec.from_terms(2, dim_v, dim_e, [((k - j, j), r, i, x) for j, r, i, x in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_line_operators())
+def test_det_gram_on_line_matches_the_expansion(a):
+    from ellsym.conditions import _det_gram_on_line
+
+    assert _det_gram_on_line(a) == _expanded_det_gram_on_line(a)
 
 
 # -- exact zero tests by the rank of A(ξ) ------------------------------------------
@@ -881,9 +971,9 @@ def _detg_zero_hits(a):
     from ellsym.conditions import _axis_and_sign_candidates
     from ellsym.ratlinalg import mat_mul, nullspace, primitive
 
-    hits = []
+    hits, detg = [], reference_gram_det(a)
     for xi in _axis_and_sign_candidates(a.space_dim):
-        if a.gram_det.eval(xi) == 0:
+        if detg.eval(xi) == 0:
             axi = a.symbol().eval(xi)
             kern = nullspace(mat_mul(transpose(axi), axi), ncols=a.source_dim)
             hits.append((xi, primitive(kern[0])))
@@ -898,7 +988,7 @@ def _non_elliptic_operators():
     while len(ops) < 15:
         n = rng.choice((2, 3))
         op = random_operator(rng, n, rng.randint(1, 2), rng.randint(2, 3), homogeneous=True)
-        if op.order > 0 and not op.gram_det.is_zero() and _detg_zero_hits(op):
+        if op.order > 0 and not reference_gram_det(op).is_zero() and _detg_zero_hits(op):
             ops.append(op)
     return ops
 
@@ -911,7 +1001,7 @@ def test_degenerate_matches_expanded_det():
         parse_operator("from 2 to 2\nrows: d1 u1 + d1 u2; d1^2 u1 + d2^2 u1 + d1^2 u2 + d2^2 u2", 2),
         parse_operator("from 1 to 2\nrows: d1 u1; d1^2 u1 + d2^2 u1", 2),
     ]
-    expected = [op.gram_det.is_zero() for op in ops]
+    expected = [reference_gram_det(op).is_zero() for op in ops]
     assert True in expected and False in expected
     assert [op.degenerate for op in ops] == expected
 
@@ -952,7 +1042,7 @@ def test_rank_zero_test_matches_expanded_det(index):
     v = is_elliptic(a)
     assert v.status == "no" and v.witness_exact
     assert (v.witness_xi, v.kernel_vector) == hits[0]
-    if not a.gram_det.is_zero():  # divergence exits earlier, at e1 alone
+    if not reference_gram_det(a).is_zero():  # divergence exits earlier, at e1 alone
         assert v.extra_witnesses == hits[1:]
 
 

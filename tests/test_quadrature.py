@@ -35,7 +35,9 @@ from genops import (
     random_elliptic_operator,
     read_repo_file,
     reference_float_symbol,
+    reference_gram_det,
     reference_monomial_table,
+    reference_pinv_numerator,
     reference_sampled_ellipticity,
 )
 
@@ -317,9 +319,11 @@ def test_batched_solve_pseudoinverse_matches_exact(index):
         if any(p):
             points.append(p)
 
+    detg, numerator = reference_gram_det(a), reference_pinv_numerator(a)
+
     def exact(xi):
-        den = a.gram_det.eval(xi)
-        return [[q.eval(xi) / den for q in row] for row in a.pinv_numerator.entries]
+        den = detg.eval(xi)
+        return [[q.eval(xi) / den for q in row] for row in numerator.entries]
 
     sign = (-1) ** a.order
     for p in points:

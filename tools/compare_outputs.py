@@ -37,7 +37,11 @@ run the same list of operations:
   reach both verdicts (an
   elliptic one from 3 to 4 with det G of degree 60; from 2 to 3, one with
   the exact zero ξ = (3, 2) off every axis/sign candidate and one with the
-  irrational zeros ξ2/ξ1 = ±1/√2, whose bisection runs to the end), an
+  irrational zeros ξ2/ξ1 = ±1/√2, whose bisection runs to the end), two
+  elliptic R^2 operators whose det G(1, t) is read off one integer
+  evaluation: the square (d1^2 + 2 d2^2)·B with a dense invertible 7 x 7 B
+  (det G of degree 28), and a sparse one from 2 to 3 of order 30 (det G of
+  degree 120 with large coefficients, which tests the digit bound), an
   inconclusive n = 3 minimum, an n = 3 zero on the line through (1, 2, 3),
   off every axis/sign candidate, that the rounding of the refined minimizer
   certifies, the same for an n = 4 zero on the line through (1, 2, 3, 4)
@@ -220,6 +224,23 @@ ELLIPTIC_CASES = (
         2,
         "from 2 to 3\nrows: (d1^2 - 2 d2^2)(d1^2 + d2^2)^4 u1 + d1^5 d2^5 u2;"
         " (d1^2 - 2 d2^2) d1^8 u1 + (2 d1^2 - d1 d2 + d2^2)^5 u2; (d1^2 - 2 d2^2) d2^8 u1 + d1^7 d2^3 u2",
+    ),
+    (
+        "n2 square (d1^2 + 2 d2^2)·B, dense 7 x 7 B",
+        2,
+        "from 7 to 7\nrows: (d1^2 + 2 d2^2)(6 u1 + u2 + u3 + u4 + u5 + u6 + u7);"
+        " (d1^2 + 2 d2^2)(4 u1 + 10 u2 + u3 + 2 u4 + 3 u5 + 4 u6 + 5 u7);"
+        " (d1^2 + 2 d2^2)(2 u1 + 4 u2 + 6 u3 + 3 u4 + 5 u5 + 2 u6 + 4 u7);"
+        " (d1^2 + 2 d2^2)(5 u1 + 3 u2 + u3 + 9 u4 + 2 u5 + 5 u6 + 3 u7);"
+        " (d1^2 + 2 d2^2)(3 u1 + 2 u2 + u3 + 5 u4 + 9 u5 + 3 u6 + 2 u7);"
+        " (d1^2 + 2 d2^2)(u1 + u2 + u3 + u4 + u5 + 6 u6 + u7);"
+        " (d1^2 + 2 d2^2)(4 u1 + 5 u2 + u3 + 2 u4 + 3 u5 + 4 u6 + 10 u7)",
+    ),
+    (
+        "n2 sparse order 30, from 2 to 3",
+        2,
+        "from 2 to 3\nrows: d1^30 u1 - 7 d1^15 d2^15 u2 + 2 d2^30 u1; 5 d1^30 u2 + 3 d1^7 d2^23 u1 + d2^30 u2;"
+        " 11 d1^20 d2^10 u1 + 13 d1^3 d2^27 u2",
     ),
     ("n3 inconclusive", 3, "rows: d1^2 u1 - 2 d2^2 u1 + 3 d3^2 u1"),
     ("n3 refined rational zero", 3, "rows: 2 d1 u1 - d2 u1; 3 d1 u1 - d3 u1"),
