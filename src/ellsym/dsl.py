@@ -114,6 +114,11 @@ def _height(p):
     return max((max(abs(c.numerator), c.denominator) for c in p.terms.values()), default=1)
 
 
+def _named(tok, noun=""):
+    """A token as a message names it: its text after `noun`, or the end of input."""
+    return "end of input" if tok.kind == "EOF" else f"{noun}{tok.value!r}"
+
+
 def _check_expansion(terms, bits, what, tok):
     """DslSyntaxError unless `terms` coefficients of `bits` bits fit MAX_EXPANSION_BITS."""
     if terms * bits > MAX_EXPANSION_BITS:
@@ -123,34 +128,30 @@ def _check_expansion(terms, bits, what, tok):
 
 
 class _RowValue:
-    """scalar polynomial + linear part Σ comps[i]·component_i."""
+    """A scalar polynomial plus a linear part Σ comps[i]·component_i: a term, a
+    group or a row. A term without groups is one monomial, so polynomial
+    products come only from groups."""
 
     def __init__(self, nvars, scalar=None, comps=None):
         self.nvars = nvars
         self.scalar = scalar if scalar is not None else Polynomial.zero(nvars)
         self.comps = comps or {}
 
-    def add(self, other):
-        comps = dict(self.comps)
+    def add(self, other, negate):
+        """Add other, or −other when negate, to this sum in place."""
+        self.scalar += -other.scalar if negate else other.scalar
         for i, p in other.comps.items():
-            comps[i] = comps.get(i, Polynomial.zero(self.nvars)) + p
-        return _RowValue(self.nvars, self.scalar + other.scalar, comps)
-
-    def neg(self):
-        return _RowValue(
-            self.nvars, -self.scalar, {i: -p for i, p in self.comps.items()}
-        )
+            p = -p if negate else p
+            self.comps[i] = self.comps[i] + p if i in self.comps else p
 
     def mul(self, other, tok):
-        if self.comps and other.comps:
-            raise DslSyntaxError(
-                "expression is nonlinear in the components", tok.line, tok.col
-            )
+        """The product; the parser lets at most one factor hold components."""
         if other.comps:
             return other.mul(self, tok)
         # other is scalar. p·q has at most t₁t₂ terms and at most the monomials of
         # degree ≤ deg p + deg q; a coefficient is at most min(t₁, t₂)·H_p·H_q. A
-        # monomial factor adds no term, and its coefficient is a number of the text.
+        # one-term factor adds no term: the monomial of a term multiplies its
+        # groups last, and its coefficient is a product of numbers of the text.
         q = other.scalar
         for p in (self.scalar, *self.comps.values()):
             t1, t2 = len(p.terms), len(q.terms)
@@ -160,11 +161,7 @@ class _RowValue:
             terms = min(t1 * t2, math.comb(degree + self.nvars, self.nvars))
             bits = (min(t1, t2) * _height(p) * _height(q)).bit_length()
             _check_expansion(terms, bits, f"a product of factors of {t1} and {t2} terms", tok)
-        return _RowValue(
-            self.nvars,
-            self.scalar * other.scalar,
-            {i: p * other.scalar for i, p in self.comps.items()},
-        )
+        return _RowValue(self.nvars, self.scalar * q, {i: p * q for i, p in self.comps.items()})
 
     def power(self, k, tok):
         if self.comps:
@@ -208,17 +205,13 @@ class _Parser:
     def expect(self, kind, what=None):
         tok = self.next()
         if tok.kind != kind:
-            raise DslSyntaxError(
-                f"expected {what or kind}, found {tok.value!r}", tok.line, tok.col
-            )
+            raise DslSyntaxError(f"expected {what or kind}, found {_named(tok)}", tok.line, tok.col)
         return tok
 
     def expect_ident(self, word):
         tok = self.next()
         if tok.kind != "IDENT" or tok.value != word:
-            raise DslSyntaxError(
-                f"expected '{word}', found {tok.value!r}", tok.line, tok.col
-            )
+            raise DslSyntaxError(f"expected '{word}', found {_named(tok)}", tok.line, tok.col)
         return tok
 
     def at_ident(self, word):
@@ -248,81 +241,83 @@ class _Parser:
             tok.col,
         )
 
-    def parse_factor(self):
-        tok = self.peek(skip_newlines=False)
-        if tok.kind == "NUMBER":
-            return _RowValue(self.nvars, Polynomial.constant(self.nvars, self.parse_rational()))
-        if tok.kind == "LPAREN":
-            if self.depth == MAX_GROUP_DEPTH:
-                raise DslSyntaxError(
-                    f"groups nested deeper than {MAX_GROUP_DEPTH} levels", tok.line, tok.col)
-            self.next()
-            self.depth += 1
-            inner = self.parse_row_expr()
-            self.expect("RPAREN", "')'")
-            self.depth -= 1
-            return self._maybe_power(inner)
-        if tok.kind == "IDENT":
-            self.next(skip_newlines=False)
-            letter, idx = self._classify_ident(tok)
-            if letter == "d":
-                if not 1 <= idx <= self.nvars:
-                    raise DslSyntaxError(
-                        f"derivative d{idx} out of range for dimension {self.nvars}",
-                        tok.line,
-                        tok.col,
-                    )
-                value = _RowValue(self.nvars, Polynomial.variable(self.nvars, idx - 1))
-                return self._maybe_power(value)
-            if idx < 1:
-                raise UnknownComponentError(
-                    f"component index must be >= 1, got {idx}", tok.line, tok.col
-                )
-            return _RowValue(
-                self.nvars,
-                None,
-                {idx - 1: Polynomial.constant(self.nvars, 1)},
-            )
-        raise DslSyntaxError(f"unexpected token {tok.value!r}", tok.line, tok.col)
+    def parse_exponent(self):
+        """The INT after a '^' and its token; (1, None) when no '^' follows."""
+        if self.peek(skip_newlines=False).kind != "CARET":
+            return 1, None
+        self.next(skip_newlines=False)
+        exp = self.expect("NUMBER", "an exponent")
+        return exp.value, exp
 
-    def _maybe_power(self, value):
-        nxt = self.peek(skip_newlines=False)
-        if nxt.kind == "CARET":
-            self.next(skip_newlines=False)
-            exp = self.expect("NUMBER", "an exponent")
-            return value.power(exp.value, exp)
-        return value
+    def parse_group(self):
+        tok = self.next(skip_newlines=False)
+        if self.depth == MAX_GROUP_DEPTH:
+            raise DslSyntaxError(
+                f"groups nested deeper than {MAX_GROUP_DEPTH} levels", tok.line, tok.col)
+        self.depth += 1
+        inner = self.parse_row_expr()
+        self.expect("RPAREN", "')'")
+        self.depth -= 1
+        k, exp = self.parse_exponent()
+        return inner if exp is None else inner.power(k, exp)
 
     def parse_term(self):
+        """Numbers, derivatives and one component fold into one monomial
+        c·ξ^α·u_i; groups multiply left to right, then by that monomial."""
         tok = self.peek(skip_newlines=False)
-        value = self.parse_factor()
+        coeff, alpha, comp, groups = 1, [0] * self.nvars, None, None
         while True:
+            factor = self.peek(skip_newlines=False)
+            linear = comp is not None or groups is not None and groups.comps
+            if factor.kind == "NUMBER":
+                coeff *= self.parse_rational()
+            elif factor.kind == "LPAREN":
+                group = self.parse_group()
+                if linear and group.comps:
+                    raise DslSyntaxError("expression is nonlinear in the components", tok.line, tok.col)
+                groups = group if groups is None else groups.mul(group, tok)
+            elif factor.kind == "IDENT":
+                self.next(skip_newlines=False)
+                letter, idx = self._classify_ident(factor)
+                if letter == "d":
+                    if not 1 <= idx <= self.nvars:
+                        raise DslSyntaxError(f"derivative d{idx} out of range for dimension {self.nvars}",
+                                             factor.line, factor.col)
+                    k, exp = self.parse_exponent()
+                    if exp is not None:  # the budget of a one-term group
+                        _check_expansion(1, k, f"power {k} of {factor.value}", exp)
+                    alpha[idx - 1] += k
+                elif idx < 1:
+                    raise UnknownComponentError(f"component index must be >= 1, got {idx}", factor.line, factor.col)
+                elif linear:
+                    raise DslSyntaxError("expression is nonlinear in the components", tok.line, tok.col)
+                else:
+                    comp = idx - 1
+            else:
+                raise DslSyntaxError(f"unexpected {_named(factor, 'token ')}", factor.line, factor.col)
             star = self.peek(skip_newlines=False)
             if star.kind == "STAR":
                 self.next(skip_newlines=False)
-            if self.peek(skip_newlines=False).kind in ("NUMBER", "LPAREN", "IDENT"):
-                value = value.mul(self.parse_factor(), tok)
-            elif star.kind == "STAR":
-                raise DslSyntaxError("expected a factor after '*'", star.line, star.col)
-            else:
-                return value
+            if self.peek(skip_newlines=False).kind not in ("NUMBER", "LPAREN", "IDENT"):
+                if star.kind == "STAR":
+                    raise DslSyntaxError("expected a factor after '*'", star.line, star.col)
+                break
+        mono = Polynomial.monomial(self.nvars, alpha, coeff)
+        term = _RowValue(self.nvars, mono) if comp is None else _RowValue(self.nvars, None, {comp: mono})
+        return term if groups is None else groups.mul(term, tok)
 
     def parse_row_expr(self):
-        tok = self.peek()
-        negate = False
-        if tok.kind in ("PLUS", "MINUS"):
+        """A signed sum of terms, added up in place."""
+        row = _RowValue(self.nvars)
+        sign = self.peek()
+        if sign.kind in ("PLUS", "MINUS"):
             self.next()
-            negate = tok.kind == "MINUS"
-        value = self.parse_term()
-        if negate:
-            value = value.neg()
         while True:
-            nxt = self.peek(skip_newlines=False)
-            if nxt.kind not in ("PLUS", "MINUS"):
-                return value
+            row.add(self.parse_term(), sign.kind == "MINUS")
+            sign = self.peek(skip_newlines=False)
+            if sign.kind not in ("PLUS", "MINUS"):
+                return row
             self.next(skip_newlines=False)
-            term = self.parse_term()
-            value = value.add(term.neg() if nxt.kind == "MINUS" else term)
 
     # -- rows / blocks ------------------------------------------------------
 
@@ -461,7 +456,7 @@ def parse_system(text):
                     )
                 constraint = built
             continue
-        raise DslSyntaxError(f"unexpected token {tok.value!r}", tok.line, tok.col)
+        raise DslSyntaxError(f"unexpected {_named(tok, 'token ')}", tok.line, tok.col)
     if op is None:
         raise DslSyntaxError("missing operator block")
     return SystemSpec(op, constraint, dim)

@@ -159,11 +159,6 @@ def inverse(a):
     return [row[n:] for row in r]
 
 
-def projection_onto_rowspace(b):
-    """Orthogonal projection of the ambient space onto the row space of b (exact)."""
-    return Subspace.from_vectors(len(b[0]) if b else 0, b).projection()
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A rational subspace with its canonical (reduced row echelon) basis."""

@@ -250,6 +250,12 @@ def reference_solve(a, b):
     return tuple(x)
 
 
+def projection_onto_rowspace(b):
+    """Orthogonal projection of the ambient space onto the row space of b (exact),
+    through `Subspace.projection`."""
+    return Subspace.from_vectors(len(b[0]) if b else 0, b).projection()
+
+
 def reference_gram(a):
     """G(ξ) = A*(ξ)A(ξ) by symbolic expansion, as `annihilator` forms it."""
     s = a.symbol()

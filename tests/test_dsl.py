@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsym.dsl import MAX_SPACE_DIM, format_operator, format_system, parse_operator, parse_system
+from ellsym.dsl import MAX_EXPANSION_BITS, MAX_SPACE_DIM, format_operator, format_system, parse_operator, parse_system
 from ellsym.errors import (
     DimensionMismatchError,
     DslSyntaxError,
@@ -16,8 +16,9 @@ from ellsym.errors import (
     NonHomogeneousRowError,
     UnknownComponentError,
 )
-from ellsym.operators import SystemSpec
-from genops import random_operator, read_repo_file
+from ellsym.operators import OperatorSpec, SystemSpec
+from ellsym.poly import Polynomial, monomials_of_degree
+from genops import load_repo_module, random_operator, read_repo_file
 
 F = Fraction
 
@@ -318,3 +319,183 @@ def test_parse_system_tokenizes_the_text_once(monkeypatch):
     monkeypatch.setattr(dsl, "_tokenize", lambda text: calls.append(text) or tokenize(text))
     parse_system((Path(__file__).parents[1] / "systems" / "divcurl_r3.sys").read_text())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_term_without_groups_builds_no_polynomial_product(seed, monkeypatch):
+    # every rung of the ladder is a sum of terms c·ξ^α·u_i: numbers, derivatives and
+    # one component fold into one monomial, with no Polynomial product
+    texts = [rung.text for rung in load_repo_module("perfbench/ladder.py").build_ladder(seed)]
+
+    def refuse(self, other):
+        raise AssertionError("a Polynomial product in a term without groups")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    for text in texts:
+        parse_system(text)
+
+
+def _derivatives(alpha):
+    return " ".join(f"d{i + 1}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(alpha) if a)
+
+
+@st.composite
+def _group(draw, n, source_dim, with_component):
+    """A parenthesized signed sum of monomials of one degree, each times a component
+    when with_component: (text, degree, value), the value a Polynomial or, with
+    components, {index: Polynomial}; a scalar group may carry a power."""
+    degree = draw(st.integers(0, 2))
+    term = st.tuples(st.sampled_from("+-"), st.integers(0, 4), st.sampled_from(monomials_of_degree(n, degree)),
+                     st.integers(0, source_dim - 1))
+    value, parts = ({} if with_component else Polynomial.zero(n)), []
+    for sign, c, alpha, i in draw(st.lists(term, min_size=1, max_size=3)):
+        p = Polynomial.monomial(n, alpha, c if sign == "+" else -c)
+        parts.append(" ".join(filter(None, [sign, str(c), _derivatives(alpha), f"u{i + 1}" if with_component else ""])))
+        if with_component:
+            value[i] = value[i] + p if i in value else p
+        else:
+            value = value + p
+    text = "(" + " ".join(parts) + ")"
+    if with_component:
+        return text + draw(st.sampled_from(["", "^1"])), degree, value
+    k = draw(st.sampled_from([None, 0, 1, 2, 3]))
+    return (text, degree, value) if k is None else (f"{text}^{k}", degree * k, value**k)
+
+
+def _derivative(n, i, k):
+    """(text, degree, value) of d_i^k, written as d_i when k is None."""
+    alpha = [0] * n
+    alpha[i - 1] = 1 if k is None else k
+    return (f"d{i}" if k is None else f"d{i}^{k}"), alpha[i - 1], Polynomial.monomial(n, alpha)
+
+
+@st.composite
+def _term(draw, n, source_dim):
+    """The factors (text, degree, value) of one term, in drawn order: numbers,
+    derivatives, scalar groups and one component, bare or in a group."""
+    factors = []
+    for p, q in draw(st.lists(st.tuples(st.integers(0, 9), st.sampled_from([1, 1, 2, 3, 7])), max_size=2)):
+        factors.append((str(p) if q == 1 else f"{p}/{q}", 0, Polynomial.constant(n, F(p, q))))
+    for i, k in draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from([None, 0, 1, 2])), max_size=3)):
+        factors.append(_derivative(n, i, k))
+    factors += draw(st.lists(_group(n, source_dim, False), max_size=2))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, source_dim))
+        factors.append((f"u{i}", 0, {i - 1: Polynomial.constant(n, 1)}))
+    else:
+        factors.append(draw(_group(n, source_dim, True)))
+    return draw(st.permutations(factors))
+
+
+@st.composite
+def _row(draw, n, source_dim):
+    """(text, {index: Polynomial}) of a homogeneous row: every term is padded to the
+    top degree by one more derivative, and the last may come again to cancel."""
+    terms = draw(st.lists(_term(n, source_dim), min_size=1, max_size=3))
+    top = max(sum(degree for _, degree, _ in factors) for factors in terms)
+    signed = []
+    for factors in terms:
+        factors = list(factors)
+        missing = top - sum(degree for _, degree, _ in factors)
+        if missing:
+            factors.insert(draw(st.integers(0, len(factors))), _derivative(n, draw(st.integers(1, n)), missing))
+        signed.append((draw(st.sampled_from("+-")), factors))
+    if draw(st.booleans()):
+        sign, factors = signed[-1]
+        signed.append(("-" if sign == "+" else "+", factors))
+    text, row = "", {}
+    for sign, factors in signed:
+        scalar, comps = Polynomial.constant(n, 1), None
+        for _, _, value in factors:
+            if isinstance(value, dict):
+                comps = value
+            else:
+                scalar = scalar * value
+        for i, p in comps.items():
+            p = -(p * scalar) if sign == "-" else p * scalar
+            row[i] = row[i] + p if i in row else p
+        glue = draw(st.lists(st.sampled_from([" ", " * "]), min_size=len(factors) - 1, max_size=len(factors) - 1))
+        lead = "" if not text and sign == "+" and draw(st.booleans()) else f" {sign}"
+        text += f"{lead} " + "".join(f + g for (f, _, _), g in zip(factors, glue)) + factors[-1][0]
+    return text, row
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_operator_matches_polynomial_arithmetic(data):
+    n, source_dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(_row(n, source_dim), min_size=1, max_size=3))
+    text = f"from {source_dim} to {len(rows)}\nrows:" + ";\n".join(row_text for row_text, _ in rows)
+    expected = OperatorSpec.from_terms(n, source_dim, len(rows), (
+        (alpha, j, i, c) for j, (_, row) in enumerate(rows) for i, p in row.items() for alpha, c in p.terms.items()))
+    assert parse_operator(text, n) == expected, text
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("u1 u2", DslSyntaxError, "line 1, col 7: expression is nonlinear in the components"),
+        ("(u1 - u1) u2", DslSyntaxError, "line 1, col 7: expression is nonlinear in the components"),
+        ("(u1)^0", DslSyntaxError, "line 1, col 12: cannot raise a component expression to a power"),
+        ("u1^2", DslSyntaxError, "line 1, col 9: unexpected token '^'"),
+        ("d0 u1", DslSyntaxError, "line 1, col 7: derivative d0 out of range for dimension 2"),
+        ("u0", UnknownComponentError, "line 1, col 7: component index must be >= 1, got 0"),
+        ("u1 * * u2", DslSyntaxError, "line 1, col 10: expected a factor after '*'"),
+        ("d1^-1 u1", DslSyntaxError, "line 1, col 10: expected an exponent, found '-'"),
+    ],
+)
+def test_parser_edge_cases_keep_their_class_and_message(row, error, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_operator(f"rows: {row}", 2)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("row", ["0 u1", "u1 - u1"])
+def test_zero_rows_keep_their_component(row):
+    op = parse_operator(f"rows: {row}", 2)
+    assert op == parse_operator("from 1 to 1\nrows: 0 u1", 2)
+    assert format_operator(op) == "from 1 to 1\nrows:\n  0 u1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("rows: d1 u1 +", "line 1, col 14: unexpected end of input"),
+        ("rows: -", "line 1, col 8: unexpected end of input"),
+        ("rows: (d1 u1", "line 1, col 13: expected ')', found end of input"),
+        ("rows: d1^", "line 1, col 10: expected an exponent, found end of input"),
+        ("rows: 2/", "line 1, col 9: expected a denominator, found end of input"),
+        ("from 1 to", "line 1, col 10: expected target dimension, found end of input"),
+        ("from 1", "line 1, col 7: expected 'to', found end of input"),
+    ],
+)
+def test_truncated_text_names_the_end_of_input(text, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_operator(text, 2)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim 2\noperator A", "line 2, col 11: expected '{', found end of input"),
+        ("dim 2\noperator A {", "line 2, col 13: expected 'from', found end of input"),
+        ("dim 2\noperator A { from 1 to 1 rows: d1 u1", "line 2, col 37: expected '}', found end of input"),
+    ],
+)
+def test_truncated_system_names_the_end_of_input(text, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_system(text)
+    assert str(err.value) == message
+
+
+def test_power_of_a_derivative_over_the_budget_names_the_derivative():
+    k = MAX_EXPANSION_BITS
+    assert parse_operator(f"rows: d2^{k} u1", 2).row_degrees == (k,)
+    with pytest.raises(DslSyntaxError) as err:
+        parse_operator(f"rows: d2^{k + 1} u1", 2)
+    assert str(err.value) == (
+        f"line 1, col 10: power {k + 1} of d2 may expand to 1 terms of about {k + 1} bits each, "
+        f"over the budget of {k} bits"
+    )

@@ -14,11 +14,18 @@ from ellsym.ratlinalg import (
     mat_vec,
     nullspace,
     primitive,
-    projection_onto_rowspace,
     rref,
     transpose,
 )
-from genops import image_of, is_full, rank, reference_det, reference_rref, reference_solve
+from genops import (
+    image_of,
+    is_full,
+    projection_onto_rowspace,
+    rank,
+    reference_det,
+    reference_rref,
+    reference_solve,
+)
 
 F = Fraction
 

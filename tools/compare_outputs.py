@@ -80,6 +80,13 @@ run the same list of operations:
 - `format_system` of every file in `systems/` and of every system of
   CHECK_CASES, which pins the one block writer of the operator and the
   constraint;
+- the parser on the inline systems of PARSER_CASES, `format_system` of each
+  and `homogenize` of each block: zero and cancelling rows, a component
+  before and after groups, a number between two groups, nested groups and
+  powers of scalar groups, and `*` mixed with adjacency; and the class and
+  message of the error for each operator of PARSER_REFUSALS (two
+  components, powers of components, indices out of range, a derivative over
+  the expansion budget, text that ends too early);
 - the class and message of the error that the two float conversions of a
   coefficient beyond the float range (10^400) raise: `is_elliptic` of a
   non-isotropic n = 3 operator, which reaches the sampler, and
@@ -353,6 +360,80 @@ cases = %r + [(name, open(f"systems/{name}.sys").read()) for name in %r]
 print(json.dumps({label: format_system(parse_system(text)).splitlines() for label, text in cases}, sort_keys=True))
 """ % (list(CHECK_CASES), SYSTEMS)
 
+# (label, system text) for the parser: `format_system` of each, and `homogenize`
+# of each block, printed by `format_operator`
+PARSER_CASES = (
+    (
+        "zero and cancelling rows",
+        "dim 2\noperator A {\n  from 2 to 3\n  rows: 0 u1; d1 u1 - d1 u1 + d2 u2; 3 d1 d2 u1 - 3 d2 d1 u1\n}\n"
+        "constraint C {\n  from 3 to 2\n  rows: d1 f1 - d1 f1; d1^2 f2 + 0 d2^2 f3\n}\n",
+    ),
+    (
+        "a component before and after groups",
+        "dim 2\noperator A {\n  from 2 to 2\n  rows: u1 (d1 + d2)^2 + (d1 - d2) u2 (d1 + 3 d2);"
+        " (d1 + d2) (d1 - d2) u1 - d1 (2 d1 + d2) u2\n}\n",
+    ),
+    (
+        "a number between two groups",
+        "dim 3\noperator A {\n  from 1 to 2\n  rows: (d1 + d2) 3/2 (d1 - d3) u1;"
+        " (d2 - d3) 0 (d1 + d2) u1 + d1 d2 u1\n}\n",
+    ),
+    (
+        "nested groups and powers of scalar groups",
+        "dim 2\noperator A {\n  from 2 to 2\n  rows: ((d1 + d2)^2 - (d1 - d2)^2)^2 u1 + (d1 (d1 + 2 d2))^2 u2;"
+        " (d1 (d1 u1 + d2 u2))^1 d2 (d1 + d2)^0\n}\n"
+        "constraint C {\n  from 2 to 2\n  rows: (d1 (d1 f1 - (d2 - d1) f2)); ((2 - 1) f2)\n}\n",
+    ),
+    (
+        "* mixed with adjacency",
+        "dim 2\noperator A {\n  from 2 to 2\n  rows: 2 * d1 (d1 + d2) * u1 - d1*d2 * 3 u2;"
+        " d1 * d1^2 u2 + 1/2*d2^3 * u1\n}\n",
+    ),
+)
+# (label, operator text on R^2) whose parse is refused: the class and message of the error
+PARSER_REFUSALS = (
+    ("two components", "rows: u1 u2"),
+    ("a cancelled component group times a component", "rows: (u1 - u1) u2"),
+    ("power 0 of a component group", "rows: (u1)^0"),
+    ("power of a component", "rows: u1^2"),
+    ("derivative d0", "rows: d0 u1"),
+    ("component u0", "rows: u0"),
+    ("two stars", "rows: u1 * * u2"),
+    ("negative exponent", "rows: d1^-1 u1"),
+    ("a derivative over the expansion budget", "rows: d1^200000 u1"),
+    ("end of input after a sign", "rows: d1 u1 +"),
+    ("end of input in a group", "rows: (d1 u1"),
+)
+
+PARSER_SCRIPT = """
+import json
+from ellsym import format_operator, format_system, homogenize, parse_system
+
+cases = %r
+out = {}
+for label, text in cases:
+    system = parse_system(text)
+    blocks = [(op, letter) for op, letter in ((system.a, "u"), (system.c, "f")) if op is not None]
+    out[label] = {"format_system": format_system(system).splitlines(),
+                  "homogenize": [format_operator(homogenize(op), letter).splitlines() for op, letter in blocks]}
+print(json.dumps(out, sort_keys=True))
+""" % (PARSER_CASES,)
+
+PARSER_REFUSAL_SCRIPT = """
+import json
+from ellsym import parse_operator
+
+def attempt(fn):
+    try:
+        fn()
+        return "accepted"
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+cases = %r
+print(json.dumps({label: attempt(lambda: parse_operator(text, 2)) for label, text in cases}, sort_keys=True))
+""" % (PARSER_REFUSALS,)
+
 # coefficients beyond the float range, on the two paths that convert them to floats
 FLOAT_RANGE_SCRIPT = """
 import json
@@ -404,6 +485,8 @@ def operations(inline_dir):
     ops.append(("run_full_check inline systems", ["-c", CHECK_SCRIPT]))
     ops.append(("format_system of the systems", ["-c", FORMAT_SCRIPT]))
     ops.append(("coefficients beyond the float range", ["-c", FLOAT_RANGE_SCRIPT]))
+    ops.append(("parser cases", ["-c", PARSER_SCRIPT]))
+    ops.append(("parser refusals", ["-c", PARSER_REFUSAL_SCRIPT]))
     return ops
 
 
